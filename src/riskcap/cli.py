@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -27,6 +28,7 @@ from . import experiments as exp_mod
 from .bayes import InsufficientDataError, NIXParams
 from .capital import CellModel, LossData
 from .distributions import GammaParams, LognormalParams, ParetoParams, RngStream
+from .mc_engine import usable_cpus
 
 __all__ = ["main"]
 
@@ -87,6 +89,8 @@ def read_events_file(path) -> list:
                 year, amount = int(row[0]), float(row[1])
             except (ValueError, IndexError):
                 raise ValidationError(f"{path}:{i}: malformed row {row!r}")
+            if not math.isfinite(amount):
+                raise ValidationError(f"{path}:{i}: non-finite amount {amount}")
             if not amount > 0:
                 raise ValidationError(f"{path}:{i}: non-positive amount {amount}")
             events.append((year, amount))
@@ -195,16 +199,17 @@ def load_config(path) -> dict:
 
 def resolve_seed(flag_seed, config_seed=None):
     """Seed precedence: flag, then RISKCAP_SEED env var, then config, then clock."""
-    if flag_seed is not None:
-        return int(flag_seed)
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    for source, value in (("--seed", flag_seed), (SEED_ENV_VAR, env), ("config seed", config_seed)):
+        if value is None:
+            continue
         try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV_VAR} must be an unsigned decimal, got {env!r}")
-    if config_seed is not None:
-        return int(config_seed)
+            seed = int(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{source} must be an unsigned decimal, got {value!r}")
+        if seed < 0:
+            raise ValidationError(f"{source} must be non-negative, got {seed}")
+        return seed
     return time.time_ns() % 2**63
 
 
@@ -401,7 +406,7 @@ def cmd_experiment(args):
     K = args.K if args.K is not None else (10**6 if args.full_scale else 10**5)
 
     if args.which == "track":
-        records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed)
+        records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed, args.workers)
         with open(args.out, "w", newline="") as fh:
             fh.write(f"# seed={seed}\n")
             w = csv.writer(fh)
@@ -432,7 +437,7 @@ def cmd_experiment(args):
         print(f"wrote {len(records)} rows to {args.out} (quantiles in thousands)")
     else:
         R = args.R if args.R is not None else (100 if args.full_scale else 20)
-        curve = exp_mod.bias_study(model, m_grid, R, args.q, K, seed)
+        curve = exp_mod.bias_study(model, m_grid, R, args.q, K, seed, workers=args.workers)
         with open(args.out, "w", newline="") as fh:
             fh.write(f"# seed={seed}\n")
             fh.write(f"# realizations={curve.realizations}\n")
@@ -448,6 +453,23 @@ def cmd_experiment(args):
 
 # ---------------------------------------------------------------------------
 # Parser / entry point
+
+
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _add_workers_flag(parser):
+    parser.add_argument(
+        "--workers", type=_worker_count, default=usable_cpus(),
+        help="threads to simulate on (default: the usable CPUs); outputs do not depend on it",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--gamma", type=float)
     cap.add_argument("--mode", choices=["conditional", "predictive", "both"])
     cap.add_argument("--seed", type=int)
-    cap.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(cap)
     cap.add_argument("--csv")
     cap.set_defaults(func=cmd_capital)
 
@@ -499,6 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--full-scale", action="store_true",
                      help="R=100, K=1e6 (slow); default desk scale is R=20, K=1e5")
     exp.add_argument("--seed", type=int)
+    _add_workers_flag(exp)
     exp.add_argument("--out", required=True)
     exp.set_defaults(func=cmd_experiment)
 

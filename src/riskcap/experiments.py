@@ -13,6 +13,7 @@ comparability with published tables.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +105,7 @@ def generate_synthetic(true_model: TrueModel, M: int, rng: RngStream) -> LossDat
     return LossData(annual_counts=counts, severities=severities)
 
 
-def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream):
+def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream, workers: int = 1):
     """MLE fit, non-informative posteriors, and both quantiles for one dataset."""
     lam_hat = estimators.mle_poisson(data.annual_counts)
     freq = PoissonParams(lam=lam_hat)
@@ -126,8 +127,10 @@ def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream)
             threshold_L=L,
         )
 
-    cond = simulate_conditional_sample(freq, sev, K_sims, stream.substream("cond"))
-    pred = simulate_predictive_sample(post_freq, post_sev, K_sims, stream.substream("pred"))
+    cond = simulate_conditional_sample(freq, sev, K_sims, stream.substream("cond"), workers=workers)
+    pred = simulate_predictive_sample(
+        post_freq, post_sev, K_sims, stream.substream("pred"), workers=workers
+    )
     q_cond = empirical_quantile(cond, q)
     q_pred = empirical_quantile(pred, q)
     return q_cond, q_pred, post_freq, post_sev
@@ -139,11 +142,14 @@ def single_realization_track(
     q: float = 0.999,
     K_sims: int = 10**6,
     seed: int = 0,
+    workers: int = 1,
 ) -> list[BiasRecord]:
     """Fits and capital quantiles along one growing loss history.
 
     The dataset at a larger M extends the dataset at a smaller M as a prefix,
     so each row shows how the same history resolves parameter uncertainty.
+    Each row's simulations run on ``workers`` threads; the records do not
+    depend on it.
     """
     M_grid = list(M_grid)
     if not M_grid or sorted(M_grid) != M_grid:
@@ -157,7 +163,9 @@ def single_realization_track(
         n = int(counts.sum())
         data = LossData(annual_counts=counts, severities=full.severities[:n])
         stream = rng.substream("track", M)
-        q_cond, q_pred, post_freq, post_sev = _fit_and_quantiles(true_model, data, q, K_sims, stream)
+        q_cond, q_pred, post_freq, post_sev = _fit_and_quantiles(
+            true_model, data, q, K_sims, stream, workers
+        )
 
         lam_iv = bayes.credible_interval(post_freq, 0.95)["lambda"]
         lam_hat = estimators.mle_poisson(counts)
@@ -186,10 +194,12 @@ def single_realization_track(
     return records
 
 
-def true_parameter_quantile(true_model: TrueModel, q: float, K: int, rng: RngStream) -> float:
+def true_parameter_quantile(
+    true_model: TrueModel, q: float, K: int, rng: RngStream, workers: int = 1
+) -> float:
     """Quantile of the annual loss at the true parameters (the bias reference)."""
     freq = PoissonParams(lam=true_model.lambda0)
-    sample = simulate_conditional_sample(freq, true_model.severity, K, rng)
+    sample = simulate_conditional_sample(freq, true_model.severity, K, rng, workers=workers)
     return empirical_quantile(sample, q)
 
 
@@ -201,24 +211,37 @@ def bias_study(
     K_sims: int = 10**6,
     seed: int = 0,
     K_reference: int = 10**6,
+    workers: int = 1,
 ) -> BiasCurve:
     """Average predictive-vs-conditional quantile gap over R realizations.
 
     Each (realization, M) pair uses an independent derived stream, so the
-    aggregate is deterministic regardless of evaluation order.
+    pairs run concurrently on ``workers`` threads, each simulating on one
+    thread, and the curve does not depend on the worker count. The reference
+    run comes first, with its batches on the same number of threads.
     """
     if R < 1:
         raise ValueError("R must be at least 1")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    M_grid = list(M_grid)
     rng = RngStream(seed)
-    q0 = true_parameter_quantile(true_model, q, K_reference, rng.substream("reference"))
+    q0 = true_parameter_quantile(true_model, q, K_reference, rng.substream("reference"), workers)
 
-    points = []
-    for M in M_grid:
-        gaps = np.empty(R)
-        for r in range(R):
-            stream = rng.substream("bias", r, M)
-            data = generate_synthetic(true_model, M, stream.substream("data"))
-            q_cond, q_pred, _, _ = _fit_and_quantiles(true_model, data, q, K_sims, stream)
-            gaps[r] = q_pred - q_cond
-        points.append((M, float(gaps.mean() / q0)))
+    def gap(task):
+        M, r = task
+        stream = rng.substream("bias", r, M)
+        data = generate_synthetic(true_model, M, stream.substream("data"))
+        q_cond, q_pred, _, _ = _fit_and_quantiles(true_model, data, q, K_sims, stream)
+        return q_pred - q_cond
+
+    tasks = [(M, r) for M in M_grid for r in range(R)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            gaps = list(pool.map(gap, tasks))
+    else:
+        gaps = [gap(t) for t in tasks]
+    # Row i holds the gaps of year count M_grid[i] in realization order.
+    rows = np.array(gaps).reshape(len(M_grid), R)
+    points = [(M, float(row.mean() / q0)) for M, row in zip(M_grid, rows)]
     return BiasCurve(points=tuple(points), realizations=R, reference_quantile=q0)

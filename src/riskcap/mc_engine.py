@@ -9,6 +9,7 @@ the simulated loss multiset is bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ __all__ = [
     "quantile_ci",
     "ci_indices",
     "run_until_accuracy",
+    "usable_cpus",
 ]
 
 DEFAULT_BATCH_SIZE = 100_000
@@ -80,6 +82,18 @@ class QuantileEstimate:
     master_seed: int
     reliable_ci: bool
     converged: bool = True
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the default worker count.
+
+    Every output is independent of the worker count, so the default only
+    sets how fast a run finishes.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

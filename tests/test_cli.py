@@ -96,6 +96,47 @@ def test_seed_precedence(monkeypatch):
         resolve_seed(None)
 
 
+def test_negative_seed_exit_code(tmp_path, config_file, monkeypatch, capsys):
+    out = str(tmp_path / "bias.csv")
+    argv = ["experiment", "bias", "--m-grid", "5", "--R", "1", "--K", "1000", "--out", out]
+    assert main(argv + ["--seed", "-1"]) == EXIT_VALIDATION
+    assert "--seed" in capsys.readouterr().err
+
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-5")
+    assert main(argv) == EXIT_VALIDATION
+    assert cli.SEED_ENV_VAR in capsys.readouterr().err
+    monkeypatch.delenv(cli.SEED_ENV_VAR)
+
+    cfg = json.loads(open(config_file).read())
+    cfg["seed"] = -3
+    bad = _write(tmp_path / "neg.json", json.dumps(cfg))
+    assert main(["capital", "--config", bad, "--K", "1000"]) == EXIT_VALIDATION
+    assert "config seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amount", ["inf", "-inf", "nan"])
+def test_non_finite_amount_exit_code(tmp_path, config_file, loss_files, amount, capsys):
+    _, events = loss_files
+    text = open(events).read().replace("2,3.0", f"2,{amount}")
+    _write(tmp_path / "events.csv", text)
+    assert main(["capital", "--config", config_file, "--K", "1000"]) == EXIT_VALIDATION
+    assert f"{events}:5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["capital", "experiment"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_code(tmp_path, config_file, command, workers, capsys):
+    if command == "capital":
+        argv = ["capital", "--config", config_file, "--K", "1000"]
+    else:
+        argv = ["experiment", "bias", "--m-grid", "5", "--R", "1", "--K", "1000",
+                "--out", str(tmp_path / "bias.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", workers])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_simulate_round_trip(tmp_path):
     counts = str(tmp_path / "c.csv")
     events = str(tmp_path / "e.csv")
@@ -211,6 +252,21 @@ def test_experiment_bias_single_realization(tmp_path):
     lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
     assert lines[0] == "M,relative_bias"
     assert len(lines) == 2
+
+
+def test_experiment_bias_byte_identical_across_workers(tmp_path):
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"bias-{workers}.csv"
+        rc = main(
+            [
+                "experiment", "bias", "--m-grid", "5,10", "--R", "3", "--K", "2000",
+                "--q", "0.99", "--seed", "3", "--workers", workers, "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_experiment_track(tmp_path):

@@ -5,6 +5,7 @@ from riskcap.distributions import LognormalParams, ParetoParams, RngStream
 from riskcap.experiments import (
     BiasCurve,
     TrueModel,
+    _fit_and_quantiles,
     bias_study,
     generate_synthetic,
     single_realization_track,
@@ -81,6 +82,47 @@ def test_bias_study_deterministic():
     a = bias_study(LN_MODEL, [5], **kw)
     b = bias_study(LN_MODEL, [5], **kw)
     assert a == b
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_bias_study_independent_of_workers(workers):
+    # K_reference spans three engine batches, so the reference run is threaded too.
+    kw = dict(R=3, q=0.99, K_sims=5000, seed=15, K_reference=250_000)
+    serial = bias_study(LN_MODEL, [5, 10], workers=1, **kw)
+    assert bias_study(LN_MODEL, [5, 10], workers=workers, **kw) == serial
+
+
+def test_bias_study_matches_serial_loop():
+    # Reference: the nested loop over year counts and realizations, one mean per M.
+    M_grid, R, q, K_sims, seed = [5, 10], 3, 0.99, 5000, 17
+    rng = RngStream(seed)
+    q0 = true_parameter_quantile(LN_MODEL, q, 20_000, rng.substream("reference"))
+    expected = []
+    for M in M_grid:
+        gaps = np.empty(R)
+        for r in range(R):
+            stream = rng.substream("bias", r, M)
+            data = generate_synthetic(LN_MODEL, M, stream.substream("data"))
+            q_cond, q_pred, _, _ = _fit_and_quantiles(LN_MODEL, data, q, K_sims, stream)
+            gaps[r] = q_pred - q_cond
+        expected.append((M, float(gaps.mean() / q0)))
+
+    curve = bias_study(LN_MODEL, M_grid, R, q, K_sims, seed, K_reference=20_000, workers=2)
+    assert curve.points == tuple(expected)
+    assert curve.reference_quantile == q0
+
+
+def test_bias_study_rejects_zero_workers():
+    with pytest.raises(ValueError, match="workers"):
+        bias_study(LN_MODEL, [5], R=1, K_sims=1000, K_reference=1000, workers=0)
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_single_realization_track_independent_of_workers(workers):
+    # K_sims spans two engine batches.
+    kw = dict(q=0.99, K_sims=150_000, seed=16)
+    serial = single_realization_track(LN_MODEL, [5], workers=1, **kw)
+    assert single_realization_track(LN_MODEL, [5], workers=workers, **kw) == serial
 
 
 def test_bias_curve_validation():
