@@ -205,8 +205,11 @@ def resolve_seed(flag_seed, config_seed=None):
             continue
         try:
             seed = int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{source} must be an unsigned decimal, got {value!r}")
+        # int() would truncate a config seed of 3.7 to 3 and take true as 1.
+        if isinstance(value, bool) or (isinstance(value, float) and seed != value):
+            raise ValidationError(f"{source} must be an integer, got {value!r}")
         if seed < 0:
             raise ValidationError(f"{source} must be non-negative, got {seed}")
         return seed
@@ -406,7 +409,7 @@ def cmd_experiment(args):
     K = args.K if args.K is not None else (10**6 if args.full_scale else 10**5)
 
     if args.which == "track":
-        records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed, args.workers)
+        records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed, usable_cpus())
         with open(args.out, "w", newline="") as fh:
             fh.write(f"# seed={seed}\n")
             w = csv.writer(fh)
@@ -437,7 +440,7 @@ def cmd_experiment(args):
         print(f"wrote {len(records)} rows to {args.out} (quantiles in thousands)")
     else:
         R = args.R if args.R is not None else (100 if args.full_scale else 20)
-        curve = exp_mod.bias_study(model, m_grid, R, args.q, K, seed, workers=args.workers)
+        curve = exp_mod.bias_study(model, m_grid, R, args.q, K, seed, workers=usable_cpus())
         with open(args.out, "w", newline="") as fh:
             fh.write(f"# seed={seed}\n")
             fh.write(f"# realizations={curve.realizations}\n")
@@ -463,13 +466,6 @@ def _worker_count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
-
-
-def _add_workers_flag(parser):
-    parser.add_argument(
-        "--workers", type=_worker_count, default=usable_cpus(),
-        help="threads to simulate on (default: the usable CPUs); outputs do not depend on it",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,7 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--gamma", type=float)
     cap.add_argument("--mode", choices=["conditional", "predictive", "both"])
     cap.add_argument("--seed", type=int)
-    _add_workers_flag(cap)
+    cap.add_argument(
+        "--workers", type=_worker_count, default=usable_cpus(),
+        help="threads to simulate on (default: the usable CPUs); outputs do not depend on it",
+    )
     cap.add_argument("--csv")
     cap.set_defaults(func=cmd_capital)
 
@@ -521,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--full-scale", action="store_true",
                      help="R=100, K=1e6 (slow); default desk scale is R=20, K=1e5")
     exp.add_argument("--seed", type=int)
-    _add_workers_flag(exp)
     exp.add_argument("--out", required=True)
     exp.set_defaults(func=cmd_experiment)
 

@@ -236,11 +236,8 @@ def bias_study(
         return q_pred - q_cond
 
     tasks = [(M, r) for M in M_grid for r in range(R)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            gaps = list(pool.map(gap, tasks))
-    else:
-        gaps = [gap(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        gaps = list(pool.map(gap, tasks))
     # Row i holds the gaps of year count M_grid[i] in realization order.
     rows = np.array(gaps).reshape(len(M_grid), R)
     points = [(M, float(row.mean() / q0)) for M, row in zip(M_grid, rows)]

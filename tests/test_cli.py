@@ -108,10 +108,11 @@ def test_negative_seed_exit_code(tmp_path, config_file, monkeypatch, capsys):
     monkeypatch.delenv(cli.SEED_ENV_VAR)
 
     cfg = json.loads(open(config_file).read())
-    cfg["seed"] = -3
-    bad = _write(tmp_path / "neg.json", json.dumps(cfg))
-    assert main(["capital", "--config", bad, "--K", "1000"]) == EXIT_VALIDATION
-    assert "config seed" in capsys.readouterr().err
+    for seed in (-3, 3.7, True):
+        cfg["seed"] = seed
+        bad = _write(tmp_path / "bad-seed.json", json.dumps(cfg))
+        assert main(["capital", "--config", bad, "--K", "1000"]) == EXIT_VALIDATION
+        assert "config seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("amount", ["inf", "-inf", "nan"])
@@ -123,16 +124,10 @@ def test_non_finite_amount_exit_code(tmp_path, config_file, loss_files, amount, 
     assert f"{events}:5:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["capital", "experiment"])
 @pytest.mark.parametrize("workers", ["0", "-2"])
-def test_workers_below_one_exit_code(tmp_path, config_file, command, workers, capsys):
-    if command == "capital":
-        argv = ["capital", "--config", config_file, "--K", "1000"]
-    else:
-        argv = ["experiment", "bias", "--m-grid", "5", "--R", "1", "--K", "1000",
-                "--out", str(tmp_path / "bias.csv")]
+def test_workers_below_one_exit_code(config_file, workers, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--workers", workers])
+        main(["capital", "--config", config_file, "--K", "1000", "--workers", workers])
     assert exc.value.code == EXIT_VALIDATION
     assert "--workers" in capsys.readouterr().err
 
@@ -254,14 +249,16 @@ def test_experiment_bias_single_realization(tmp_path):
     assert len(lines) == 2
 
 
-def test_experiment_bias_byte_identical_across_workers(tmp_path):
+def test_experiment_bias_byte_identical_across_cpu_counts(tmp_path, monkeypatch):
+    # experiment runs on every usable CPU; the CSV must not depend on how many.
     outputs = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"bias-{workers}.csv"
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"bias-{cpus}.csv"
         rc = main(
             [
                 "experiment", "bias", "--m-grid", "5,10", "--R", "3", "--K", "2000",
-                "--q", "0.99", "--seed", "3", "--workers", workers, "--out", str(out),
+                "--q", "0.99", "--seed", "3", "--out", str(out),
             ]
         )
         assert rc == 0
