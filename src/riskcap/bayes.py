@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import special
 
 from .distributions import GammaParams, RngStream
 
@@ -286,8 +286,7 @@ def _check_truncation_mass(state: PosteriorState):
     if isinstance(state.params, GammaParams):
         name = state.param_names[0]
         lo, hi = state.bounds(name)
-        dist = stats.gamma(state.params.shape, scale=state.params.scale)
-        mass = dist.cdf(hi) - dist.cdf(max(lo, 0.0))
+        mass = _gamma_cdf(state.params, hi) - _gamma_cdf(state.params, lo)
         if mass <= 0:
             raise ValueError(f"truncation region for {name!r} has zero posterior mass")
 
@@ -300,12 +299,12 @@ def prob_tail_index_below(state: PosteriorState, threshold: float = 1.0) -> floa
     if state.family != "pareto-tail":
         raise ValueError("tail-index probability is defined for pareto-tail posteriors")
     lo, hi = state.bounds("xi")
-    dist = stats.gamma(state.params.shape, scale=state.params.scale)
+    cdf = lambda x: _gamma_cdf(state.params, x)
     if state.truncation and "xi" in state.truncation:
-        denom = dist.cdf(hi) - dist.cdf(max(lo, 0.0))
-        num = dist.cdf(min(threshold, hi)) - dist.cdf(max(lo, 0.0))
+        denom = cdf(hi) - cdf(lo)
+        num = cdf(min(threshold, hi)) - cdf(lo)
         return max(num, 0.0) / denom
-    return float(dist.cdf(threshold))
+    return float(cdf(threshold))
 
 
 def sample_posterior(state: PosteriorState, rng: RngStream, size=None):
@@ -386,6 +385,24 @@ def _rejection_sample(draw, accept, n):
     return out[:n]
 
 
+# The scipy.special expressions that scipy.stats evaluates for these
+# distributions, bit for bit. Importing scipy.stats would cost more than the
+# CLI's whole start-up without it.
+
+
+def _gamma_cdf(params: GammaParams, x: float) -> float:
+    """Gamma(shape, scale) CDF; 0 at and below the support's lower edge."""
+    return special.gammainc(params.shape, max(x, 0.0) / params.scale)
+
+
+def _gamma_ppf(params: GammaParams, p):
+    return special.gammaincinv(params.shape, p) * params.scale
+
+
+def _chi2_ppf(p, dof):
+    return 2 * special.gammaincinv(dof / 2, p)
+
+
 #: Number of draws used for empirical credible intervals of truncated posteriors.
 EMPIRICAL_CI_DRAWS = 10**6
 
@@ -407,9 +424,8 @@ def credible_interval(state: PosteriorState, level: float, rng: RngStream | None
         if isinstance(state.params, GammaParams):
             name = state.param_names[0]
             lo, hi = state.bounds(name)
-            dist = stats.gamma(state.params.shape, scale=state.params.scale)
-            c_lo, c_hi = dist.cdf(max(lo, 0.0)), dist.cdf(hi)
-            q = dist.ppf(c_lo + np.array([p_lo, p_hi]) * (c_hi - c_lo))
+            c_lo, c_hi = _gamma_cdf(state.params, lo), _gamma_cdf(state.params, hi)
+            q = _gamma_ppf(state.params, c_lo + np.array([p_lo, p_hi]) * (c_hi - c_lo))
             return {name: (float(q[0]), float(q[1]))}
         mu, s2 = sample_posterior(state, rng, size=EMPIRICAL_CI_DRAWS)
         return {
@@ -419,19 +435,19 @@ def credible_interval(state: PosteriorState, level: float, rng: RngStream | None
 
     if isinstance(state.params, GammaParams):
         name = state.param_names[0]
-        dist = stats.gamma(state.params.shape, scale=state.params.scale)
-        return {name: (float(dist.ppf(p_lo)), float(dist.ppf(p_hi)))}
+        q = _gamma_ppf(state.params, np.array([p_lo, p_hi]))
+        return {name: (float(q[0]), float(q[1]))}
 
     p = state.params
     t = marginal_mu(p)
     mu_iv = (
-        t.center + t.scale_gamma * stats.t.ppf(p_lo, t.dof),
-        t.center + t.scale_gamma * stats.t.ppf(p_hi, t.dof),
+        t.center + t.scale_gamma * special.stdtrit(t.dof, p_lo),
+        t.center + t.scale_gamma * special.stdtrit(t.dof, p_hi),
     )
-    # sigma_sq = beta / W with W ~ ChiSq(nu): quantile_p = beta / chi2.ppf(1-p, nu)
+    # sigma_sq = beta / W with W ~ ChiSq(nu): quantile_p = beta / chi2 quantile(1-p, nu)
     s2_iv = (
-        p.scale_beta / stats.chi2.ppf(1.0 - p_lo, p.dof_nu),
-        p.scale_beta / stats.chi2.ppf(1.0 - p_hi, p.dof_nu),
+        p.scale_beta / _chi2_ppf(1.0 - p_lo, p.dof_nu),
+        p.scale_beta / _chi2_ppf(1.0 - p_hi, p.dof_nu),
     )
     return {"mu": (float(mu_iv[0]), float(mu_iv[1])), "sigma_sq": (float(s2_iv[0]), float(s2_iv[1]))}
 
@@ -481,6 +497,8 @@ def laplace_approximation(log_posterior, initial_guess) -> LaplaceResult:
     the mode. Raises if the maximization fails or the Hessian is not
     negative definite.
     """
+    from scipy import optimize  # only this function needs it; it is slow to import
+
     x0 = np.atleast_1d(np.asarray(initial_guess, dtype=float))
     if not np.isfinite(log_posterior(x0)):
         raise ValueError("log_posterior is not finite at the initial guess")

@@ -8,7 +8,7 @@ year, so the resulting quantile carries parameter uncertainty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,15 @@ class LossData:
     severities: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.annual_counts, dtype=int)
+        counts = np.asarray(self.annual_counts, dtype=float)
+        # Checked before the int cast, which would turn 2.7 into 2 and nan into garbage.
+        bad = ~np.isfinite(counts) | (counts != np.floor(counts))
+        if np.any(bad):
+            raise ValueError(
+                f"annual counts must be integers; {int(bad.sum())} of {counts.size} are not, "
+                f"the first is {float(counts[bad][0])!r}"
+            )
+        counts = counts.astype(int)
         sev = np.asarray(self.severities, dtype=float)
         object.__setattr__(self, "annual_counts", counts)
         object.__setattr__(self, "severities", sev)
@@ -110,8 +118,6 @@ class CapitalReport:
     mode: str  # "conditional" | "predictive"
     estimate: QuantileEstimate
     mle: MleReport
-    posterior_modes: dict = field(default_factory=dict)
-    credible_intervals: dict = field(default_factory=dict)
     warnings: tuple = ()
 
 
@@ -237,19 +243,8 @@ def predictive_capital(
                 "under the posterior; consider enforce_finite_mean"
             )
 
-    modes = {}
-    intervals = {}
-    for tag, state in (("frequency", post_freq), ("severity", post_sev)):
-        modes[tag] = bayes.posterior_mode(state)
-        intervals[tag] = bayes.credible_interval(state, 0.95)
     return CapitalReport(
-        cell_id=model.cell_id,
-        mode="predictive",
-        estimate=est,
-        mle=mle,
-        posterior_modes=modes,
-        credible_intervals=intervals,
-        warnings=tuple(warnings),
+        cell_id=model.cell_id, mode="predictive", estimate=est, mle=mle, warnings=tuple(warnings)
     )
 
 

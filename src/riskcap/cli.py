@@ -150,10 +150,6 @@ def _strip_comments(fh):
 # Config
 
 
-def _parse_bound(v):
-    return float("-inf") if v is None else float(v)
-
-
 def _cell_from_config(c: dict) -> CellModel:
     if "severity_family" not in c:
         raise ValidationError("each cell must declare a severity_family")
@@ -257,7 +253,9 @@ def cmd_fit(args):
         lam_iv = bayes.credible_interval(post_freq, 0.95)["lambda"]
         print(f"  lambda: {_fmt(mle.lambda_hat)} ({_fmt(lam_iv[0])}, {_fmt(lam_iv[1])})")
         rows.append([model.cell_id, "lambda", mle.lambda_hat, lam_iv[0], lam_iv[1]])
-        sev_iv = bayes.credible_interval(post_sev, 0.95)
+        # Only a truncated lognormal posterior draws samples here.
+        fit_rng = RngStream(seed).substream("fit", model.cell_id)
+        sev_iv = bayes.credible_interval(post_sev, 0.95, fit_rng)
         if model.severity_family == "lognormal":
             mu_iv = sev_iv["mu"]
             sig_iv = tuple(np.sqrt(sev_iv["sigma_sq"]))

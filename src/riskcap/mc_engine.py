@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .bayes import PosteriorState, sample_posterior
 from .distributions import (
@@ -59,6 +59,10 @@ class LossSample:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("loss sample must be a non-empty 1-D array")
+        # The order check below cannot see nan (nan < x is False), so check first.
+        bad = v.size - np.count_nonzero(np.isfinite(v))
+        if bad:
+            raise ValueError(f"loss sample has {bad} non-finite values out of {v.size}")
         if np.any(np.diff(v) < 0):
             raise ValueError("loss sample must be sorted ascending")
         if v[0] < 0:
@@ -240,7 +244,7 @@ def ci_indices(K: int, q: float, gamma: float) -> tuple[int, int, bool]:
         raise ValueError(f"q must be in (0, 1), got {q}")
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    z = stats.norm.ppf((1.0 + gamma) / 2.0)
+    z = special.ndtri((1.0 + gamma) / 2.0)
     spread = z * math.sqrt(K * q * (1.0 - q))
     r = int(math.floor(K * q - spread))
     s = int(math.ceil(K * q + spread))

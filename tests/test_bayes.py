@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from riskcap import bayes
 from riskcap.bayes import (
@@ -388,3 +389,45 @@ def test_laplace_lognormal_posterior_vs_empirical():
     mu, s2 = sample_posterior(state, RngStream(19), size=10**6)
     assert math.sqrt(res.covariance[0, 0]) == pytest.approx(mu.std(), rel=0.05)
     assert math.sqrt(res.covariance[1, 1]) == pytest.approx(s2.std(), rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# scipy.special forms used in place of scipy.stats (kept off the import path)
+
+_P = [1e-12, 1e-6, 0.0005, 0.025, 0.05, 0.3, 0.5, 0.7, 0.95, 0.975, 0.9995, 1 - 1e-9]
+_SHAPES = [0.3, 1.0, 2.5, 21.0, 201.0, 4000.5]
+_SCALES = [0.005, 0.05, 1.0, 17.3]
+_DOFS = [0.5, 1.0, 3.0, 17.0, 196.0, 1e5]
+_X = [-1.0, 0.0, 1e-3, 0.5, 1.0, 3.7, 50.0, math.inf]
+_TAILS = np.array([0.025, 0.975])  # credible_interval evaluates both tails in one call
+
+_SPECIAL_FORMS = {
+    "norm.ppf": ([(p,) for p in _P], special.ndtri, stats.norm.ppf),
+    "gamma.cdf": (
+        list(itertools.product(_SHAPES, _SCALES, _X)),
+        lambda a, s, x: bayes._gamma_cdf(GammaParams(a, s), x),
+        lambda a, s, x: stats.gamma(a, scale=s).cdf(x),
+    ),
+    "gamma.ppf": (
+        list(itertools.product(_SHAPES, _SCALES, _P + [_TAILS])),
+        lambda a, s, p: bayes._gamma_ppf(GammaParams(a, s), p),
+        lambda a, s, p: stats.gamma(a, scale=s).ppf(p),
+    ),
+    "t.ppf": (
+        list(itertools.product(_DOFS, _P)),
+        special.stdtrit,
+        lambda df, p: stats.t.ppf(p, df),
+    ),
+    "chi2.ppf": (
+        list(itertools.product(_DOFS, _P)),
+        lambda nu, p: bayes._chi2_ppf(p, nu),
+        lambda nu, p: stats.chi2.ppf(p, nu),
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_SPECIAL_FORMS))
+def test_special_form_equals_scipy_stats(form):
+    grid, ours, reference = _SPECIAL_FORMS[form]
+    for args in grid:
+        assert np.array_equal(ours(*args), reference(*args)), (form, args)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from riskcap.bayes import InsufficientDataError
+from riskcap.bayes import InsufficientDataError, credible_interval, posterior_mode
 from riskcap.capital import (
     AGGREGATION_NOTE,
     CapitalReport,
@@ -11,6 +11,7 @@ from riskcap.capital import (
     LossData,
     aggregate_bank_capital,
     conditional_capital,
+    fit_posteriors,
     predictive_capital,
 )
 from riskcap.distributions import LognormalParams, RngStream
@@ -34,6 +35,19 @@ def test_loss_data_validation():
         LossData(annual_counts=[], severities=[])
     with pytest.raises(ValueError):
         LossData(annual_counts=[-1], severities=[])
+
+
+@pytest.mark.parametrize("counts", [[2.7, 0.2], [2.0, 0.5], [np.nan, 2.0], [np.inf, 2.0]])
+def test_loss_data_rejects_non_integral_counts(counts):
+    # Cast to int, [2.7, 0.2] would read as [2, 0] and match the two severities.
+    with pytest.raises(ValueError, match="must be integers"):
+        LossData(annual_counts=counts, severities=[1.0, 2.0])
+
+
+def test_loss_data_accepts_integral_float_counts():
+    data = LossData(annual_counts=[2.0, 0.0, 1.0], severities=[1.0, 2.0, 3.0])
+    assert data.annual_counts.tolist() == [2, 0, 1]
+    assert data.annual_counts.dtype.kind == "i"
 
 
 def test_cell_model_validation():
@@ -68,11 +82,15 @@ def test_predictive_capital_report_contents():
     data = _data(20)
     rep = predictive_capital(_ln_cell(), data, K=20_000, seed=7)
     assert rep.mode == "predictive"
-    assert "frequency" in rep.posterior_modes
-    assert "severity" in rep.posterior_modes
-    assert "lambda" in rep.credible_intervals["frequency"]
-    lo, hi = rep.credible_intervals["frequency"]["lambda"]
-    assert lo < rep.posterior_modes["frequency"]["lambda"] < hi
+    # The report carries no posterior summaries; `fit` computes them from the
+    # same posteriors.
+    for state in fit_posteriors(_ln_cell(), data):
+        modes = posterior_mode(state)
+        intervals = credible_interval(state, 0.95)
+        assert modes.keys() == intervals.keys() == set(state.param_names)
+        for name, mode in modes.items():
+            lo, hi = intervals[name]
+            assert lo < mode < hi
 
 
 def test_predictive_capital_insufficient_severities():

@@ -1,8 +1,13 @@
 import json
+import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import riskcap
 from riskcap import cli
 from riskcap.cli import (
     EXIT_COMPUTATION,
@@ -181,6 +186,53 @@ def test_capital_command_byte_identical(tmp_path, config_file):
     rows = read_capital_csv(out1)
     assert [r["mode"] for r in rows] == ["conditional", "predictive"]
     assert all(r["ci_lower"] <= r["value"] <= r["ci_upper"] for r in rows)
+
+
+def test_fit_truncated_interval_follows_seed(tmp_path, config_file):
+    cfg = json.loads(open(config_file).read())
+    cfg["cells"][0]["truncation"] = {"sigma_sq": [None, 2.0]}
+    config = _write(tmp_path / "trunc.json", json.dumps(cfg))
+
+    def fit_rows(seed, name):
+        out = str(tmp_path / name)
+        assert main(["fit", "--config", config, "--seed", str(seed), "--csv", out]) == 0
+        text = open(out).read()
+        return text, {line.split(",")[1]: line for line in text.splitlines()[2:]}
+
+    text_1, rows_1 = fit_rows(1, "a.csv")
+    text_1_again, _ = fit_rows(1, "b.csv")
+    _, rows_2 = fit_rows(2, "c.csv")
+    assert text_1 == text_1_again
+    assert rows_1["sigma"] != rows_2["sigma"]
+    assert rows_1["lambda"] == rows_2["lambda"]  # exact interval, no draws
+
+
+def test_capital_non_finite_losses_exit_code(tmp_path, capsys):
+    # Two exceedances far above the threshold give a tail-index posterior
+    # Gamma(3, 0.01); draws near 0 overflow the severities to inf.
+    counts = _write(tmp_path / "c.csv", "year,count\n1,1\n2,1\n")
+    amount = repr(math.exp(50.0))
+    events = _write(tmp_path / "e.csv", f"year,amount\n1,{amount}\n2,{amount}\n")
+    cell = {"id": "p", "severity_family": "pareto", "threshold_L": 1.0,
+            "counts_file": counts, "events_file": events}
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"seed": 1, "cells": [cell]}))
+    rc = main(["capital", "--config", cfg, "--K", "10000", "--mode", "predictive"])
+    assert rc == EXIT_COMPUTATION
+    assert "non-finite values out of 10000" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    code = (
+        "import sys, riskcap.cli; "
+        "print(*(m in sys.modules for m in ('scipy.special', 'scipy.stats', 'scipy.optimize')))"
+    )
+    src = str(Path(riskcap.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    # scipy.special is imported up front, so its cost is not moved into the first call.
+    assert out.stdout.split() == ["True", "False", "False"]
 
 
 def test_capital_insufficient_data_exit_code(tmp_path):

@@ -175,6 +175,17 @@ def test_loss_sample_validation():
         LossSample(values=np.array([-1.0, 2.0]), master_seed=0)
 
 
+@pytest.mark.parametrize(
+    "values, bad",
+    [([1.0, 2.0, np.inf, np.inf], 2), ([1.0, np.nan, 3.0], 1), ([-np.inf, 1.0], 1)],
+)
+def test_loss_sample_rejects_non_finite(values, bad):
+    # np.diff gives nan at a non-finite value, and nan < 0 is False, so the
+    # order check alone cannot catch these.
+    with pytest.raises(ValueError, match=f"{bad} non-finite values out of {len(values)}"):
+        LossSample(values=np.array(values), master_seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Adaptive accuracy
 
