@@ -298,13 +298,10 @@ def prob_tail_index_below(state: PosteriorState, threshold: float = 1.0) -> floa
     """
     if state.family != "pareto-tail":
         raise ValueError("tail-index probability is defined for pareto-tail posteriors")
-    lo, hi = state.bounds("xi")
+    lo, hi = state.bounds("xi")  # (-inf, inf) when untruncated: cdf 0 and 1 exactly
     cdf = lambda x: _gamma_cdf(state.params, x)
-    if state.truncation and "xi" in state.truncation:
-        denom = cdf(hi) - cdf(lo)
-        num = cdf(min(threshold, hi)) - cdf(lo)
-        return max(num, 0.0) / denom
-    return float(cdf(threshold))
+    num = cdf(min(threshold, hi)) - cdf(lo)
+    return float(max(num, 0.0) / (cdf(hi) - cdf(lo)))
 
 
 def sample_posterior(state: PosteriorState, rng: RngStream, size=None):
@@ -368,7 +365,7 @@ def _rejection_sample(draw, accept, n):
     while got < n:
         batch = max(n - got, 1000)
         v = draw(batch)
-        mask = accept(np.atleast_1d(v) if v.ndim == 1 else v)
+        mask = accept(v)
         proposed += batch
         accepted += int(mask.sum())
         if not probe_checked and proposed >= 1000:
@@ -410,33 +407,31 @@ EMPIRICAL_CI_DRAWS = 10**6
 def credible_interval(state: PosteriorState, level: float, rng: RngStream | None = None) -> dict:
     """Central (equal-tail) credible interval for each posterior parameter.
 
-    Untruncated posteriors use exact numeric inversion of the marginal CDFs.
-    Truncated posteriors fall back to empirical quantiles of 10^6 rejection
-    draws (pass ``rng`` to control the stream; default seed 0).
+    Untruncated posteriors, and truncated Gamma-type ones, use exact numeric
+    inversion of the marginal CDFs. A truncated lognormal posterior falls back
+    to empirical quantiles of 10^6 rejection draws from ``rng``, which it
+    then requires, so the caller's seed fixes the interval.
     """
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
     p_lo = (1.0 - level) / 2.0
     p_hi = (1.0 + level) / 2.0
 
+    if isinstance(state.params, GammaParams):
+        name = state.param_names[0]
+        lo, hi = state.bounds(name)  # (-inf, inf) when untruncated: cdf 0 and 1 exactly
+        c_lo, c_hi = _gamma_cdf(state.params, lo), _gamma_cdf(state.params, hi)
+        q = _gamma_ppf(state.params, c_lo + np.array([p_lo, p_hi]) * (c_hi - c_lo))
+        return {name: (float(q[0]), float(q[1]))}
+
     if state.truncation:
-        rng = rng or RngStream(0)
-        if isinstance(state.params, GammaParams):
-            name = state.param_names[0]
-            lo, hi = state.bounds(name)
-            c_lo, c_hi = _gamma_cdf(state.params, lo), _gamma_cdf(state.params, hi)
-            q = _gamma_ppf(state.params, c_lo + np.array([p_lo, p_hi]) * (c_hi - c_lo))
-            return {name: (float(q[0]), float(q[1]))}
+        if rng is None:
+            raise ValueError("a truncated lognormal posterior's interval needs an rng stream")
         mu, s2 = sample_posterior(state, rng, size=EMPIRICAL_CI_DRAWS)
         return {
             "mu": tuple(np.quantile(mu, [p_lo, p_hi])),
             "sigma_sq": tuple(np.quantile(s2, [p_lo, p_hi])),
         }
-
-    if isinstance(state.params, GammaParams):
-        name = state.param_names[0]
-        q = _gamma_ppf(state.params, np.array([p_lo, p_hi]))
-        return {name: (float(q[0]), float(q[1]))}
 
     p = state.params
     t = marginal_mu(p)

@@ -94,6 +94,12 @@ class LossData:
             )
         counts = counts.astype(int)
         sev = np.asarray(self.severities, dtype=float)
+        bad = ~np.isfinite(sev)
+        if np.any(bad):
+            raise ValueError(
+                f"severities must be finite; {int(bad.sum())} of {sev.size} are not, "
+                f"the first is {float(sev[bad][0])!r}"
+            )
         object.__setattr__(self, "annual_counts", counts)
         object.__setattr__(self, "severities", sev)
         if counts.size < 1:
@@ -178,6 +184,24 @@ def fit_posteriors(model: CellModel, data: LossData) -> tuple[PosteriorState, Po
     return post_freq, post_sev
 
 
+def fit_summary(mle: MleReport, post_freq: PosteriorState, post_sev: PosteriorState,
+                rng: RngStream | None = None) -> dict:
+    """Each parameter's MLE with its 0.95 posterior credible interval.
+
+    Maps the parameter name to ``(estimate, lower, upper)``. Lognormal cells
+    report ``sigma``, whose interval is the square root of the ``sigma_sq``
+    interval. ``rng`` is needed only by a truncated lognormal posterior.
+    """
+    summary = {"lambda": (mle.lambda_hat, *bayes.credible_interval(post_freq, 0.95)["lambda"])}
+    iv = bayes.credible_interval(post_sev, 0.95, rng)
+    if mle.family == "lognormal":
+        summary["mu"] = (mle.mu_hat, *iv["mu"])
+        summary["sigma"] = tuple(float(np.sqrt(v)) for v in (mle.sigma_sq_hat, *iv["sigma_sq"]))
+    else:
+        summary["xi"] = (mle.xi_hat, *iv["xi"])
+    return summary
+
+
 def _severity_point_params(model: CellModel, mle: MleReport):
     if model.severity_family == "lognormal":
         return LognormalParams(mu=mle.mu_hat, sigma_sq=mle.sigma_sq_hat)
@@ -255,8 +279,6 @@ def _common_warnings(est: QuantileEstimate) -> list:
             "quantile CI is unreliable: K*q*(1-q) < 50, the normal approximation "
             "to the binomial order-statistic count is poor"
         )
-    if not est.converged:
-        warnings.append("accuracy target not reached before the sample-size cap")
     return warnings
 
 

@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 
-from . import bayes
 from . import capital as capital_mod
 from . import experiments as exp_mod
 from .bayes import InsufficientDataError, NIXParams
@@ -218,11 +217,7 @@ def resolve_seed(flag_seed, config_seed=None):
 
 def cmd_simulate(args):
     seed = resolve_seed(args.seed)
-    if args.family == "lognormal":
-        sev = LognormalParams(mu=args.mu0, sigma_sq=args.sigma0**2)
-    else:
-        sev = ParetoParams(xi=args.xi0, threshold_L=args.threshold_L)
-    model = exp_mod.TrueModel(lambda0=args.lambda0, severity=sev)
+    model = _true_model_from_args(args, args.family)
     data = exp_mod.generate_synthetic(model, args.years, RngStream(seed).substream("simulate"))
     write_loss_files(data, args.counts_out, args.events_out)
     print(f"# seed={seed}")
@@ -246,28 +241,15 @@ def cmd_fit(args):
         model = _cell_from_config(c)
         data = load_loss_data(c["counts_file"], c["events_file"])
         mle = capital_mod.fit_mle(model, data)
-        post_freq, post_sev = capital_mod.fit_posteriors(model, data)
+        # Only a truncated lognormal posterior draws samples here.
+        fit_rng = RngStream(seed).substream("fit", model.cell_id)
+        summary = capital_mod.fit_summary(mle, *capital_mod.fit_posteriors(model, data), fit_rng)
 
         print(f"cell {model.cell_id} ({model.severity_family} severity, "
               f"{data.years} years, {data.severities.size} events)")
-        lam_iv = bayes.credible_interval(post_freq, 0.95)["lambda"]
-        print(f"  lambda: {_fmt(mle.lambda_hat)} ({_fmt(lam_iv[0])}, {_fmt(lam_iv[1])})")
-        rows.append([model.cell_id, "lambda", mle.lambda_hat, lam_iv[0], lam_iv[1]])
-        # Only a truncated lognormal posterior draws samples here.
-        fit_rng = RngStream(seed).substream("fit", model.cell_id)
-        sev_iv = bayes.credible_interval(post_sev, 0.95, fit_rng)
-        if model.severity_family == "lognormal":
-            mu_iv = sev_iv["mu"]
-            sig_iv = tuple(np.sqrt(sev_iv["sigma_sq"]))
-            sigma_hat = float(np.sqrt(mle.sigma_sq_hat))
-            print(f"  mu:     {_fmt(mle.mu_hat)} ({_fmt(mu_iv[0])}, {_fmt(mu_iv[1])})")
-            print(f"  sigma:  {_fmt(sigma_hat)} ({_fmt(sig_iv[0])}, {_fmt(sig_iv[1])})")
-            rows.append([model.cell_id, "mu", mle.mu_hat, mu_iv[0], mu_iv[1]])
-            rows.append([model.cell_id, "sigma", sigma_hat, sig_iv[0], sig_iv[1]])
-        else:
-            xi_iv = sev_iv["xi"]
-            print(f"  xi:     {_fmt(mle.xi_hat)} ({_fmt(xi_iv[0])}, {_fmt(xi_iv[1])})")
-            rows.append([model.cell_id, "xi", mle.xi_hat, xi_iv[0], xi_iv[1]])
+        for name, (estimate, lo, hi) in summary.items():
+            print(f"  {name + ':':7} {_fmt(estimate)} ({_fmt(lo)}, {_fmt(hi)})")
+            rows.append([model.cell_id, name, estimate, lo, hi])
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             fh.write(f"# seed={seed}\n")
@@ -392,8 +374,8 @@ def cmd_aggregate(args):
     return 0
 
 
-def _true_model_from_args(args) -> exp_mod.TrueModel:
-    if args.severity == "lognormal":
+def _true_model_from_args(args, family: str) -> exp_mod.TrueModel:
+    if family == "lognormal":
         sev = LognormalParams(mu=args.mu0, sigma_sq=args.sigma0**2)
     else:
         sev = ParetoParams(xi=args.xi0, threshold_L=args.threshold_L)
@@ -402,7 +384,7 @@ def _true_model_from_args(args) -> exp_mod.TrueModel:
 
 def cmd_experiment(args):
     seed = resolve_seed(args.seed)
-    model = _true_model_from_args(args)
+    model = _true_model_from_args(args, args.severity)
     m_grid = [int(m) for m in args.m_grid.split(",")] if args.m_grid else list(DEFAULT_M_GRID)
     K = args.K if args.K is not None else (10**6 if args.full_scale else 10**5)
 
@@ -411,29 +393,16 @@ def cmd_experiment(args):
         with open(args.out, "w", newline="") as fh:
             fh.write(f"# seed={seed}\n")
             w = csv.writer(fh)
-            if args.severity == "lognormal":
+            params = ("mu", "sigma", "lambda") if args.severity == "lognormal" else ("xi", "lambda")
+            w.writerow(["M", "K"] + [f"{p}_{end}" for p in params for end in ("hat", "lo", "hi")]
+                       + ["q_conditional", "q_predictive"])
+            for r in records:
+                estimates = [v for p in params for v in getattr(r, f"{p}_est")]
                 w.writerow(
-                    ["M", "K", "mu_hat", "mu_lo", "mu_hi", "sigma_hat", "sigma_lo",
-                     "sigma_hi", "lambda_hat", "lambda_lo", "lambda_hi",
-                     "q_conditional", "q_predictive"]
+                    [r.M, r.K_data]
+                    + [repr(float(v)) for v in estimates]
+                    + [repr(float(r.q_conditional)), repr(float(r.q_predictive))]
                 )
-                for r in records:
-                    w.writerow(
-                        [r.M, r.K_data]
-                        + [repr(float(v)) for v in r.mu_est + r.sigma_est + r.lambda_est]
-                        + [repr(float(r.q_conditional)), repr(float(r.q_predictive))]
-                    )
-            else:
-                w.writerow(
-                    ["M", "K", "xi_hat", "xi_lo", "xi_hi", "lambda_hat", "lambda_lo",
-                     "lambda_hi", "q_conditional", "q_predictive"]
-                )
-                for r in records:
-                    w.writerow(
-                        [r.M, r.K_data]
-                        + [repr(float(v)) for v in r.xi_est + r.lambda_est]
-                        + [repr(float(r.q_conditional)), repr(float(r.q_predictive))]
-                    )
         print(f"# seed={seed}")
         print(f"wrote {len(records)} rows to {args.out} (quantiles in thousands)")
     else:

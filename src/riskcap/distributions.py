@@ -1,9 +1,9 @@
 """Distribution families used by the loss model, with seeded sampling.
 
-All samplers draw from a caller-owned :class:`RngStream`, so reproducibility
-is entirely determined by ``(master_seed, stream_id)`` regardless of how the
-work is scheduled. Parameter objects are immutable and safe to share across
-workers.
+Every draw comes from the generator of a caller-owned :class:`RngStream`, so
+reproducibility is entirely determined by ``(master_seed, stream_id)``
+regardless of how the work is scheduled. Parameter objects are immutable and
+safe to share across workers.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ __all__ = [
     "ParetoParams",
     "GammaParams",
     "InvChiSqParams",
-    "sample_poisson",
-    "sample_lognormal",
-    "sample_pareto",
-    "pareto_inverse_cdf",
-    "sample_gamma",
-    "sample_inv_chi_sq",
+    "sample_severities",
     "log_density",
 ]
 
@@ -150,31 +145,20 @@ class InvChiSqParams:
             raise ValueError(f"scale_beta must be positive, got {self.scale_beta}")
 
 
-def sample_poisson(p: PoissonParams, rng: RngStream, size=None):
-    return rng.generator.poisson(p.lam, size=size)
+def sample_severities(size: int, gen: np.random.Generator, *, mu=None, sigma_sq=None,
+                      xi=None, threshold_L=None) -> np.ndarray:
+    """``size`` severities drawn from ``gen``: the one severity sampler.
 
-
-def sample_lognormal(p: LognormalParams, rng: RngStream, size=None):
-    return np.exp(rng.generator.normal(p.mu, math.sqrt(p.sigma_sq), size=size))
-
-
-def pareto_inverse_cdf(u, p: ParetoParams):
-    """Map a uniform [0,1) variate to a Pareto draw: L * (1-u)^(-1/xi)."""
-    return p.threshold_L * np.power(1.0 - np.asarray(u, dtype=float), -1.0 / p.xi)
-
-
-def sample_pareto(p: ParetoParams, rng: RngStream, size=None):
-    u = rng.generator.random(size=size)
-    return pareto_inverse_cdf(u, p)
-
-
-def sample_gamma(p: GammaParams, rng: RngStream, size=None):
-    return rng.generator.gamma(p.shape, p.scale, size=size)
-
-
-def sample_inv_chi_sq(p: InvChiSqParams, rng: RngStream, size=None):
-    w = rng.generator.chisquare(p.dof, size=size)
-    return p.scale_beta / w
+    Pass ``mu`` and ``sigma_sq`` for exp(Z * sqrt(sigma_sq) + mu), Z standard
+    normal, or ``xi`` and ``threshold_L`` for threshold_L * (1 - U)^(-1/xi),
+    U uniform on [0, 1); each a scalar or one value per draw. A tail index
+    near 0 overflows to inf without a numpy warning; LossSample rejects it.
+    """
+    if xi is None:
+        return np.exp(gen.standard_normal(size) * np.sqrt(sigma_sq) + mu)
+    u = gen.random(size)
+    with np.errstate(over="ignore"):
+        return threshold_L * np.power(1.0 - u, -1.0 / xi)
 
 
 @singledispatch

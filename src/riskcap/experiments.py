@@ -18,10 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bayes, estimators
-from .bayes import PosteriorState
-from .capital import LossData
-from .distributions import LognormalParams, ParetoParams, PoissonParams, RngStream
+from .capital import (
+    CellModel,
+    LossData,
+    _severity_point_params,
+    fit_mle,
+    fit_posteriors,
+    fit_summary,
+)
+from .distributions import (
+    LognormalParams,
+    ParetoParams,
+    PoissonParams,
+    RngStream,
+    sample_severities,
+)
 from .mc_engine import empirical_quantile, simulate_conditional_sample, simulate_predictive_sample
 
 __all__ = [
@@ -88,52 +99,34 @@ def generate_synthetic(true_model: TrueModel, M: int, rng: RngStream) -> LossDat
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    sev = true_model.severity
+    sev = vars(true_model.severity)
     counts = np.empty(M, dtype=int)
     sev_chunks = []
     for m in range(M):
         gen = rng.substream("year", m).generator
         n = int(gen.poisson(true_model.lambda0))
         counts[m] = n
-        if isinstance(sev, LognormalParams):
-            x = np.exp(gen.normal(sev.mu, np.sqrt(sev.sigma_sq), size=n))
-        else:
-            u = gen.random(size=n)
-            x = sev.threshold_L * np.power(1.0 - u, -1.0 / sev.xi)
-        sev_chunks.append(x)
+        sev_chunks.append(sample_severities(n, gen, **sev))
     severities = np.concatenate(sev_chunks) if sev_chunks else np.array([])
     return LossData(annual_counts=counts, severities=severities)
 
 
 def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream, workers: int = 1):
-    """MLE fit, non-informative posteriors, and both quantiles for one dataset."""
-    lam_hat = estimators.mle_poisson(data.annual_counts)
-    freq = PoissonParams(lam=lam_hat)
-    post_freq = PosteriorState(family="poisson-rate", params=bayes.noninformative_poisson(data.annual_counts))
+    """MLE fit, non-informative posteriors, and both quantiles for one dataset.
 
-    if isinstance(true_model.severity, LognormalParams):
-        mu_hat, s2_hat = estimators.mle_lognormal(data.severities)
-        sev = LognormalParams(mu=mu_hat, sigma_sq=s2_hat)
-        post_sev = PosteriorState(
-            family="lognormal", params=bayes.noninformative_lognormal(np.log(data.severities))
-        )
+    Returns ``(q_conditional, q_predictive, mle, (post_freq, post_sev))``.
+    """
+    if isinstance(true_model.severity, ParetoParams):
+        model = CellModel("synthetic", "pareto", threshold_L=true_model.severity.threshold_L)
     else:
-        L = true_model.severity.threshold_L
-        xi_hat = estimators.mle_pareto(data.severities, L)
-        sev = ParetoParams(xi=xi_hat, threshold_L=L)
-        post_sev = PosteriorState(
-            family="pareto-tail",
-            params=bayes.noninformative_pareto(data.severities, L),
-            threshold_L=L,
-        )
-
+        model = CellModel("synthetic", "lognormal")
+    mle = fit_mle(model, data)
+    posteriors = fit_posteriors(model, data)
+    freq = PoissonParams(lam=mle.lambda_hat)
+    sev = _severity_point_params(model, mle)
     cond = simulate_conditional_sample(freq, sev, K_sims, stream.substream("cond"), workers=workers)
-    pred = simulate_predictive_sample(
-        post_freq, post_sev, K_sims, stream.substream("pred"), workers=workers
-    )
-    q_cond = empirical_quantile(cond, q)
-    q_pred = empirical_quantile(pred, q)
-    return q_cond, q_pred, post_freq, post_sev
+    pred = simulate_predictive_sample(*posteriors, K_sims, stream.substream("pred"), workers=workers)
+    return empirical_quantile(cond, q), empirical_quantile(pred, q), mle, posteriors
 
 
 def single_realization_track(
@@ -163,34 +156,23 @@ def single_realization_track(
         n = int(counts.sum())
         data = LossData(annual_counts=counts, severities=full.severities[:n])
         stream = rng.substream("track", M)
-        q_cond, q_pred, post_freq, post_sev = _fit_and_quantiles(
+        q_cond, q_pred, mle, (post_freq, post_sev) = _fit_and_quantiles(
             true_model, data, q, K_sims, stream, workers
         )
 
-        lam_iv = bayes.credible_interval(post_freq, 0.95)["lambda"]
-        lam_hat = estimators.mle_poisson(counts)
-        rec_kwargs = dict(
-            M=M,
-            K_data=n,
-            lambda_est=(lam_hat, lam_iv[0], lam_iv[1]),
-            q_conditional=q_cond / 1e3,
-            q_predictive=q_pred / 1e3,
-        )
-        if post_sev.family == "lognormal":
-            iv = bayes.credible_interval(post_sev, 0.95)
-            mu_hat, s2_hat = estimators.mle_lognormal(data.severities)
-            rec_kwargs["mu_est"] = (mu_hat, iv["mu"][0], iv["mu"][1])
-            # sigma interval by monotone transform of the sigma_sq interval
-            rec_kwargs["sigma_est"] = (
-                float(np.sqrt(s2_hat)),
-                float(np.sqrt(iv["sigma_sq"][0])),
-                float(np.sqrt(iv["sigma_sq"][1])),
+        summary = fit_summary(mle, post_freq, post_sev)
+        records.append(
+            BiasRecord(
+                M=M,
+                K_data=n,
+                lambda_est=summary["lambda"],
+                q_conditional=q_cond / 1e3,
+                q_predictive=q_pred / 1e3,
+                mu_est=summary.get("mu"),
+                sigma_est=summary.get("sigma"),
+                xi_est=summary.get("xi"),
             )
-        else:
-            iv = bayes.credible_interval(post_sev, 0.95)["xi"]
-            xi_hat = estimators.mle_pareto(data.severities, true_model.severity.threshold_L)
-            rec_kwargs["xi_est"] = (xi_hat, iv[0], iv[1])
-        records.append(BiasRecord(**rec_kwargs))
+        )
     return records
 
 

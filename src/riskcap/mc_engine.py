@@ -22,18 +22,17 @@ from .distributions import (
     ParetoParams,
     PoissonParams,
     RngStream,
+    sample_severities,
 )
 
 __all__ = [
     "LossSample",
     "QuantileEstimate",
-    "simulate_annual_loss",
     "simulate_conditional_sample",
     "simulate_predictive_sample",
     "empirical_quantile",
     "quantile_ci",
     "ci_indices",
-    "run_until_accuracy",
     "usable_cpus",
 ]
 
@@ -85,7 +84,6 @@ class QuantileEstimate:
     K: int
     master_seed: int
     reliable_ci: bool
-    converged: bool = True
 
 
 def usable_cpus() -> int:
@@ -101,64 +99,23 @@ def usable_cpus() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Severity / compound sampling
+# Compound-loss simulation
 
 
-def _sample_severities(sev, n: int, gen: np.random.Generator) -> np.ndarray:
-    if isinstance(sev, LognormalParams):
-        return np.exp(gen.normal(sev.mu, math.sqrt(sev.sigma_sq), size=n))
-    if isinstance(sev, ParetoParams):
-        u = gen.random(size=n)
-        return sev.threshold_L * np.power(1.0 - u, -1.0 / sev.xi)
-    raise TypeError(f"unsupported severity family: {type(sev).__name__}")
+def _compound_batch(gen: np.random.Generator, n: int, lam, sev: dict) -> np.ndarray:
+    """n annual losses: the one compound-loss kernel of both paths.
 
-
-def _compound_losses(counts: np.ndarray, severities: np.ndarray) -> np.ndarray:
-    """Sum severities into per-scenario annual losses; zero counts give 0."""
-    n = counts.size
-    if severities.size == 0:
-        return np.zeros(n)
+    ``lam`` and each severity parameter in ``sev`` (keyword arguments of
+    :func:`sample_severities`) are either scalars shared by all n scenarios,
+    the conditional path's point estimate, or arrays of n per-scenario
+    posterior draws, the predictive path. The counts are drawn first, then
+    every severity in scenario order; a zero count gives a zero loss.
+    """
+    counts = gen.poisson(lam, size=n)
     owner = np.repeat(np.arange(n), counts)
-    return np.bincount(owner, weights=severities, minlength=n)
-
-
-def _conditional_batch(freq: PoissonParams, sev, n: int, stream: RngStream) -> np.ndarray:
-    gen = stream.generator
-    counts = gen.poisson(freq.lam, size=n)
-    x = _sample_severities(sev, int(counts.sum()), gen)
-    return _compound_losses(counts, x)
-
-
-def _predictive_batch(
-    post_freq: PosteriorState, post_sev: PosteriorState, n: int, stream: RngStream
-) -> np.ndarray:
-    lam = sample_posterior(post_freq, stream, size=n)
-    gen = stream.generator
-    if post_sev.family == "lognormal":
-        mu, s2 = sample_posterior(post_sev, stream, size=n)
-        counts = gen.poisson(lam)
-        total = int(counts.sum())
-        mu_rep = np.repeat(mu, counts)
-        sd_rep = np.repeat(np.sqrt(s2), counts)
-        x = np.exp(gen.normal(size=total) * sd_rep + mu_rep)
-    elif post_sev.family == "pareto-tail":
-        L = post_sev.threshold_L
-        if L is None:
-            raise ValueError("pareto-tail posterior needs threshold_L for loss simulation")
-        xi = sample_posterior(post_sev, stream, size=n)
-        counts = gen.poisson(lam)
-        total = int(counts.sum())
-        xi_rep = np.repeat(xi, counts)
-        u = gen.random(size=total)
-        x = L * np.power(1.0 - u, -1.0 / xi_rep)
-    else:
-        raise ValueError(f"unsupported severity posterior family: {post_sev.family}")
-    return _compound_losses(counts, x)
-
-
-def simulate_annual_loss(freq: PoissonParams, sev, rng: RngStream) -> float:
-    """One annual loss: a Poisson number of i.i.d. severities summed."""
-    return float(_conditional_batch(freq, sev, 1, rng)[0])
+    per_loss = {k: v[owner] if np.ndim(v) else v for k, v in sev.items()}
+    x = sample_severities(owner.size, gen, **per_loss)
+    return np.bincount(owner, weights=x, minlength=n)
 
 
 def _run_batches(batch_fn, K: int, rng: RngStream, batch_size: int, workers: int) -> LossSample:
@@ -186,14 +143,23 @@ def _run_batches(batch_fn, K: int, rng: RngStream, batch_size: int, workers: int
 
 def simulate_conditional_sample(
     freq: PoissonParams,
-    sev,
+    sev: LognormalParams | ParetoParams,
     K: int,
     rng: RngStream,
     batch_size: int = DEFAULT_BATCH_SIZE,
     workers: int = 1,
 ) -> LossSample:
-    """K i.i.d. annual losses at fixed point parameters, sorted ascending."""
-    return _run_batches(lambda n, st: _conditional_batch(freq, sev, n, st), K, rng, batch_size, workers)
+    """K i.i.d. annual losses at fixed point parameters, sorted ascending.
+
+    This is the predictive computation with the posterior collapsed to a
+    point mass: every scenario shares the same parameters.
+    """
+    if not isinstance(sev, (LognormalParams, ParetoParams)):
+        raise TypeError(f"unsupported severity family: {type(sev).__name__}")
+    point = vars(sev)
+    return _run_batches(
+        lambda n, st: _compound_batch(st.generator, n, freq.lam, point), K, rng, batch_size, workers
+    )
 
 
 def simulate_predictive_sample(
@@ -207,13 +173,27 @@ def simulate_predictive_sample(
     """K annual losses, each under a fresh parameter draw from the posteriors.
 
     This realizes the parameter-uncertainty-averaged (predictive) annual
-    loss distribution.
+    loss distribution. Each batch draws its scenarios' parameters first,
+    from the same stream the kernel then draws counts and severities from.
     """
     if post_freq.family != "poisson-rate":
         raise ValueError("frequency posterior must be a poisson-rate state")
-    return _run_batches(
-        lambda n, st: _predictive_batch(post_freq, post_sev, n, st), K, rng, batch_size, workers
-    )
+    if post_sev.family == "pareto-tail" and post_sev.threshold_L is None:
+        raise ValueError("pareto-tail posterior needs threshold_L for loss simulation")
+    if post_sev.family not in ("lognormal", "pareto-tail"):
+        raise ValueError(f"unsupported severity posterior family: {post_sev.family}")
+
+    def batch(n, stream):
+        lam = sample_posterior(post_freq, stream, size=n)
+        if post_sev.family == "lognormal":
+            mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
+            sev = {"mu": mu, "sigma_sq": sigma_sq}
+        else:
+            sev = {"xi": sample_posterior(post_sev, stream, size=n),
+                   "threshold_L": post_sev.threshold_L}
+        return _compound_batch(stream.generator, n, lam, sev)
+
+    return _run_batches(batch, K, rng, batch_size, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +240,8 @@ def quantile_ci(sample: LossSample, q: float, gamma: float) -> tuple[float, floa
     return float(sample.values[r - 1]), float(sample.values[s - 1]), reliable
 
 
-def _estimate(sample: LossSample, q: float, gamma: float, converged: bool = True) -> QuantileEstimate:
+def estimate_quantile(sample: LossSample, q: float, gamma: float) -> QuantileEstimate:
+    """Point quantile and conservative CI from a simulated loss sample."""
     value = empirical_quantile(sample, q)
     lo, hi, reliable = quantile_ci(sample, q, gamma)
     return QuantileEstimate(
@@ -272,49 +253,4 @@ def _estimate(sample: LossSample, q: float, gamma: float, converged: bool = True
         K=sample.K,
         master_seed=sample.master_seed,
         reliable_ci=reliable,
-        converged=converged,
     )
-
-
-def estimate_quantile(sample: LossSample, q: float, gamma: float) -> QuantileEstimate:
-    """Point quantile and conservative CI from a simulated loss sample."""
-    return _estimate(sample, q, gamma)
-
-
-def run_until_accuracy(
-    sampler,
-    q: float,
-    gamma: float,
-    target_rel_halfwidth: float,
-    batch_K: int,
-    max_K: int,
-    rng: RngStream,
-) -> QuantileEstimate:
-    """Grow the loss sample in batches until the CI half-width is small enough.
-
-    ``sampler`` is a callable ``(n, stream) -> array of n losses``. Stops when
-    (ci_upper - ci_lower) / (2 * value) <= target, or when K would exceed
-    ``max_K``; an estimate that never met the target is returned with
-    ``converged=False`` rather than raising.
-    """
-    if target_rel_halfwidth <= 0:
-        raise ValueError("target_rel_halfwidth must be positive")
-    if batch_K < 1:
-        raise ValueError("batch_K must be at least 1")
-    values = np.array([], dtype=float)
-    batch = 0
-    while True:
-        n = min(batch_K, max_K - values.size)
-        if n <= 0:
-            break
-        draws = np.asarray(sampler(n, rng.substream("acc", batch)), dtype=float)
-        values = np.sort(np.concatenate([values, draws]))
-        batch += 1
-        sample = LossSample(values=values, master_seed=rng.master_seed)
-        est = _estimate(sample, q, gamma)
-        if est.value > 0:
-            halfwidth = (est.ci_upper - est.ci_lower) / (2.0 * est.value)
-            if halfwidth <= target_rel_halfwidth:
-                return est
-    sample = LossSample(values=values, master_seed=rng.master_seed)
-    return _estimate(sample, q, gamma, converged=False)

@@ -23,6 +23,7 @@ from riskcap.distributions import (
     PoissonParams,
     RngStream,
     log_density,
+    sample_severities,
 )
 from riskcap.experiments import TrueModel, bias_study, generate_synthetic
 from riskcap.mc_engine import (
@@ -172,7 +173,7 @@ def test_criterion_7_ci_arithmetic_and_coverage():
     hits = 0
     for i in range(200):
         draws = np.sort(
-            np.exp(RngStream(7000 + i).generator.normal(1.0, 2.0, size=10**5))
+            sample_severities(10**5, RngStream(7000 + i).generator, mu=1.0, sigma_sq=4.0)
         )
         lo, hi, _ = quantile_ci(LossSample(values=draws, master_seed=i), 0.999, 0.95)
         hits += lo <= true_q <= hi

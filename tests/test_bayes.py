@@ -320,6 +320,22 @@ def test_credible_interval_bad_level():
         credible_interval(state, 1.5)
 
 
+def test_credible_interval_truncated_lognormal_needs_rng():
+    nix = NIXParams(dof_nu=5.0, scale_beta=4.0, loc_theta=1.0, prec_phi=8.0)
+    state = truncate_posterior(PosteriorState("lognormal", nix), {"sigma_sq": (0.0, 1.0)})
+    # No hidden default stream: the caller's seed fixes the interval.
+    with pytest.raises(ValueError, match="rng"):
+        credible_interval(state, 0.95)
+    assert credible_interval(state, 0.95, RngStream(3)) == credible_interval(
+        state, 0.95, RngStream(3)
+    )
+    # A truncated Gamma-type interval is exact and draws nothing.
+    gamma = truncate_posterior(PosteriorState("poisson-rate", GammaParams(6.0, 0.5)),
+                               {"lambda": (1.0, 4.0)})
+    lo, hi = credible_interval(gamma, 0.95)["lambda"]
+    assert 1.0 < lo < hi < 4.0
+
+
 def test_credible_interval_lognormal_matches_empirical():
     nix = NIXParams(dof_nu=5.0, scale_beta=4.0, loc_theta=1.0, prec_phi=8.0)
     state = PosteriorState("lognormal", nix)

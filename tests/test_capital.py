@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ def test_loss_data_accepts_integral_float_counts():
     data = LossData(annual_counts=[2.0, 0.0, 1.0], severities=[1.0, 2.0, 3.0])
     assert data.annual_counts.tolist() == [2, 0, 1]
     assert data.annual_counts.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_loss_data_rejects_non_finite_severities(bad):
+    # Let through, inf reached the fit as "sigma_sq must be positive, got nan"
+    # (lognormal) or "tail index xi must be positive, got 0.0" (Pareto).
+    message = f"severities must be finite; 1 of 5 are not, the first is {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LossData(annual_counts=[5], severities=[1.0, 2.0, 3.0, 4.0, bad])
 
 
 def test_cell_model_validation():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -216,9 +217,15 @@ def test_capital_non_finite_losses_exit_code(tmp_path, capsys):
     cell = {"id": "p", "severity_family": "pareto", "threshold_L": 1.0,
             "counts_file": counts, "events_file": events}
     cfg = _write(tmp_path / "cfg.json", json.dumps({"seed": 1, "cells": [cell]}))
-    rc = main(["capital", "--config", cfg, "--K", "10000", "--mode", "predictive"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["capital", "--config", cfg, "--K", "10000", "--mode", "predictive"])
     assert rc == EXIT_COMPUTATION
-    assert "non-finite values out of 10000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite values out of 10000" in err
+    # riskcap reports the overflow; numpy must not warn about it on stderr.
+    assert "overflow encountered" not in err
+    assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
 
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():

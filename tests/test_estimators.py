@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from riskcap import bayes, estimators
 from riskcap.bayes import PosteriorState
-from riskcap.distributions import LognormalParams, ParetoParams, RngStream, sample_lognormal, sample_pareto
+from riskcap.distributions import RngStream, sample_severities
 from riskcap.estimators import mle_lognormal, mle_pareto, mle_poisson
 
 
@@ -34,7 +34,7 @@ def test_mle_lognormal():
 
 
 def test_mle_lognormal_consistency():
-    x = sample_lognormal(LognormalParams(1.0, 4.0), RngStream(20), size=10**5)
+    x = sample_severities(10**5, RngStream(20).generator, mu=1.0, sigma_sq=4.0)
     mu, s2 = mle_lognormal(x)
     assert mu == pytest.approx(1.0, abs=0.05)
     assert math.sqrt(s2) == pytest.approx(2.0, abs=0.05)
@@ -50,7 +50,7 @@ def test_mle_pareto():
 
 
 def test_mle_pareto_consistency():
-    x = sample_pareto(ParetoParams(2.0, 1.0), RngStream(21), size=10**5)
+    x = sample_severities(10**5, RngStream(21).generator, xi=2.0, threshold_L=1.0)
     assert mle_pareto(x, 1.0) == pytest.approx(2.0, rel=0.03)
 
 

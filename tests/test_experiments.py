@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riskcap.distributions import LognormalParams, ParetoParams, RngStream
+from riskcap.distributions import LognormalParams, ParetoParams, RngStream, sample_severities
 from riskcap.experiments import (
     BiasCurve,
     TrueModel,
@@ -137,7 +137,7 @@ def test_quantile_estimates_scale_linearly():
     from riskcap.mc_engine import LossSample, empirical_quantile
 
     rng = RngStream(15)
-    values = np.sort(np.exp(rng.generator.normal(1.0, 2.0, size=10_000)))
+    values = np.sort(sample_severities(10_000, rng.generator, mu=1.0, sigma_sq=4.0))
     c = 250.0
     s1 = LossSample(values=values, master_seed=0)
     s2 = LossSample(values=values * c, master_seed=0)

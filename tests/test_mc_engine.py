@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from riskcap import bayes
-from riskcap.bayes import NIXParams, PosteriorState
+from riskcap.bayes import NIXParams, PosteriorState, sample_posterior
 from riskcap.distributions import (
     GammaParams,
     LognormalParams,
     ParetoParams,
     PoissonParams,
     RngStream,
+    sample_severities,
 )
 from riskcap.mc_engine import (
     LossSample,
     ci_indices,
     empirical_quantile,
     quantile_ci,
-    run_until_accuracy,
-    simulate_annual_loss,
     simulate_conditional_sample,
     simulate_predictive_sample,
 )
@@ -30,8 +29,8 @@ PAR21 = ParetoParams(xi=2.0, threshold_L=1.0)
 def test_annual_loss_zero_when_no_events():
     # lam small enough that N=0 happens quickly
     freq = PoissonParams(1e-9)
-    z = simulate_annual_loss(freq, LN12, RngStream(1))
-    assert z == 0.0
+    sample = simulate_conditional_sample(freq, LN12, 1, RngStream(1))
+    assert sample.values.tolist() == [0.0]
 
 
 def test_compound_mean_lognormal():
@@ -112,6 +111,63 @@ def test_predictive_pareto_requires_threshold():
         simulate_predictive_sample(pf, ps, 100, RngStream(11))
 
 
+def _reference_batch(stream, n, lam, sev):
+    """The compound loss as a plain loop: all counts, then each scenario's
+    severities in scenario order, each summed from 0 in draw order."""
+    gen = stream.generator
+    counts = gen.poisson(lam, size=n)
+    out = np.zeros(n)
+    for i, count in enumerate(counts):
+        params = {k: v[i] if np.ndim(v) else v for k, v in sev.items()}
+        total = 0.0
+        for x in sample_severities(int(count), gen, **params):
+            total += x
+        out[i] = total
+    return out
+
+
+LOW_RATE = GammaParams(4.0, 0.1)  # lambda around 0.4: most years have no event
+NIX = NIXParams(dof_nu=17.0, scale_beta=68.0, loc_theta=1.0, prec_phi=20.0)
+
+
+@pytest.mark.parametrize(
+    "sev",
+    [LN12, PAR21],
+    ids=["lognormal", "pareto"],
+)
+def test_conditional_kernel_matches_reference_loop(sev):
+    n, rng = 3000, RngStream(21)
+    expected = _reference_batch(rng.substream("batch", 0), n, 0.4, vars(sev))
+    assert np.count_nonzero(expected == 0) > n // 2
+    sample = simulate_conditional_sample(PoissonParams(0.4), sev, n, rng, batch_size=n)
+    assert np.array_equal(sample.values, np.sort(expected))
+
+
+@pytest.mark.parametrize(
+    "post_sev",
+    [
+        PosteriorState("lognormal", NIX),
+        PosteriorState("pareto-tail", GammaParams(21.0, 0.1), threshold_L=1.0),
+        bayes.truncate_posterior(PosteriorState("lognormal", NIX), {"sigma_sq": (0.0, 4.0)}),
+    ],
+    ids=["lognormal", "pareto", "truncated-lognormal"],
+)
+def test_predictive_kernel_matches_reference_loop(post_sev):
+    n, rng = 3000, RngStream(22)
+    post_freq = PosteriorState("poisson-rate", LOW_RATE)
+    stream = rng.substream("batch", 0)
+    lam = sample_posterior(post_freq, stream, size=n)
+    if post_sev.family == "lognormal":
+        mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
+        sev = {"mu": mu, "sigma_sq": sigma_sq}
+    else:
+        sev = {"xi": sample_posterior(post_sev, stream, size=n), "threshold_L": 1.0}
+    expected = _reference_batch(stream, n, lam, sev)
+    assert np.count_nonzero(expected == 0) > n // 2
+    sample = simulate_predictive_sample(post_freq, post_sev, n, rng, batch_size=n)
+    assert np.array_equal(sample.values, np.sort(expected))
+
+
 # ---------------------------------------------------------------------------
 # Quantiles
 
@@ -186,33 +242,6 @@ def test_loss_sample_rejects_non_finite(values, bad):
         LossSample(values=np.array(values), master_seed=0)
 
 
-# ---------------------------------------------------------------------------
-# Adaptive accuracy
-
-
-def _ln_sampler(n, stream):
-    return np.exp(stream.generator.normal(1.0, 2.0, size=n))
-
-
-def test_run_until_accuracy_loose_target_one_batch():
-    est = run_until_accuracy(_ln_sampler, 0.9, 0.95, 1.0, 5000, 100_000, RngStream(14))
-    assert est.K == 5000
-    assert est.converged
-
-
-def test_run_until_accuracy_capped_one_batch():
-    est = run_until_accuracy(_ln_sampler, 0.999, 0.95, 1e-9, 5000, 5000, RngStream(15))
-    assert est.K == 5000
-    assert not est.converged
-
-
-def test_run_until_accuracy_converges():
-    est = run_until_accuracy(_ln_sampler, 0.99, 0.95, 0.05, 20_000, 2_000_000, RngStream(16))
-    assert est.converged
-    halfwidth = (est.ci_upper - est.ci_lower) / (2 * est.value)
-    assert halfwidth <= 0.05
-
-
 def test_coverage_of_conservative_interval():
     # analytic 0.999 quantile of LN(1, 2): exp(1 + 2 * z_0.999)
     from scipy.stats import norm
@@ -221,8 +250,8 @@ def test_coverage_of_conservative_interval():
     hits = 0
     reps = 200
     for i in range(reps):
-        draws = np.sort(_ln_sampler(10**5, RngStream(1000 + i)))
-        sample = LossSample(values=draws, master_seed=1000 + i)
+        draws = sample_severities(10**5, RngStream(1000 + i).generator, mu=1.0, sigma_sq=4.0)
+        sample = LossSample(values=np.sort(draws), master_seed=1000 + i)
         lo, hi, reliable = quantile_ci(sample, 0.999, 0.95)
         assert reliable
         if lo <= true_q <= hi:
