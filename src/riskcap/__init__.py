@@ -10,13 +10,11 @@ from .bayes import NIXParams, PosteriorState
 from .capital import (
     CellModel,
     LossData,
-    aggregate_bank_capital,
     conditional_capital,
     predictive_capital,
 )
 from .distributions import (
     GammaParams,
-    InvChiSqParams,
     LognormalParams,
     ParetoParams,
     PoissonParams,
@@ -27,7 +25,6 @@ from .mc_engine import (
     LossSample,
     QuantileEstimate,
     empirical_quantile,
-    quantile_ci,
     simulate_conditional_sample,
     simulate_predictive_sample,
 )

@@ -25,20 +25,17 @@ from .distributions import GammaParams, RngStream
 __all__ = [
     "NIXParams",
     "PosteriorState",
-    "ShiftedTParams",
     "LaplaceResult",
     "InsufficientDataError",
     "update_poisson_gamma",
     "noninformative_poisson",
     "update_lognormal",
     "noninformative_lognormal",
-    "marginal_mu",
     "update_pareto",
     "noninformative_pareto",
     "truncate_posterior",
     "sample_posterior",
     "credible_interval",
-    "posterior_mode",
     "prob_tail_index_below",
     "laplace_approximation",
 ]
@@ -118,21 +115,6 @@ class PosteriorState:
         if self.truncation and name in self.truncation:
             return self.truncation[name]
         return (-math.inf, math.inf)
-
-
-@dataclass(frozen=True)
-class ShiftedTParams:
-    """Location-scale t distribution: (mu - center)/scale_gamma ~ t(dof)."""
-
-    dof: float
-    center: float
-    scale_gamma: float
-
-    def __post_init__(self):
-        if not self.dof > 0:
-            raise ValueError(f"dof must be positive, got {self.dof}")
-        if not self.scale_gamma > 0:
-            raise ValueError(f"scale_gamma must be positive, got {self.scale_gamma}")
 
 
 @dataclass(frozen=True)
@@ -218,14 +200,6 @@ def noninformative_lognormal(log_severities) -> NIXParams:
     if beta_hat <= 0:
         raise InsufficientDataError("log severities have zero sample variance")
     return NIXParams(dof_nu=n - 3.0, scale_beta=beta_hat, loc_theta=ybar, prec_phi=float(n))
-
-
-def marginal_mu(posterior: NIXParams) -> ShiftedTParams:
-    """Marginal posterior of mu: a shifted t with dof_nu degrees of freedom."""
-    if posterior.dof_nu <= 0:
-        raise ValueError(f"marginal of mu requires dof_nu > 0, got {posterior.dof_nu}")
-    gamma_hat = math.sqrt(posterior.scale_beta / (posterior.prec_phi * posterior.dof_nu))
-    return ShiftedTParams(dof=posterior.dof_nu, center=posterior.loc_theta, scale_gamma=gamma_hat)
 
 
 def update_pareto(prior: GammaParams, severities, threshold_L: float) -> GammaParams:
@@ -434,10 +408,14 @@ def credible_interval(state: PosteriorState, level: float, rng: RngStream | None
         }
 
     p = state.params
-    t = marginal_mu(p)
+    # The marginal of mu is a t with dof_nu degrees of freedom, centred on
+    # loc_theta, with scale sqrt(scale_beta / (prec_phi * dof_nu)).
+    if p.dof_nu <= 0:
+        raise ValueError(f"marginal of mu requires dof_nu > 0, got {p.dof_nu}")
+    t_scale = math.sqrt(p.scale_beta / (p.prec_phi * p.dof_nu))
     mu_iv = (
-        t.center + t.scale_gamma * special.stdtrit(t.dof, p_lo),
-        t.center + t.scale_gamma * special.stdtrit(t.dof, p_hi),
+        p.loc_theta + t_scale * special.stdtrit(p.dof_nu, p_lo),
+        p.loc_theta + t_scale * special.stdtrit(p.dof_nu, p_hi),
     )
     # sigma_sq = beta / W with W ~ ChiSq(nu): quantile_p = beta / chi2 quantile(1-p, nu)
     s2_iv = (
@@ -445,36 +423,6 @@ def credible_interval(state: PosteriorState, level: float, rng: RngStream | None
         p.scale_beta / _chi2_ppf(1.0 - p_hi, p.dof_nu),
     )
     return {"mu": (float(mu_iv[0]), float(mu_iv[1])), "sigma_sq": (float(s2_iv[0]), float(s2_iv[1]))}
-
-
-def posterior_mode(state: PosteriorState) -> dict:
-    """Mode of the (possibly truncated) posterior, per parameter.
-
-    Gamma-type: (shape - 1) * scale for shape >= 1, otherwise the lower
-    support bound. Lognormal: the joint mode of the NIX density, which is
-    (theta, beta / (nu + 3)); under the non-informative posterior this
-    equals the MLE.
-    """
-    if isinstance(state.params, GammaParams):
-        name = state.param_names[0]
-        lo, hi = state.bounds(name)
-        if state.params.shape >= 1:
-            m = (state.params.shape - 1) * state.params.scale
-        else:
-            m = max(lo, 0.0)
-            if not math.isfinite(m):
-                raise ValueError("posterior mode is at an unbounded support edge")
-        m = min(max(m, lo), hi)
-        return {name: float(m)}
-    p = state.params
-    mu = p.loc_theta
-    s2 = p.scale_beta / (p.dof_nu + 3.0)
-    mu_lo, mu_hi = state.bounds("mu")
-    s2_lo, s2_hi = state.bounds("sigma_sq")
-    return {
-        "mu": float(min(max(mu, mu_lo), mu_hi)),
-        "sigma_sq": float(min(max(s2, s2_lo), s2_hi)),
-    }
 
 
 # ---------------------------------------------------------------------------

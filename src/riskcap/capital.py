@@ -1,4 +1,4 @@
-"""Risk-cell and bank-level capital API.
+"""Risk-cell capital API.
 
 Two paths share one simulation engine: the conditional path plugs maximum
 likelihood point estimates into the compound-loss simulator; the predictive
@@ -28,9 +28,11 @@ __all__ = [
     "LossData",
     "CapitalReport",
     "AGGREGATION_NOTE",
+    "fit_mle",
+    "fit_posteriors",
+    "fit_summary",
     "conditional_capital",
     "predictive_capital",
-    "aggregate_bank_capital",
 ]
 
 #: Summing per-cell quantiles assumes perfect dependence between risks and is
@@ -71,9 +73,14 @@ class CellModel:
                 raise ValueError("pareto severity requires a positive threshold_L")
             if self.sev_prior is not None and not isinstance(self.sev_prior, GammaParams):
                 raise TypeError("pareto severity prior must be GammaParams")
+            names = ("lambda", "xi")
         else:
             if self.sev_prior is not None and not isinstance(self.sev_prior, NIXParams):
                 raise TypeError("lognormal severity prior must be NIXParams")
+            names = ("lambda", "mu", "sigma_sq")
+        for name, (lo, hi) in (self.truncation or {}).items():
+            if name not in names or not lo < hi:
+                raise ValueError(f"truncation of {name!r} must bound one of {names} by lo < hi")
 
 
 @dataclass(frozen=True)
@@ -132,22 +139,9 @@ def fit_mle(model: CellModel, data: LossData) -> MleReport:
     lam = estimators.mle_poisson(data.annual_counts)
     if model.severity_family == "lognormal":
         mu, s2 = estimators.mle_lognormal(data.severities)
-        return MleReport(
-            family="lognormal",
-            lambda_hat=lam,
-            years=data.years,
-            event_count=int(data.severities.size),
-            mu_hat=mu,
-            sigma_sq_hat=s2,
-        )
+        return MleReport(family="lognormal", lambda_hat=lam, mu_hat=mu, sigma_sq_hat=s2)
     xi = estimators.mle_pareto(data.severities, model.threshold_L)
-    return MleReport(
-        family="pareto",
-        lambda_hat=lam,
-        years=data.years,
-        event_count=int(data.severities.size),
-        xi_hat=xi,
-    )
+    return MleReport(family="pareto", lambda_hat=lam, xi_hat=xi)
 
 
 def fit_posteriors(model: CellModel, data: LossData) -> tuple[PosteriorState, PosteriorState]:
@@ -280,28 +274,3 @@ def _common_warnings(est: QuantileEstimate) -> list:
             "to the binomial order-statistic count is poor"
         )
     return warnings
-
-
-def aggregate_bank_capital(reports) -> dict:
-    """Sum per-cell capital into a bank total (perfect-dependence assumption).
-
-    All reports must share the same mode and quantile level. Returns the
-    total, a per-cell breakdown, and the conservatism note.
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("at least one capital report is required")
-    modes = {r.mode for r in reports}
-    qs = {r.estimate.q for r in reports}
-    if len(modes) > 1 or len(qs) > 1:
-        raise ValueError(
-            f"cannot aggregate mixed reports: modes={sorted(modes)}, q levels={sorted(qs)}"
-        )
-    breakdown = {r.cell_id: r.estimate.value for r in reports}
-    return {
-        "total": float(sum(breakdown.values())),
-        "breakdown": breakdown,
-        "mode": reports[0].mode,
-        "q": reports[0].estimate.q,
-        "note": AGGREGATION_NOTE,
-    }

@@ -52,24 +52,33 @@ class ValidationError(Exception):
 # Loss file I/O
 
 
+def _csv_rows(path, header):
+    """(line number, row) of each data row of a CSV file, after its header.
+
+    Lines starting with ``#`` are skipped, but the numbers are the file's own.
+    """
+    with open(path, newline="") as fh:
+        kept = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+    rows = zip((n for n, _ in kept), csv.reader(line for _, line in kept))
+    first = next(rows, (None, None))[1]
+    if first != header:
+        raise ValidationError(f"{path}: expected header {','.join(header)!r}, got {first}")
+    return rows
+
+
 def read_counts_file(path) -> dict:
     """Parse a counts CSV into {year: count}, with row-numbered diagnostics."""
     counts = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(_strip_comments(fh))
-        header = next(reader, None)
-        if header != ["year", "count"]:
-            raise ValidationError(f"{path}: expected header 'year,count', got {header}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                year, count = int(row[0]), int(row[1])
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path}:{i}: malformed row {row!r}")
-            if count < 0:
-                raise ValidationError(f"{path}:{i}: negative count {count}")
-            if year in counts:
-                raise ValidationError(f"{path}:{i}: duplicate year {year}")
-            counts[year] = count
+    for i, row in _csv_rows(path, ["year", "count"]):
+        try:
+            year, count = int(row[0]), int(row[1])
+        except (ValueError, IndexError):
+            raise ValidationError(f"{path}:{i}: malformed row {row!r}")
+        if count < 0:
+            raise ValidationError(f"{path}:{i}: negative count {count}")
+        if year in counts:
+            raise ValidationError(f"{path}:{i}: duplicate year {year}")
+        counts[year] = count
     if not counts:
         raise ValidationError(f"{path}: no observation years")
     return counts
@@ -78,21 +87,16 @@ def read_counts_file(path) -> dict:
 def read_events_file(path) -> list:
     """Parse an events CSV into [(year, amount)], with row-numbered diagnostics."""
     events = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(_strip_comments(fh))
-        header = next(reader, None)
-        if header != ["year", "amount"]:
-            raise ValidationError(f"{path}: expected header 'year,amount', got {header}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                year, amount = int(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                raise ValidationError(f"{path}:{i}: malformed row {row!r}")
-            if not math.isfinite(amount):
-                raise ValidationError(f"{path}:{i}: non-finite amount {amount}")
-            if not amount > 0:
-                raise ValidationError(f"{path}:{i}: non-positive amount {amount}")
-            events.append((year, amount))
+    for i, row in _csv_rows(path, ["year", "amount"]):
+        try:
+            year, amount = int(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            raise ValidationError(f"{path}:{i}: malformed row {row!r}")
+        if not math.isfinite(amount):
+            raise ValidationError(f"{path}:{i}: non-finite amount {amount}")
+        if not amount > 0:
+            raise ValidationError(f"{path}:{i}: non-positive amount {amount}")
+        events.append((year, amount))
     return events
 
 
@@ -139,46 +143,39 @@ def write_loss_files(data: LossData, counts_path, events_path, start_year: int =
                 k += 1
 
 
-def _strip_comments(fh):
-    for line in fh:
-        if not line.startswith("#"):
-            yield line
-
-
 # ---------------------------------------------------------------------------
 # Config
 
 
-def _cell_from_config(c: dict) -> CellModel:
-    if "severity_family" not in c:
-        raise ValidationError("each cell must declare a severity_family")
-    freq_prior = None
-    if c.get("freq_prior"):
-        freq_prior = GammaParams(**c["freq_prior"])
-    sev_prior = None
-    if c.get("sev_prior"):
-        p = c["sev_prior"]
-        sev_prior = NIXParams(**p) if c["severity_family"] == "lognormal" else GammaParams(**p)
-    truncation = None
-    if c.get("truncation"):
-        truncation = {}
-        for name, (lo, hi) in c["truncation"].items():
-            truncation[name] = (
-                float("-inf") if lo is None else float(lo),
-                float("inf") if hi is None else float(hi),
-            )
+def _load_cell(c) -> tuple[CellModel, LossData]:
+    """A config cell's model and loss history; a malformed cell names itself."""
+    name = c.get("id", "cell") if isinstance(c, dict) else c
     try:
-        return CellModel(
-            cell_id=c.get("id", "cell"),
-            severity_family=c["severity_family"],
+        for key in ("severity_family", "counts_file", "events_file"):
+            if key not in c:
+                raise ValidationError(f"cell {name!r}: missing {key}")
+        family = c["severity_family"]
+        freq_prior = GammaParams(**c["freq_prior"]) if c.get("freq_prior") else None
+        sev_prior = None
+        if c.get("sev_prior"):
+            sev_prior = (NIXParams if family == "lognormal" else GammaParams)(**c["sev_prior"])
+        truncation = None
+        if c.get("truncation"):
+            inf = math.inf
+            truncation = {p: (-inf if lo is None else float(lo), inf if hi is None else float(hi))
+                          for p, (lo, hi) in c["truncation"].items()}
+        model = CellModel(
+            cell_id=name,
+            severity_family=family,
             threshold_L=c.get("threshold_L"),
             freq_prior=freq_prior,
             sev_prior=sev_prior,
             truncation=truncation,
             enforce_finite_mean=bool(c.get("enforce_finite_mean", False)),
         )
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"invalid cell config: {e}")
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValidationError(f"cell {name!r}: invalid config: {e}")
+    return model, load_loss_data(c["counts_file"], c["events_file"])
 
 
 def load_config(path) -> dict:
@@ -187,7 +184,7 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ValidationError(f"cannot read config {path}: {e}")
-    if "cells" not in cfg or not cfg["cells"]:
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("cells"), list) or not cfg["cells"]:
         raise ValidationError("config must define at least one cell")
     return cfg
 
@@ -218,6 +215,7 @@ def resolve_seed(flag_seed, config_seed=None):
 def cmd_simulate(args):
     seed = resolve_seed(args.seed)
     model = _true_model_from_args(args, args.family)
+    _checked("--years", args.years, whole=True)
     data = exp_mod.generate_synthetic(model, args.years, RngStream(seed).substream("simulate"))
     write_loss_files(data, args.counts_out, args.events_out)
     print(f"# seed={seed}")
@@ -226,6 +224,17 @@ def cmd_simulate(args):
         f"to {args.counts_out} and {args.events_out}"
     )
     return 0
+
+
+def _checked(name, value, whole=False):
+    """``value`` if it is a probability in (0, 1), or with ``whole`` an integer >= 1."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if whole and real and value == int(value) and value >= 1:
+        return int(value)
+    if not whole and real and 0 < value < 1:
+        return value
+    what = "an integer >= 1" if whole else "in (0, 1)"
+    raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
 def _fmt(x, digits=4):
@@ -238,8 +247,7 @@ def cmd_fit(args):
     rows = []
     print(f"# seed={seed}")
     for c in cfg["cells"]:
-        model = _cell_from_config(c)
-        data = load_loss_data(c["counts_file"], c["events_file"])
+        model, data = _load_cell(c)
         mle = capital_mod.fit_mle(model, data)
         # Only a truncated lognormal posterior draws samples here.
         fit_rng = RngStream(seed).substream("fit", model.cell_id)
@@ -267,13 +275,13 @@ def cmd_capital(args):
     gamma = args.gamma if args.gamma is not None else cfg.get("gamma", DEFAULT_GAMMA)
     mode = args.mode if args.mode is not None else cfg.get("mode", "both")
     seed = resolve_seed(args.seed, cfg.get("seed"))
+    q, gamma, K = _checked("q", q), _checked("gamma", gamma), _checked("K", K, whole=True)
     if mode not in ("conditional", "predictive", "both"):
         raise ValidationError(f"mode must be conditional, predictive, or both, got {mode!r}")
 
     reports = []
     for c in cfg["cells"]:
-        model = _cell_from_config(c)
-        data = load_loss_data(c["counts_file"], c["events_file"])
+        model, data = _load_cell(c)
         if mode in ("conditional", "both"):
             reports.append(
                 capital_mod.conditional_capital(model, data, q, K, gamma, seed, workers=args.workers)
@@ -319,26 +327,21 @@ def cmd_capital(args):
 
 
 def read_capital_csv(path):
-    """Re-parse a capital CSV emitted by cmd_capital (round-trip contract)."""
+    """Re-parse a capital CSV emitted by cmd_capital (round-trip contract).
+
+    Each row also carries its ``path:line`` as ``source``.
+    """
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(_strip_comments(fh))
-        header = next(reader, None)
-        if header != CAPITAL_COLUMNS:
-            raise ValidationError(f"{path}: unexpected capital CSV header {header}")
-        for row in reader:
-            rows.append(
-                {
-                    "cell_id": row[0],
-                    "mode": row[1],
-                    "q": float(row[2]),
-                    "K": int(row[3]),
-                    "value": float(row[4]),
-                    "ci_lower": float(row[5]),
-                    "ci_upper": float(row[6]),
-                    "warnings": row[7],
-                }
-            )
+    for i, row in _csv_rows(path, CAPITAL_COLUMNS):
+        try:
+            cell_id, mode, q, K, value, lo, hi, warnings = row
+            numbers = float(q), int(K), float(value), float(lo), float(hi)
+        except ValueError:
+            raise ValidationError(f"{path}:{i}: malformed row {row!r}")
+        if not all(map(math.isfinite, numbers)):
+            raise ValidationError(f"{path}:{i}: non-finite number in row {row!r}")
+        fields = dict(zip(CAPITAL_COLUMNS, (cell_id, mode, *numbers, warnings)))
+        rows.append(dict(fields, source=f"{path}:{i}"))
     if not rows:
         raise ValidationError(f"{path}: no capital rows")
     return rows
@@ -354,6 +357,13 @@ def cmd_aggregate(args):
         raise ValidationError(
             f"cannot aggregate mixed inputs: modes={sorted(modes)}, q={sorted(qs)}"
         )
+    first = {}
+    for r in rows:
+        if first.setdefault(r["cell_id"], r) is not r:
+            raise ValidationError(
+                f"{r['source']}: cell {r['cell_id']!r} already entered from "
+                f"{first[r['cell_id']]['source']}; each cell enters the bank total once"
+            )
     total = sum(r["value"] for r in rows)
     out = io.StringIO()
     w = csv.writer(out)
@@ -375,18 +385,27 @@ def cmd_aggregate(args):
 
 
 def _true_model_from_args(args, family: str) -> exp_mod.TrueModel:
-    if family == "lognormal":
-        sev = LognormalParams(mu=args.mu0, sigma_sq=args.sigma0**2)
-    else:
-        sev = ParetoParams(xi=args.xi0, threshold_L=args.threshold_L)
-    return exp_mod.TrueModel(lambda0=args.lambda0, severity=sev)
+    try:
+        if family == "lognormal":
+            sev = LognormalParams(mu=args.mu0, sigma_sq=args.sigma0**2)
+        else:
+            sev = ParetoParams(xi=args.xi0, threshold_L=args.threshold_L)
+        return exp_mod.TrueModel(lambda0=args.lambda0, severity=sev)
+    except ValueError as e:
+        raise ValidationError(f"invalid true model: {e}")
 
 
 def cmd_experiment(args):
     seed = resolve_seed(args.seed)
     model = _true_model_from_args(args, args.severity)
-    m_grid = [int(m) for m in args.m_grid.split(",")] if args.m_grid else list(DEFAULT_M_GRID)
-    K = args.K if args.K is not None else (10**6 if args.full_scale else 10**5)
+    try:
+        m_grid = [int(m) for m in args.m_grid.split(",")] if args.m_grid else DEFAULT_M_GRID
+    except ValueError:
+        raise ValidationError(f"--m-grid must be comma-separated integers, got {args.m_grid!r}")
+    m_grid = [_checked("--m-grid year count", m, whole=True) for m in m_grid]
+    K_default, R_default = (10**6, 100) if args.full_scale else (10**5, 20)
+    K = _checked("--K", K_default if args.K is None else args.K, whole=True)
+    _checked("--q", args.q)
 
     if args.which == "track":
         records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed, usable_cpus())
@@ -406,7 +425,7 @@ def cmd_experiment(args):
         print(f"# seed={seed}")
         print(f"wrote {len(records)} rows to {args.out} (quantiles in thousands)")
     else:
-        R = args.R if args.R is not None else (100 if args.full_scale else 20)
+        R = _checked("--R", R_default if args.R is None else args.R, whole=True)
         curve = exp_mod.bias_study(model, m_grid, R, args.q, K, seed, workers=usable_cpus())
         with open(args.out, "w", newline="") as fh:
             fh.write(f"# seed={seed}\n")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import singledispatch
 
 import numpy as np
 
@@ -20,9 +19,7 @@ __all__ = [
     "LognormalParams",
     "ParetoParams",
     "GammaParams",
-    "InvChiSqParams",
     "sample_severities",
-    "log_density",
 ]
 
 
@@ -90,6 +87,10 @@ class LognormalParams:
         if not self.sigma_sq > 0:
             raise ValueError(f"sigma_sq must be positive, got {self.sigma_sq}")
 
+    def sampler_args(self) -> dict:
+        """Keyword arguments of :func:`sample_severities` for these parameters."""
+        return {"mu": self.mu, "sigma": math.sqrt(self.sigma_sq)}
+
 
 @dataclass(frozen=True)
 class ParetoParams:
@@ -103,6 +104,10 @@ class ParetoParams:
             raise ValueError(f"tail index xi must be positive, got {self.xi}")
         if not self.threshold_L > 0:
             raise ValueError(f"threshold must be positive, got {self.threshold_L}")
+
+    def sampler_args(self) -> dict:
+        """Keyword arguments of :func:`sample_severities` for these parameters."""
+        return {"xi": self.xi, "threshold_L": self.threshold_L}
 
 
 @dataclass(frozen=True)
@@ -118,109 +123,23 @@ class GammaParams:
         if not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
 
-    @property
-    def variance(self) -> float:
-        return self.shape * self.scale**2
-
-
-@dataclass(frozen=True)
-class InvChiSqParams:
-    """Scaled inverse chi-squared: sigma_sq = scale_beta / W, W ~ ChiSq(dof).
-
-    Density is proportional to (s2)^(-dof/2 - 1) * exp(-scale_beta / (2*s2)).
-    Mean is scale_beta / (dof - 2) for dof > 2.
-    """
-
-    dof: float
-    scale_beta: float
-
-    def __post_init__(self):
-        if not self.dof > 0:
-            raise ValueError(f"dof must be positive, got {self.dof}")
-        if not self.scale_beta > 0:
-            raise ValueError(f"scale_beta must be positive, got {self.scale_beta}")
-
-
-def sample_severities(size: int, gen: np.random.Generator, *, mu=None, sigma_sq=None,
+def sample_severities(size: int, gen: np.random.Generator, *, mu=None, sigma=None,
                       xi=None, threshold_L=None) -> np.ndarray:
     """``size`` severities drawn from ``gen``: the one severity sampler.
 
-    Pass ``mu`` and ``sigma_sq`` for exp(Z * sqrt(sigma_sq) + mu), Z standard
-    normal, or ``xi`` and ``threshold_L`` for threshold_L * (1 - U)^(-1/xi),
-    U uniform on [0, 1); each a scalar or one value per draw. A tail index
-    near 0 overflows to inf without a numpy warning; LossSample rejects it.
+    Pass ``mu`` and ``sigma`` for exp(Z * sigma + mu), Z standard normal, or
+    ``xi`` and ``threshold_L`` for threshold_L * (1 - U)^(-1/xi), U uniform
+    on [0, 1); each a scalar or one value per draw. ``sigma`` is the log-scale
+    standard deviation, so callers take the square root of ``sigma_sq`` once
+    per parameter value, not once per loss. A tail index near 0 overflows to
+    inf without a numpy warning; LossSample rejects it.
     """
     if xi is None:
-        return np.exp(gen.standard_normal(size) * np.sqrt(sigma_sq) + mu)
+        x = gen.standard_normal(size)
+        x *= sigma
+        x += mu
+        return np.exp(x, out=x)
     u = gen.random(size)
     with np.errstate(over="ignore"):
         return threshold_L * np.power(1.0 - u, -1.0 / xi)
-
-
-@singledispatch
-def log_density(params, x):
-    """Natural-log density of *x* under the family given by *params*.
-
-    Returns -inf outside the support (rather than raising), which keeps
-    posterior objectives evaluable near boundaries.
-    """
-    raise TypeError(f"unknown distribution params: {type(params).__name__}")
-
-
-@log_density.register
-def _(params: PoissonParams, x) -> float:
-    n = float(x)
-    if n < 0 or n != int(n):
-        return -math.inf
-    return -params.lam + int(n) * math.log(params.lam) - math.lgamma(int(n) + 1)
-
-
-@log_density.register
-def _(params: LognormalParams, x) -> float:
-    if x <= 0:
-        return -math.inf
-    y = math.log(x)
-    return (
-        -y
-        - 0.5 * math.log(2 * math.pi * params.sigma_sq)
-        - (y - params.mu) ** 2 / (2 * params.sigma_sq)
-    )
-
-
-@log_density.register
-def _(params: ParetoParams, x) -> float:
-    if x < params.threshold_L:
-        return -math.inf
-    return (
-        math.log(params.xi / params.threshold_L)
-        - (params.xi + 1) * math.log(x / params.threshold_L)
-    )
-
-
-@log_density.register
-def _(params: GammaParams, x) -> float:
-    if x <= 0:
-        return -math.inf
-    return (
-        (params.shape - 1) * math.log(x)
-        - x / params.scale
-        - math.lgamma(params.shape)
-        - params.shape * math.log(params.scale)
-    )
-
-
-@log_density.register
-def _(params: InvChiSqParams, x) -> float:
-    if x <= 0:
-        return -math.inf
-    half_dof = params.dof / 2
-    return (
-        half_dof * math.log(params.scale_beta / 2)
-        - math.lgamma(half_dof)
-        - (half_dof + 1) * math.log(x)
-        - params.scale_beta / (2 * x)
-    )

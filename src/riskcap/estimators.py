@@ -15,8 +15,6 @@ class MleReport:
 
     family: str
     lambda_hat: float
-    years: int
-    event_count: int
     mu_hat: float | None = None
     sigma_sq_hat: float | None = None
     xi_hat: float | None = None

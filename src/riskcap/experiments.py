@@ -99,7 +99,7 @@ def generate_synthetic(true_model: TrueModel, M: int, rng: RngStream) -> LossDat
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    sev = vars(true_model.severity)
+    sev = true_model.severity.sampler_args()
     counts = np.empty(M, dtype=int)
     sev_chunks = []
     for m in range(M):

@@ -31,7 +31,7 @@ __all__ = [
     "simulate_conditional_sample",
     "simulate_predictive_sample",
     "empirical_quantile",
-    "quantile_ci",
+    "estimate_quantile",
     "ci_indices",
     "usable_cpus",
 ]
@@ -48,10 +48,9 @@ CI_RELIABILITY_THRESHOLD = 50.0
 
 @dataclass(frozen=True)
 class LossSample:
-    """Ascending-sorted annual-loss realizations with seed provenance."""
+    """Ascending-sorted annual-loss realizations."""
 
     values: np.ndarray
-    master_seed: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -82,7 +81,6 @@ class QuantileEstimate:
     ci_upper: float
     ci_level: float
     K: int
-    master_seed: int
     reliable_ci: bool
 
 
@@ -138,7 +136,7 @@ def _run_batches(batch_fn, K: int, rng: RngStream, batch_size: int, workers: int
     else:
         parts = [one(i) for i in range(n_batches)]
     values = np.sort(np.concatenate(parts))
-    return LossSample(values=values, master_seed=rng.master_seed)
+    return LossSample(values=values)
 
 
 def simulate_conditional_sample(
@@ -156,7 +154,7 @@ def simulate_conditional_sample(
     """
     if not isinstance(sev, (LognormalParams, ParetoParams)):
         raise TypeError(f"unsupported severity family: {type(sev).__name__}")
-    point = vars(sev)
+    point = sev.sampler_args()
     return _run_batches(
         lambda n, st: _compound_batch(st.generator, n, freq.lam, point), K, rng, batch_size, workers
     )
@@ -187,7 +185,7 @@ def simulate_predictive_sample(
         lam = sample_posterior(post_freq, stream, size=n)
         if post_sev.family == "lognormal":
             mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
-            sev = {"mu": mu, "sigma_sq": sigma_sq}
+            sev = {"mu": mu, "sigma": np.sqrt(sigma_sq)}
         else:
             sev = {"xi": sample_posterior(post_sev, stream, size=n),
                    "threshold_L": post_sev.threshold_L}
@@ -234,23 +232,16 @@ def ci_indices(K: int, q: float, gamma: float) -> tuple[int, int, bool]:
     return r, s, reliable
 
 
-def quantile_ci(sample: LossSample, q: float, gamma: float) -> tuple[float, float, bool]:
-    """Conservative CI (Z_r, Z_s) for the q-quantile, plus reliability flag."""
-    r, s, reliable = ci_indices(sample.K, q, gamma)
-    return float(sample.values[r - 1]), float(sample.values[s - 1]), reliable
-
-
 def estimate_quantile(sample: LossSample, q: float, gamma: float) -> QuantileEstimate:
-    """Point quantile and conservative CI from a simulated loss sample."""
+    """Point quantile and conservative CI (Z_r, Z_s) from a simulated loss sample."""
     value = empirical_quantile(sample, q)
-    lo, hi, reliable = quantile_ci(sample, q, gamma)
+    r, s, reliable = ci_indices(sample.K, q, gamma)
     return QuantileEstimate(
         q=q,
         value=value,
-        ci_lower=lo,
-        ci_upper=hi,
+        ci_lower=float(sample.values[r - 1]),
+        ci_upper=float(sample.values[s - 1]),
         ci_level=gamma,
         K=sample.K,
-        master_seed=sample.master_seed,
         reliable_ci=reliable,
     )

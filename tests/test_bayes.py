@@ -15,11 +15,9 @@ from riskcap.bayes import (
     PosteriorState,
     credible_interval,
     laplace_approximation,
-    marginal_mu,
     noninformative_lognormal,
     noninformative_pareto,
     noninformative_poisson,
-    posterior_mode,
     prob_tail_index_below,
     sample_posterior,
     truncate_posterior,
@@ -27,7 +25,12 @@ from riskcap.bayes import (
     update_pareto,
     update_poisson_gamma,
 )
-from riskcap.distributions import GammaParams, RngStream, log_density
+from riskcap.distributions import GammaParams, RngStream
+
+
+def nix_mode(nix: NIXParams) -> tuple:
+    """Joint mode (mu, sigma_sq) of a NIX density; the MLE under flat priors."""
+    return nix.loc_theta, nix.scale_beta / (nix.dof_nu + 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +71,7 @@ def test_noninformative_poisson_table_row():
     counts[4003 % 400:] = 4003 // 400
     assert counts.sum() == 4003
     post = noninformative_poisson(counts)
-    assert post.mean == pytest.approx(10.01)
+    assert post.shape * post.scale == pytest.approx(10.01)  # posterior mean
 
 
 def test_noninformative_poisson_empty_errors():
@@ -100,9 +103,7 @@ def test_noninformative_lognormal_hand_example():
     assert post.scale_beta == pytest.approx(2.0)
     assert post.loc_theta == pytest.approx(1.0)
     assert post.prec_phi == pytest.approx(4.0)
-    mode = posterior_mode(PosteriorState("lognormal", post))
-    assert mode["mu"] == pytest.approx(1.0)
-    assert mode["sigma_sq"] == pytest.approx(0.5)
+    assert nix_mode(post) == pytest.approx((1.0, 0.5))
 
 
 def test_noninformative_lognormal_errors():
@@ -113,16 +114,18 @@ def test_noninformative_lognormal_errors():
 
 
 def test_marginal_mu():
+    # The marginal of mu is a t with dof_nu degrees of freedom, centre
+    # loc_theta and scale sqrt(scale_beta / (prec_phi * dof_nu)) = sqrt(0.5).
     post = NIXParams(dof_nu=1.0, scale_beta=2.0, loc_theta=1.0, prec_phi=4.0)
-    t = marginal_mu(post)
-    assert t.dof == 1.0
-    assert t.center == 1.0
-    assert t.scale_gamma == pytest.approx(math.sqrt(0.5))
+    lo, hi = credible_interval(PosteriorState("lognormal", post), 0.9)["mu"]
+    t = stats.t(df=1.0, loc=1.0, scale=math.sqrt(0.5))
+    assert (lo, hi) == pytest.approx((t.ppf(0.05), t.ppf(0.95)), rel=1e-12)
 
 
 def test_marginal_mu_requires_positive_dof():
-    with pytest.raises(ValueError):
-        marginal_mu(NIXParams(dof_nu=-1.0, scale_beta=2.0, loc_theta=0.0, prec_phi=1.0))
+    post = NIXParams(dof_nu=-1.0, scale_beta=2.0, loc_theta=0.0, prec_phi=1.0)
+    with pytest.raises(ValueError, match="dof_nu > 0"):
+        credible_interval(PosteriorState("lognormal", post), 0.95)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +215,7 @@ def test_posterior_concentration():
     data = [2, 3, 5, 1]
     once = noninformative_poisson(data)
     twice = noninformative_poisson(data * 2)
-    assert twice.variance < once.variance
+    assert twice.shape * twice.scale**2 < once.shape * once.scale**2  # posterior variance
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +269,10 @@ def test_sample_posterior_lognormal_support_and_marginal():
     state = PosteriorState("lognormal", nix)
     mu, s2 = sample_posterior(state, RngStream(15), size=10**5)
     assert np.all(s2 > 0)
-    t = marginal_mu(nix)
     # mu draws follow the analytic shifted-t marginal
-    res = stats.kstest(mu, stats.t(df=t.dof, loc=t.center, scale=t.scale_gamma).cdf)
+    scale = math.sqrt(nix.scale_beta / (nix.prec_phi * nix.dof_nu))
+    t = stats.t(df=nix.dof_nu, loc=nix.loc_theta, scale=scale)
+    res = stats.kstest(mu, t.cdf)
     assert res.pvalue > 0.01
 
 
@@ -349,11 +353,6 @@ def test_credible_interval_lognormal_matches_empirical():
     assert iv["sigma_sq"][1] == pytest.approx(emp_s2[1], rel=0.02)
 
 
-def test_posterior_mode_gamma():
-    assert posterior_mode(PosteriorState("poisson-rate", GammaParams(6.0, 0.5)))["lambda"] == pytest.approx(2.5)
-    assert posterior_mode(PosteriorState("poisson-rate", GammaParams(1.0, 0.5)))["lambda"] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # Laplace approximation
 
@@ -368,7 +367,8 @@ def test_laplace_exact_on_normal():
 
 def test_laplace_gamma_log_density():
     p = GammaParams(6.0, 0.5)
-    res = laplace_approximation(lambda x: log_density(p, float(x[0])), [2.0])
+    logpdf = stats.gamma(p.shape, scale=p.scale).logpdf
+    res = laplace_approximation(lambda x: logpdf(float(x[0])), [2.0])
     assert res.mode[0] == pytest.approx(2.5, rel=1e-4)
     assert res.covariance[0, 0] == pytest.approx(1.25, rel=1e-4)
 
@@ -398,9 +398,9 @@ def test_laplace_lognormal_posterior_vs_empirical():
         )
 
     res = laplace_approximation(logpost, [0.5, 3.0])
-    mode = posterior_mode(state)
-    assert res.mode[0] == pytest.approx(mode["mu"], rel=0.01, abs=0.01)
-    assert res.mode[1] == pytest.approx(mode["sigma_sq"], rel=0.01)
+    mode_mu, mode_s2 = nix_mode(nix)
+    assert res.mode[0] == pytest.approx(mode_mu, rel=0.01, abs=0.01)
+    assert res.mode[1] == pytest.approx(mode_s2, rel=0.01)
 
     mu, s2 = sample_posterior(state, RngStream(19), size=10**6)
     assert math.sqrt(res.covariance[0, 0]) == pytest.approx(mu.std(), rel=0.05)

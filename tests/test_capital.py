@@ -4,13 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from riskcap.bayes import InsufficientDataError, credible_interval, posterior_mode
+from riskcap.bayes import InsufficientDataError, credible_interval
 from riskcap.capital import (
-    AGGREGATION_NOTE,
     CapitalReport,
     CellModel,
     LossData,
-    aggregate_bank_capital,
     conditional_capital,
     fit_posteriors,
     predictive_capital,
@@ -95,7 +93,11 @@ def test_predictive_capital_report_contents():
     # The report carries no posterior summaries; `fit` computes them from the
     # same posteriors.
     for state in fit_posteriors(_ln_cell(), data):
-        modes = posterior_mode(state)
+        p = state.params
+        if state.family == "lognormal":  # the joint NIX mode
+            modes = {"mu": p.loc_theta, "sigma_sq": p.scale_beta / (p.dof_nu + 3.0)}
+        else:
+            modes = {"lambda": (p.shape - 1) * p.scale}
         intervals = credible_interval(state, 0.95)
         assert modes.keys() == intervals.keys() == set(state.param_names)
         for name, mode in modes.items():
@@ -130,42 +132,3 @@ def test_predictive_exceeds_conditional_small_sample():
         if pred.estimate.value > cond.estimate.value:
             wins += 1
     assert wins >= 8
-
-
-def _report(cell_id, mode, value, q=0.999):
-    data = _data(10, seed=5)
-    rep = conditional_capital(_ln_cell(cell_id=cell_id), data, q=q, K=2000, seed=1)
-    return dataclasses.replace(rep, mode=mode, estimate=dataclasses.replace(rep.estimate, value=value, q=q))
-
-
-def test_aggregate_bank_capital():
-    r1 = _report("a", "conditional", 3.0)
-    r2 = _report("b", "conditional", 4.0)
-    agg = aggregate_bank_capital([r1, r2])
-    assert agg["total"] == pytest.approx(7.0)
-    assert agg["breakdown"] == {"a": 3.0, "b": 4.0}
-    assert agg["note"] == AGGREGATION_NOTE
-
-    single = aggregate_bank_capital([r1])
-    assert single["total"] == pytest.approx(3.0)
-
-    # permutation invariance
-    assert aggregate_bank_capital([r2, r1])["total"] == pytest.approx(agg["total"])
-
-
-def test_aggregate_rejects_mixed():
-    r1 = _report("a", "conditional", 3.0)
-    r2 = _report("b", "predictive", 4.0)
-    with pytest.raises(ValueError, match="mixed"):
-        aggregate_bank_capital([r1, r2])
-    r3 = _report("c", "conditional", 4.0, q=0.99)
-    with pytest.raises(ValueError, match="mixed"):
-        aggregate_bank_capital([r1, r3])
-    with pytest.raises(ValueError):
-        aggregate_bank_capital([])
-
-
-def test_aggregate_total_at_least_max():
-    reports = [_report(c, "conditional", v) for c, v in [("a", 3.0), ("b", 4.0), ("c", 1.0)]]
-    agg = aggregate_bank_capital(reports)
-    assert agg["total"] >= max(r.estimate.value for r in reports)

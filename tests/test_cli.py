@@ -270,18 +270,185 @@ def test_capital_bad_config_exit_code(tmp_path):
     assert main(["capital", "--config", cfg]) == EXIT_VALIDATION
 
 
+def _capital_csv(tmp_path, config_file, cell_id, mode="conditional", q="0.999"):
+    """A capital CSV of the fixture's loss history under the name ``cell_id``."""
+    cfg = json.loads(open(config_file).read())
+    cfg["cells"][0]["id"] = cell_id
+    config = _write(tmp_path / f"{cell_id}.json", json.dumps(cfg))
+    out = str(tmp_path / f"cap-{cell_id}-{mode}-{q}.csv")
+    argv = ["capital", "--config", config, "--K", "2000", "--mode", mode, "--q", q, "--csv", out]
+    assert main(argv) == 0
+    return out
+
+
+def _total(path):
+    last = open(path).read().splitlines()[-1].split(",")
+    assert last[0] == "TOTAL"
+    return float(last[4])
+
+
 def test_aggregate_command(tmp_path, config_file, capsys):
-    cap = str(tmp_path / "cap.csv")
-    main(["capital", "--config", config_file, "--K", "2000", "--mode", "conditional", "--csv", cap])
+    cap_a = _capital_csv(tmp_path, config_file, "cell-a")
+    cap_b = _capital_csv(tmp_path, config_file, "cell-b")
     out = str(tmp_path / "total.csv")
-    rc = main(["aggregate", cap, cap, "--out", out])
+    rc = main(["aggregate", cap_a, cap_b, "--out", out])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "bank total" in text
-    rows = read_capital_csv(cap)
+    assert "bank total" in capsys.readouterr().out
+    values = [read_capital_csv(cap)[0]["value"] for cap in (cap_a, cap_b)]
     lines = open(out).read().splitlines()
-    assert lines[-1].startswith("TOTAL")
-    assert str(2 * rows[0]["value"]) in lines[-1] or repr(2 * rows[0]["value"]) in lines[-1]
+    assert [line.split(",")[0] for line in lines] == ["cell_id", "cell-a", "cell-b", "TOTAL"]
+    assert lines[-1].split(",")[4] == repr(values[0] + values[1])
+
+
+def test_aggregate_total_is_sum_of_distinct_cells(tmp_path, config_file):
+    caps = [_capital_csv(tmp_path, config_file, c) for c in ("a", "b", "c")]
+    values = [read_capital_csv(cap)[0]["value"] for cap in caps]
+    out = str(tmp_path / "total.csv")
+    assert main(["aggregate", *caps, "--out", out]) == 0
+    assert _total(out) == pytest.approx(sum(values), rel=1e-15)
+    assert _total(out) >= max(values)
+    assert main(["aggregate", caps[0], "--out", out]) == 0
+    assert _total(out) == values[0]
+
+
+def test_aggregate_independent_of_input_order(tmp_path, config_file):
+    caps = [_capital_csv(tmp_path, config_file, c) for c in ("a", "b", "c")]
+    totals = []
+    for order in (caps, caps[::-1], caps[1:] + caps[:1]):
+        out = str(tmp_path / "total.csv")
+        assert main(["aggregate", *order, "--out", out]) == 0
+        totals.append(_total(out))
+    assert totals == pytest.approx([totals[0]] * 3, rel=1e-15)
+
+
+def test_aggregate_rejects_repeated_cell(tmp_path, config_file, capsys):
+    cap_a = _capital_csv(tmp_path, config_file, "cell-a")
+    cap_b = _capital_csv(tmp_path, config_file, "cell-b")
+    # Line 1 is the seed comment and line 2 the header, so the row is line 3.
+    assert main(["aggregate", cap_a, cap_b, cap_a]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{cap_a}:3: cell 'cell-a' already entered from {cap_a}:3" in err
+
+    # The same cell from another run is still the same cell.
+    rerun = str(tmp_path / "rerun.csv")
+    assert main(["capital", "--config", config_file, "--K", "2000", "--mode", "conditional",
+                 "--seed", "5", "--csv", rerun]) == 0
+    assert main(["aggregate", cap_a, rerun]) == EXIT_VALIDATION
+    assert f"{rerun}:3:" in capsys.readouterr().err
+
+
+def test_aggregate_mixed_q_rejected(tmp_path, config_file, capsys):
+    cap_a = _capital_csv(tmp_path, config_file, "cell-a")
+    cap_b = _capital_csv(tmp_path, config_file, "cell-b", q="0.99")
+    assert main(["aggregate", cap_a, cap_b]) == EXIT_VALIDATION
+    assert "mixed" in capsys.readouterr().err
+
+
+_CAPITAL_HEADER = "# seed=1\ncell_id,mode,q,K,value,ci_lower,ci_upper,warnings\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("a,conditional,0.999,2000\n", ":3: malformed row"),
+        ("a,conditional,0.999,2000,ten,9.0,11.0,\n", ":3: malformed row"),
+        ("a,conditional,0.999,2000,10.0,9.0,11.0,,extra\n", ":3: malformed row"),
+        ("a,conditional,0.999,2000,10.0,9.0,11.0,\nb,conditional,0.999,2000,inf,9.0,11.0,\n",
+         ":4: non-finite"),
+        ("", ": no capital rows"),
+    ],
+    ids=["short", "non-numeric", "long", "non-finite", "empty"],
+)
+def test_aggregate_malformed_capital_csv_exit_code(tmp_path, rows, message, capsys):
+    path = _write(tmp_path / "cap.csv", _CAPITAL_HEADER + rows)
+    assert main(["aggregate", path]) == EXIT_VALIDATION
+    assert f"{path}{message}" in capsys.readouterr().err
+
+
+def test_row_numbers_count_comment_lines(tmp_path):
+    bad = _write(tmp_path / "c.csv", "# seed=1\nyear,count\n1,2\n2,-1\n")
+    with pytest.raises(ValidationError, match=":4: negative count"):
+        cli.read_counts_file(bad)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"counts_file": None},
+        {"events_file": None},
+        {"severity_family": None},
+        {"freq_prior": {"shape": 1}},
+        {"sev_prior": {"shape": 1, "scale": 2}},
+        {"truncation": {"sigma_sq": [1.0]}},
+        {"truncation": {"sigma_sq": 5}},
+        {"truncation": {"sigma_sq": ["low", 2.0]}},
+        {"truncation": [["sigma_sq", 1.0, 2.0]]},
+        {"truncation": {"xi": [1.0, None]}},
+        {"truncation": {"sigma_sq": [3.0, 2.0]}},
+    ],
+    ids=["no-counts", "no-events", "no-family", "freq-prior", "sev-prior", "short-bound",
+         "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range"],
+)
+@pytest.mark.parametrize("command", ["fit", "capital"])
+def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command, capsys):
+    cfg = json.loads(open(config_file).read())
+    cell = cfg["cells"][0]
+    for key, value in change.items():
+        if value is None:
+            del cell[key]
+        else:
+            cell[key] = value
+    bad = _write(tmp_path / "bad.json", json.dumps(cfg))
+    argv = [command, "--config", bad] + (["--K", "1000"] if command == "capital" else [])
+    assert main(argv) == EXIT_VALIDATION
+    assert "cell 'cell-a'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config, shown",
+    [
+        (["--q", "1.5"], {}, "q must be in (0, 1), got 1.5"),
+        (["--q", "0"], {}, "got 0.0"),
+        (["--gamma", "1"], {}, "gamma must be in (0, 1), got 1.0"),
+        (["--K", "0"], {}, "K must be an integer >= 1, got 0"),
+        ([], {"q": 1.0}, "q must be in (0, 1), got 1.0"),
+        ([], {"gamma": "0.9"}, "got '0.9'"),
+        ([], {"K": 0}, "K must be an integer >= 1, got 0"),
+        ([], {"K": 10.5}, "got 10.5"),
+    ],
+    ids=["q-flag", "q-zero", "gamma-flag", "K-flag", "q-config", "gamma-text", "K-config",
+         "K-fraction"],
+)
+def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, capsys):
+    cfg = {**json.loads(open(config_file).read()), "K": 1000, **config}
+    path = _write(tmp_path / "range.json", json.dumps(cfg))
+    assert main(["capital", "--config", path] + argv) == EXIT_VALIDATION
+    assert shown in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["experiment", "bias", "--m-grid", "5,x"], "'5,x'"),
+        (["experiment", "bias", "--m-grid", "5,0"], "year count must be an integer >= 1, got 0"),
+        (["experiment", "track", "--q", "1.0"], "--q must be in (0, 1), got 1.0"),
+        (["experiment", "bias", "--R", "0"], "--R must be an integer >= 1, got 0"),
+        (["experiment", "bias", "--K", "0"], "--K must be an integer >= 1, got 0"),
+        (["experiment", "bias", "--sigma0", "0"], "sigma_sq must be positive"),
+        (["simulate", "--family", "pareto", "--lambda0", "-1", "--years", "5"], "lambda0"),
+        (["simulate", "--family", "pareto", "--lambda0", "2", "--years", "0"], "--years"),
+    ],
+    ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "sigma0", "lambda0", "years"],
+)
+def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
+    # The flags under test come last, so they override these.
+    if argv[0] == "experiment":
+        n, base = 2, ["--m-grid", "5", "--R", "1", "--K", "1000", "--out", f"{tmp_path}/o.csv"]
+    else:
+        n, base = 1, ["--counts-out", f"{tmp_path}/c.csv", "--events-out", f"{tmp_path}/e.csv"]
+    argv = argv[:n] + base + ["--seed", "1"] + argv[n:]
+    assert main(argv) == EXIT_VALIDATION
+    assert shown in capsys.readouterr().err
 
 
 def test_aggregate_mixed_modes_rejected(tmp_path, config_file):

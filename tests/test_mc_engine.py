@@ -17,7 +17,7 @@ from riskcap.mc_engine import (
     LossSample,
     ci_indices,
     empirical_quantile,
-    quantile_ci,
+    estimate_quantile,
     simulate_conditional_sample,
     simulate_predictive_sample,
 )
@@ -113,14 +113,19 @@ def test_predictive_pareto_requires_threshold():
 
 def _reference_batch(stream, n, lam, sev):
     """The compound loss as a plain loop: all counts, then each scenario's
-    severities in scenario order, each summed from 0 in draw order."""
+    severities in scenario order, each summed from 0 in draw order. A
+    lognormal severity is written out as exp(Z * sqrt(sigma_sq) + mu)."""
     gen = stream.generator
     counts = gen.poisson(lam, size=n)
     out = np.zeros(n)
     for i, count in enumerate(counts):
-        params = {k: v[i] if np.ndim(v) else v for k, v in sev.items()}
+        p = {k: v[i] if np.ndim(v) else v for k, v in sev.items()}
+        if "sigma_sq" in p:
+            draws = np.exp(gen.standard_normal(int(count)) * np.sqrt(p["sigma_sq"]) + p["mu"])
+        else:
+            draws = sample_severities(int(count), gen, **p)
         total = 0.0
-        for x in sample_severities(int(count), gen, **params):
+        for x in draws:
             total += x
         out[i] = total
     return out
@@ -174,13 +179,13 @@ def test_predictive_kernel_matches_reference_loop(post_sev):
 
 def test_empirical_quantile_index_rule():
     values = np.arange(10.0, 10010.0, 10.0)  # 10, 20, ..., 10000 (K=1000)
-    sample = LossSample(values=values, master_seed=0)
+    sample = LossSample(values=values)
     assert empirical_quantile(sample, 0.999) == 10000.0
 
-    s10 = LossSample(values=np.arange(1.0, 11.0), master_seed=0)
+    s10 = LossSample(values=np.arange(1.0, 11.0))
     assert empirical_quantile(s10, 0.5) == 6.0
 
-    s1 = LossSample(values=np.array([7.0]), master_seed=0)
+    s1 = LossSample(values=np.array([7.0]))
     assert empirical_quantile(s1, 0.9) == 7.0
 
     with pytest.raises(ValueError):
@@ -213,22 +218,21 @@ def test_ci_reliability_flag():
 
 def test_ci_brackets_point_estimate():
     sample = simulate_conditional_sample(PoissonParams(10.0), LN12, 10**5, RngStream(13))
-    lo, hi, _ = quantile_ci(sample, 0.999, 0.95)
-    v = empirical_quantile(sample, 0.999)
-    assert lo <= v <= hi
+    est = estimate_quantile(sample, 0.999, 0.95)
+    assert est.ci_lower <= est.value == empirical_quantile(sample, 0.999) <= est.ci_upper
 
 
 def test_ci_validation():
-    sample = LossSample(values=np.arange(1.0, 11.0), master_seed=0)
+    sample = LossSample(values=np.arange(1.0, 11.0))
     with pytest.raises(ValueError):
-        quantile_ci(sample, 0.999, 0.0)
+        estimate_quantile(sample, 0.999, 0.0)
 
 
 def test_loss_sample_validation():
     with pytest.raises(ValueError):
-        LossSample(values=np.array([3.0, 1.0]), master_seed=0)
+        LossSample(values=np.array([3.0, 1.0]))
     with pytest.raises(ValueError):
-        LossSample(values=np.array([-1.0, 2.0]), master_seed=0)
+        LossSample(values=np.array([-1.0, 2.0]))
 
 
 @pytest.mark.parametrize(
@@ -239,7 +243,7 @@ def test_loss_sample_rejects_non_finite(values, bad):
     # np.diff gives nan at a non-finite value, and nan < 0 is False, so the
     # order check alone cannot catch these.
     with pytest.raises(ValueError, match=f"{bad} non-finite values out of {len(values)}"):
-        LossSample(values=np.array(values), master_seed=0)
+        LossSample(values=np.array(values))
 
 
 def test_coverage_of_conservative_interval():
@@ -250,10 +254,9 @@ def test_coverage_of_conservative_interval():
     hits = 0
     reps = 200
     for i in range(reps):
-        draws = sample_severities(10**5, RngStream(1000 + i).generator, mu=1.0, sigma_sq=4.0)
-        sample = LossSample(values=np.sort(draws), master_seed=1000 + i)
-        lo, hi, reliable = quantile_ci(sample, 0.999, 0.95)
-        assert reliable
-        if lo <= true_q <= hi:
+        draws = sample_severities(10**5, RngStream(1000 + i).generator, mu=1.0, sigma=2.0)
+        est = estimate_quantile(LossSample(values=np.sort(draws)), 0.999, 0.95)
+        assert est.reliable_ci
+        if est.ci_lower <= true_q <= est.ci_upper:
             hits += 1
     assert hits / reps >= 0.90

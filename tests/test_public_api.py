@@ -1,0 +1,44 @@
+"""The README's import blocks are the public API: they must run, and each
+module's line must name exactly that module's ``__all__``."""
+
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import riskcap
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_imports() -> list:
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    return [node for block in blocks for node in ast.parse(block).body
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "riskcap"]
+
+
+def _modules() -> dict:
+    return {
+        info.name: importlib.import_module(f"riskcap.{info.name}")
+        for info in pkgutil.iter_modules(riskcap.__path__)
+    }
+
+
+def test_readme_imports_run():
+    imports = _readme_imports()
+    assert any(node.module == "riskcap" for node in imports)
+    for node in imports:
+        exec(compile(ast.Module([node], type_ignores=[]), str(README), "exec"), {})
+
+
+def test_every_all_name_resolves():
+    for name, module in _modules().items():
+        for attr in module.__all__:
+            assert hasattr(module, attr), f"riskcap.{name}.{attr}"
+
+
+def test_readme_lists_each_module_all():
+    listed = {node.module: [alias.name for alias in node.names] for node in _readme_imports()}
+    for name, module in _modules().items():
+        assert sorted(listed.get(f"riskcap.{name}", [])) == sorted(module.__all__), name
