@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import re
 
@@ -6,6 +7,7 @@ import pytest
 
 from riskcap.bayes import InsufficientDataError, credible_interval
 from riskcap.capital import (
+    AGGREGATION_NOTE,
     CapitalReport,
     CellModel,
     LossData,
@@ -14,6 +16,7 @@ from riskcap.capital import (
     predictive_capital,
 )
 from riskcap.distributions import LognormalParams, RngStream
+from riskcap.cli import main
 from riskcap.experiments import TrueModel, generate_synthetic
 
 TRUE = TrueModel(lambda0=10.0, severity=LognormalParams(mu=1.0, sigma_sq=4.0))
@@ -132,3 +135,45 @@ def test_predictive_exceeds_conditional_small_sample():
         if pred.estimate.value > cond.estimate.value:
             wins += 1
     assert wins >= 8
+
+
+def _capital_csv(tmp_path, cell_id, value, mode="conditional", q=0.999):
+    """One cell's capital CSV, in the layout ``riskcap capital --csv`` writes."""
+    path = tmp_path / f"cap-{cell_id}.csv"
+    path.write_text(
+        "# seed=1\ncell_id,mode,q,K,value,ci_lower,ci_upper,warnings\n"
+        f"{cell_id},{mode},{q!r},2000,{value!r},{value * 0.9!r},{value * 1.1!r},\n"
+    )
+    return str(path)
+
+
+def _aggregate(tmp_path, caps):
+    """Run ``riskcap aggregate``, the bank aggregation, and parse its CSV."""
+    out = tmp_path / "total.csv"
+    assert main(["aggregate", *caps, "--out", str(out)]) == 0
+    *cells, total = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert total[0] == "TOTAL"
+    return {"total": float(total[4]), "breakdown": {c[0]: float(c[4]) for c in cells},
+            "note": total[7]}
+
+
+def test_aggregate_bank_capital(tmp_path):
+    r1 = _capital_csv(tmp_path, "a", 3.0)
+    r2 = _capital_csv(tmp_path, "b", 4.0)
+    agg = _aggregate(tmp_path, [r1, r2])
+    assert agg["total"] == pytest.approx(7.0)
+    assert agg["breakdown"] == {"a": 3.0, "b": 4.0}
+    assert agg["note"] == AGGREGATION_NOTE
+
+    single = _aggregate(tmp_path, [r1])
+    assert single["total"] == pytest.approx(3.0)
+
+    # permutation invariance
+    assert _aggregate(tmp_path, [r2, r1])["total"] == pytest.approx(agg["total"])
+
+
+def test_aggregate_total_at_least_max(tmp_path):
+    values = {"a": 3.0, "b": 4.0, "c": 1.0}
+    caps = [_capital_csv(tmp_path, c, v) for c, v in values.items()]
+    agg = _aggregate(tmp_path, caps)
+    assert agg["total"] >= max(values.values())
