@@ -46,7 +46,7 @@ MIN_TRUNCATION_ACCEPTANCE = 1e-4
 
 
 class InsufficientDataError(ValueError):
-    """Raised when a dataset is too small to form a proper posterior."""
+    """Too little data for a proper posterior, or no posterior mass in a truncation region."""
 
 
 @dataclass(frozen=True)

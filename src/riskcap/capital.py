@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bayes, estimators
-from .bayes import NIXParams, PosteriorState
+from .bayes import InsufficientDataError, NIXParams, PosteriorState
 from .distributions import GammaParams, LognormalParams, ParetoParams, PoissonParams, RngStream
 from .estimators import MleReport
 from .mc_engine import (
@@ -31,6 +31,7 @@ __all__ = [
     "fit_mle",
     "fit_posteriors",
     "fit_summary",
+    "severity_point_params",
     "conditional_capital",
     "predictive_capital",
 ]
@@ -165,16 +166,17 @@ def fit_posteriors(model: CellModel, data: LossData) -> tuple[PosteriorState, Po
         else:
             g = bayes.noninformative_pareto(data.severities, model.threshold_L)
         post_sev = PosteriorState(family="pareto-tail", params=g, threshold_L=model.threshold_L)
-        if model.enforce_finite_mean:
-            post_sev = bayes.truncate_posterior(post_sev, {"xi": (1.0, float("inf"))})
 
-    if model.truncation:
-        freq_bounds = {k: v for k, v in model.truncation.items() if k == "lambda"}
-        sev_bounds = {k: v for k, v in model.truncation.items() if k != "lambda"}
-        if freq_bounds:
-            post_freq = bayes.truncate_posterior(post_freq, freq_bounds)
-        if sev_bounds:
-            post_sev = bayes.truncate_posterior(post_sev, sev_bounds)
+    bounds = dict(model.truncation or {})
+    try:
+        if model.severity_family == "pareto" and model.enforce_finite_mean:
+            post_sev = bayes.truncate_posterior(post_sev, {"xi": (1.0, float("inf"))})
+        if "lambda" in bounds:
+            post_freq = bayes.truncate_posterior(post_freq, {"lambda": bounds.pop("lambda")})
+        if bounds:
+            post_sev = bayes.truncate_posterior(post_sev, bounds)
+    except ValueError as e:  # the data leave no posterior mass in a truncation region
+        raise InsufficientDataError(f"cell {model.cell_id!r}: {e}") from e
     return post_freq, post_sev
 
 
@@ -196,7 +198,8 @@ def fit_summary(mle: MleReport, post_freq: PosteriorState, post_sev: PosteriorSt
     return summary
 
 
-def _severity_point_params(model: CellModel, mle: MleReport):
+def severity_point_params(model: CellModel, mle: MleReport) -> LognormalParams | ParetoParams:
+    """The cell's severity distribution at its MLE: the conditional path's point."""
     if model.severity_family == "lognormal":
         return LognormalParams(mu=mle.mu_hat, sigma_sq=mle.sigma_sq_hat)
     return ParetoParams(xi=mle.xi_hat, threshold_L=model.threshold_L)
@@ -222,7 +225,7 @@ def conditional_capital(
             "model is degenerate and no capital simulation is possible"
         )
     freq = PoissonParams(lam=mle.lambda_hat)
-    sev = _severity_point_params(model, mle)
+    sev = severity_point_params(model, mle)
     rng = RngStream(seed).substream("cell", model.cell_id, "conditional")
     sample = simulate_conditional_sample(freq, sev, K, rng, workers=workers)
     est = estimate_quantile(sample, q, gamma)

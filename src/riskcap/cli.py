@@ -27,7 +27,7 @@ from . import experiments as exp_mod
 from .bayes import InsufficientDataError, NIXParams
 from .capital import CellModel, LossData
 from .distributions import GammaParams, LognormalParams, ParetoParams, RngStream
-from .mc_engine import usable_cpus
+from .mc_engine import MAX_SAMPLE_SIZE, usable_cpus
 
 __all__ = ["main"]
 
@@ -226,14 +226,16 @@ def cmd_simulate(args):
     return 0
 
 
-def _checked(name, value, whole=False):
-    """``value`` if it is a probability in (0, 1), or with ``whole`` an integer >= 1."""
+def _checked(name, value, whole=False, most=math.inf):
+    """``value`` if it is a probability in (0, 1), or with ``whole`` an integer in [1, most]."""
     real = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    if whole and real and value == int(value) and value >= 1:
+    if whole and real and value == int(value) and 1 <= value <= most:
         return int(value)
     if not whole and real and 0 < value < 1:
         return value
     what = "an integer >= 1" if whole else "in (0, 1)"
+    if whole and real and value > most:
+        what = f"at most {most}"
     raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
@@ -275,7 +277,8 @@ def cmd_capital(args):
     gamma = args.gamma if args.gamma is not None else cfg.get("gamma", DEFAULT_GAMMA)
     mode = args.mode if args.mode is not None else cfg.get("mode", "both")
     seed = resolve_seed(args.seed, cfg.get("seed"))
-    q, gamma, K = _checked("q", q), _checked("gamma", gamma), _checked("K", K, whole=True)
+    q, gamma = _checked("q", q), _checked("gamma", gamma)
+    K = _checked("K", K, whole=True, most=MAX_SAMPLE_SIZE)
     if mode not in ("conditional", "predictive", "both"):
         raise ValidationError(f"mode must be conditional, predictive, or both, got {mode!r}")
 
@@ -404,10 +407,13 @@ def cmd_experiment(args):
         raise ValidationError(f"--m-grid must be comma-separated integers, got {args.m_grid!r}")
     m_grid = [_checked("--m-grid year count", m, whole=True) for m in m_grid]
     K_default, R_default = (10**6, 100) if args.full_scale else (10**5, 20)
-    K = _checked("--K", K_default if args.K is None else args.K, whole=True)
+    K = K_default if args.K is None else args.K
+    K = _checked("--K", K, whole=True, most=MAX_SAMPLE_SIZE)
     _checked("--q", args.q)
 
     if args.which == "track":
+        if m_grid != sorted(m_grid):
+            raise ValidationError(f"--m-grid must be ascending for track, got {args.m_grid!r}")
         records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed, usable_cpus())
         with open(args.out, "w", newline="") as fh:
             fh.write(f"# seed={seed}\n")

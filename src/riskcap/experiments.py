@@ -21,10 +21,10 @@ import numpy as np
 from .capital import (
     CellModel,
     LossData,
-    _severity_point_params,
     fit_mle,
     fit_posteriors,
     fit_summary,
+    severity_point_params,
 )
 from .distributions import (
     LognormalParams,
@@ -123,7 +123,7 @@ def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream,
     mle = fit_mle(model, data)
     posteriors = fit_posteriors(model, data)
     freq = PoissonParams(lam=mle.lambda_hat)
-    sev = _severity_point_params(model, mle)
+    sev = severity_point_params(model, mle)
     cond = simulate_conditional_sample(freq, sev, K_sims, stream.substream("cond"), workers=workers)
     pred = simulate_predictive_sample(*posteriors, K_sims, stream.substream("pred"), workers=workers)
     return empirical_quantile(cond, q), empirical_quantile(pred, q), mle, posteriors

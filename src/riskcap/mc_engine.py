@@ -40,6 +40,9 @@ DEFAULT_BATCH_SIZE = 100_000
 #: Beyond this many losses we refuse rather than silently subsample; exact
 #: order statistics require the full sample in memory.
 MAX_SAMPLE_SIZE = 10**7
+#: The kernel draws severities at most this many losses at a time (a year with more
+#: is a chunk of its own), so its memory does not grow with the Poisson rate.
+CHUNK_LOSSES = 1 << 16
 
 #: The normal approximation behind the conservative CI is trusted when
 #: K * q * (1 - q) is at least this large.
@@ -61,7 +64,7 @@ class LossSample:
         bad = v.size - np.count_nonzero(np.isfinite(v))
         if bad:
             raise ValueError(f"loss sample has {bad} non-finite values out of {v.size}")
-        if np.any(np.diff(v) < 0):
+        if np.any(v[1:] < v[:-1]):
             raise ValueError("loss sample must be sorted ascending")
         if v[0] < 0:
             raise ValueError("annual losses must be non-negative")
@@ -107,13 +110,20 @@ def _compound_batch(gen: np.random.Generator, n: int, lam, sev: dict) -> np.ndar
     :func:`sample_severities`) are either scalars shared by all n scenarios,
     the conditional path's point estimate, or arrays of n per-scenario
     posterior draws, the predictive path. The counts are drawn first, then
-    every severity in scenario order; a zero count gives a zero loss.
+    every severity in scenario order, whole years at a time; no loss sums to 0.
     """
     counts = gen.poisson(lam, size=n)
-    owner = np.repeat(np.arange(n), counts)
-    per_loss = {k: v[owner] if np.ndim(v) else v for k, v in sev.items()}
-    x = sample_severities(owner.size, gen, **per_loss)
-    return np.bincount(owner, weights=x, minlength=n)
+    ends = np.cumsum(counts)
+    out = np.empty(n)
+    i = 0
+    while i < n:
+        j = max(int(np.searchsorted(ends, ends[i] - counts[i] + CHUNK_LOSSES, "right")), i + 1)
+        owner = np.repeat(np.arange(j - i), counts[i:j])
+        per_loss = {k: v[i:j][owner] if np.ndim(v) else v for k, v in sev.items()}
+        x = sample_severities(owner.size, gen, **per_loss)
+        out[i:j] = np.bincount(owner, weights=x, minlength=j - i)
+        i = j
+    return out
 
 
 def _run_batches(batch_fn, K: int, rng: RngStream, batch_size: int, workers: int) -> LossSample:
@@ -125,17 +135,18 @@ def _run_batches(batch_fn, K: int, rng: RngStream, batch_size: int, workers: int
             "exact order statistics require the full sample"
         )
     n_batches = (K + batch_size - 1) // batch_size
-    sizes = [batch_size] * (n_batches - 1) + [K - batch_size * (n_batches - 1)]
+    values = np.empty(K)
 
     def one(i):
-        return batch_fn(sizes[i], rng.substream("batch", i))
+        part = values[i * batch_size:(i + 1) * batch_size]
+        part[:] = batch_fn(part.size, rng.substream("batch", i))
 
     if workers > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(n_batches)))
+            list(pool.map(one, range(n_batches)))
     else:
-        parts = [one(i) for i in range(n_batches)]
-    values = np.sort(np.concatenate(parts))
+        list(map(one, range(n_batches)))
+    values.sort()
     return LossSample(values=values)
 
 

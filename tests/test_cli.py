@@ -415,9 +415,11 @@ def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command,
         ([], {"gamma": "0.9"}, "got '0.9'"),
         ([], {"K": 0}, "K must be an integer >= 1, got 0"),
         ([], {"K": 10.5}, "got 10.5"),
+        (["--K", "20000000"], {}, "K must be at most 10000000, got 20000000"),
+        ([], {"K": 2e7}, "K must be at most 10000000, got 20000000.0"),
     ],
     ids=["q-flag", "q-zero", "gamma-flag", "K-flag", "q-config", "gamma-text", "K-config",
-         "K-fraction"],
+         "K-fraction", "K-above-cap-flag", "K-above-cap-config"],
 )
 def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, capsys):
     cfg = {**json.loads(open(config_file).read()), "K": 1000, **config}
@@ -434,11 +436,15 @@ def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, cap
         (["experiment", "track", "--q", "1.0"], "--q must be in (0, 1), got 1.0"),
         (["experiment", "bias", "--R", "0"], "--R must be an integer >= 1, got 0"),
         (["experiment", "bias", "--K", "0"], "--K must be an integer >= 1, got 0"),
+        (["experiment", "bias", "--K", "20000000"], "--K must be at most 10000000, got 20000000"),
+        (["experiment", "track", "--m-grid", "10,5"],
+         "--m-grid must be ascending for track, got '10,5'"),
         (["experiment", "bias", "--sigma0", "0"], "sigma_sq must be positive"),
         (["simulate", "--family", "pareto", "--lambda0", "-1", "--years", "5"], "lambda0"),
         (["simulate", "--family", "pareto", "--lambda0", "2", "--years", "0"], "--years"),
     ],
-    ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "sigma0", "lambda0", "years"],
+    ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "K-above-cap", "m-grid-descending", "sigma0",
+         "lambda0", "years"],
 )
 def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
     # The flags under test come last, so they override these.
@@ -449,6 +455,27 @@ def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
     argv = argv[:n] + base + ["--seed", "1"] + argv[n:]
     assert main(argv) == EXIT_VALIDATION
     assert shown in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"truncation": {"lambda": [1000.0, None]}},
+        {"severity_family": "pareto", "threshold_L": 1.0, "truncation": {"xi": [1000.0, None]}},
+    ],
+    ids=["lambda", "xi"],
+)
+@pytest.mark.parametrize("command", ["fit", "capital"])
+def test_truncation_without_posterior_mass_exit_code(tmp_path, config_file, change, command,
+                                                     capsys):
+    cfg = json.loads(open(config_file).read())
+    cfg["cells"][0].update(change)
+    path = _write(tmp_path / "empty.json", json.dumps(cfg))
+    argv = [command, "--config", path]
+    if command == "capital":
+        argv += ["--K", "1000", "--mode", "predictive"]
+    assert main(argv) == EXIT_VALIDATION
+    assert "cell 'cell-a': truncation region for" in capsys.readouterr().err
 
 
 def test_aggregate_mixed_modes_rejected(tmp_path, config_file):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from riskcap import bayes
+from riskcap import bayes, mc_engine
 from riskcap.bayes import NIXParams, PosteriorState, sample_posterior
 from riskcap.distributions import (
     GammaParams,
@@ -173,6 +174,94 @@ def test_predictive_kernel_matches_reference_loop(post_sev):
     assert np.array_equal(sample.values, np.sort(expected))
 
 
+CHUNK = 7  # below the losses of many years at a rate near 4
+
+
+def _chunked(monkeypatch, simulate):
+    """``simulate()`` with the kernel's chunks cut to CHUNK losses, and the
+    size of every severity draw it made."""
+    sizes = []
+
+    def recording(size, gen, **params):
+        sizes.append(size)
+        return sample_severities(size, gen, **params)
+
+    monkeypatch.setattr(mc_engine, "CHUNK_LOSSES", CHUNK)
+    monkeypatch.setattr(mc_engine, "sample_severities", recording)
+    sample = simulate()
+    # Many chunks, one of them a single year with more losses than CHUNK.
+    assert len(sizes) > 100 and max(sizes) > CHUNK
+    return sample
+
+
+@pytest.mark.parametrize("sev", [LN12, PAR21], ids=["lognormal", "pareto"])
+def test_conditional_kernel_exact_across_chunk_edges(sev, monkeypatch):
+    rng, sizes = RngStream(23), (1000, 1000, 500)
+
+    def simulate():
+        return simulate_conditional_sample(PoissonParams(4.0), sev, 2500, rng, 1000, workers=2)
+
+    expected = np.concatenate(
+        [_reference_batch(rng.substream("batch", b), n, 4.0, vars(sev)) for b, n in enumerate(sizes)]
+    )
+    default = simulate()
+    chunked = _chunked(monkeypatch, simulate)
+    assert chunked.values.tobytes() == default.values.tobytes()
+    assert np.array_equal(chunked.values, np.sort(expected))
+
+
+@pytest.mark.parametrize(
+    "post_sev",
+    [
+        PosteriorState("lognormal", NIX),
+        PosteriorState("pareto-tail", GammaParams(21.0, 0.1), threshold_L=1.0),
+        bayes.truncate_posterior(PosteriorState("lognormal", NIX), {"sigma_sq": (0.0, 4.0)}),
+    ],
+    ids=["lognormal", "pareto", "truncated-lognormal"],
+)
+def test_predictive_kernel_exact_across_chunk_edges(post_sev, monkeypatch):
+    n, rng = 2000, RngStream(24)
+    post_freq = PosteriorState("poisson-rate", GammaParams(40.0, 0.1))  # lambda around 4
+    stream = rng.substream("batch", 0)
+    lam = sample_posterior(post_freq, stream, size=n)
+    if post_sev.family == "lognormal":
+        mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
+        sev = {"mu": mu, "sigma_sq": sigma_sq}
+    else:
+        sev = {"xi": sample_posterior(post_sev, stream, size=n), "threshold_L": 1.0}
+    expected = _reference_batch(stream, n, lam, sev)
+
+    def simulate():
+        return simulate_predictive_sample(post_freq, post_sev, n, rng, batch_size=n)
+
+    default = simulate()
+    chunked = _chunked(monkeypatch, simulate)
+    assert chunked.values.tobytes() == default.values.tobytes()
+    assert np.array_equal(chunked.values, np.sort(expected))
+
+
+@pytest.mark.parametrize(
+    "simulate, params",
+    [
+        (simulate_conditional_sample, (PoissonParams(1000.0), LN12)),
+        (simulate_predictive_sample,
+         (PosteriorState("poisson-rate", GammaParams(1e4, 0.1)), PosteriorState("lognormal", NIX))),
+    ],
+    ids=["conditional", "predictive"],
+)
+def test_kernel_memory_does_not_grow_with_rate(simulate, params):
+    # 2e7 losses in one batch: about 300 MiB when a batch's severities are
+    # drawn at once, about 2 MiB in chunks.
+    tracemalloc.start()
+    try:
+        sample = simulate(*params, 20_000, RngStream(3), workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.values.mean() > 1e4  # about 1000 losses of mean e^3 a year
+    assert peak < 16 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Quantiles
 
@@ -240,8 +329,7 @@ def test_loss_sample_validation():
     [([1.0, 2.0, np.inf, np.inf], 2), ([1.0, np.nan, 3.0], 1), ([-np.inf, 1.0], 1)],
 )
 def test_loss_sample_rejects_non_finite(values, bad):
-    # np.diff gives nan at a non-finite value, and nan < 0 is False, so the
-    # order check alone cannot catch these.
+    # nan < x is False, so the order check alone cannot catch these.
     with pytest.raises(ValueError, match=f"{bad} non-finite values out of {len(values)}"):
         LossSample(values=np.array(values))
 

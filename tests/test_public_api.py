@@ -42,3 +42,12 @@ def test_readme_lists_each_module_all():
     listed = {node.module: [alias.name for alias in node.names] for node in _readme_imports()}
     for name, module in _modules().items():
         assert sorted(listed.get(f"riskcap.{name}", [])) == sorted(module.__all__), name
+
+
+def test_no_module_imports_a_private_name_of_another():
+    for info in pkgutil.iter_modules(riskcap.__path__):
+        tree = ast.parse(Path(riskcap.__path__[0], f"{info.name}.py").read_text())
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   for alias in node.names if alias.name.startswith("_")]
+        assert not private, f"riskcap.{info.name} imports {private}"
