@@ -33,15 +33,14 @@ __all__ = [
     "noninformative_lognormal",
     "update_pareto",
     "noninformative_pareto",
-    "truncate_posterior",
     "sample_posterior",
     "credible_interval",
     "prob_tail_index_below",
     "laplace_approximation",
 ]
 
-# Rejection sampling from a truncated posterior refuses to proceed when the
-# acceptance rate over a probe batch falls below this.
+# Truncation bounds holding less posterior mass than this are refused, and so
+# is rejection sampling whose probe batch accepts a smaller share.
 MIN_TRUNCATION_ACCEPTANCE = 1e-4
 
 
@@ -75,7 +74,9 @@ class PosteriorState:
 
     ``family`` is one of ``poisson-rate``, ``lognormal``, ``pareto-tail``.
     ``truncation`` maps parameter names ("lambda", "xi", "mu", "sigma_sq")
-    to (lower, upper) bounds; use -inf/inf for one-sided bounds.
+    to (lower, upper) bounds; use -inf/inf for one-sided bounds. Sampling is
+    by rejection, so bounds holding less than ``MIN_TRUNCATION_ACCEPTANCE``
+    of a parameter's marginal posterior mass are refused.
     ``threshold_L`` is the Pareto severity threshold, carried alongside the
     tail-index posterior so predictive simulation can draw severities.
     """
@@ -102,6 +103,10 @@ class PosteriorState:
                     raise ValueError(f"unknown parameter {name!r} for {self.family}")
                 if not lo < hi:
                     raise ValueError(f"empty truncation range for {name!r}: ({lo}, {hi})")
+            for name, mass in _truncated_masses(self).items():
+                if mass < MIN_TRUNCATION_ACCEPTANCE:
+                    raise ValueError(f"truncation region for {name!r} holds posterior mass "
+                                     f"{mass:.3g}, below {MIN_TRUNCATION_ACCEPTANCE}")
 
     @property
     def param_names(self) -> tuple:
@@ -234,35 +239,23 @@ def noninformative_pareto(severities, threshold_L: float) -> GammaParams:
 # Truncation, sampling, summaries
 
 
-def truncate_posterior(state: PosteriorState, bounds: dict) -> PosteriorState:
-    """Restrict a posterior to per-parameter (lower, upper) bounds.
+def _truncated_masses(state: PosteriorState) -> dict:
+    """Each truncated parameter's marginal posterior mass inside its bounds.
 
-    The density inside the bounds is unchanged up to renormalization;
-    sampling is by rejection from the untruncated posterior.
+    For the lognormal pair the smaller one bounds the mass of the box. None
+    for a lognormal posterior with ``dof_nu <= 0``, which sampling refuses.
     """
-    merged = dict(state.truncation or {})
-    for name, (lo, hi) in bounds.items():
-        cur_lo, cur_hi = merged.get(name, (-math.inf, math.inf))
-        merged[name] = (max(lo, cur_lo), min(hi, cur_hi))
-    new = PosteriorState(
-        family=state.family,
-        params=state.params,
-        truncation=merged,
-        threshold_L=state.threshold_L,
-    )
-    _check_truncation_mass(new)
-    return new
-
-
-def _check_truncation_mass(state: PosteriorState):
-    if not state.truncation:
-        return
-    if isinstance(state.params, GammaParams):
-        name = state.param_names[0]
-        lo, hi = state.bounds(name)
-        mass = _gamma_cdf(state.params, hi) - _gamma_cdf(state.params, lo)
-        if mass <= 0:
-            raise ValueError(f"truncation region for {name!r} has zero posterior mass")
+    p = state.params
+    if isinstance(p, GammaParams):
+        cdfs = {state.param_names[0]: lambda x: _gamma_cdf(p, x)}
+    elif p.dof_nu > 0:  # sigma_sq = beta / W with W ~ ChiSq(nu); mu's marginal is a t
+        t_scale = math.sqrt(p.scale_beta / (p.prec_phi * p.dof_nu))
+        cdfs = {"sigma_sq": lambda s2: special.gammaincc(p.dof_nu / 2, p.scale_beta / s2 / 2)
+                if s2 > 0 else 0.0,
+                "mu": lambda mu: special.stdtr(p.dof_nu, (mu - p.loc_theta) / t_scale)}
+    else:
+        return {}
+    return {name: cdfs[name](hi) - cdfs[name](lo) for name, (lo, hi) in state.truncation.items()}
 
 
 def prob_tail_index_below(state: PosteriorState, threshold: float = 1.0) -> float:

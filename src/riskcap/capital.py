@@ -8,6 +8,7 @@ year, so the resulting quantile carries parameter uncertainty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
     "fit_mle",
     "fit_posteriors",
     "fit_summary",
-    "severity_point_params",
     "conditional_capital",
     "predictive_capital",
 ]
@@ -82,6 +82,8 @@ class CellModel:
         for name, (lo, hi) in (self.truncation or {}).items():
             if name not in names or not lo < hi:
                 raise ValueError(f"truncation of {name!r} must bound one of {names} by lo < hi")
+        if not isinstance(self.enforce_finite_mean, bool):
+            raise TypeError(f"enforce_finite_mean must be a bool, got {self.enforce_finite_mean!r}")
 
 
 @dataclass(frozen=True)
@@ -126,56 +128,51 @@ class LossData:
 
 @dataclass(frozen=True)
 class CapitalReport:
-    """One capital figure for one cell, with fit context and warnings."""
+    """One capital figure for one cell, with its warnings."""
 
     cell_id: str
     mode: str  # "conditional" | "predictive"
     estimate: QuantileEstimate
-    mle: MleReport
     warnings: tuple = ()
 
 
 def fit_mle(model: CellModel, data: LossData) -> MleReport:
-    """Maximum-likelihood point estimates for the cell's families."""
-    lam = estimators.mle_poisson(data.annual_counts)
-    if model.severity_family == "lognormal":
-        mu, s2 = estimators.mle_lognormal(data.severities)
-        return MleReport(family="lognormal", lambda_hat=lam, mu_hat=mu, sigma_sq_hat=s2)
-    xi = estimators.mle_pareto(data.severities, model.threshold_L)
-    return MleReport(family="pareto", lambda_hat=lam, xi_hat=xi)
+    """Maximum-likelihood point estimates: the conditional path's point."""
+    try:
+        lam = estimators.mle_poisson(data.annual_counts)
+        if model.severity_family == "lognormal":
+            severity = LognormalParams(*estimators.mle_lognormal(data.severities))
+        else:
+            xi = estimators.mle_pareto(data.severities, model.threshold_L)
+            severity = ParetoParams(xi=xi, threshold_L=model.threshold_L)
+    except ValueError as e:  # too little data for a point estimate
+        raise InsufficientDataError(f"cell {model.cell_id!r}: {e}") from e
+    return MleReport(lambda_hat=lam, severity=severity)
 
 
 def fit_posteriors(model: CellModel, data: LossData) -> tuple[PosteriorState, PosteriorState]:
-    """Conjugate (or non-informative) posteriors for frequency and severity."""
-    if model.freq_prior is not None:
-        freq_gamma = bayes.update_poisson_gamma(model.freq_prior, data.annual_counts)
-    else:
-        freq_gamma = bayes.noninformative_poisson(data.annual_counts)
-    post_freq = PosteriorState(family="poisson-rate", params=freq_gamma)
-
-    if model.severity_family == "lognormal":
-        log_sev = np.log(data.severities)
-        if model.sev_prior is not None:
-            nix = bayes.update_lognormal(model.sev_prior, log_sev)
-        else:
-            nix = bayes.noninformative_lognormal(log_sev)
-        post_sev = PosteriorState(family="lognormal", params=nix)
-    else:
-        if model.sev_prior is not None:
-            g = bayes.update_pareto(model.sev_prior, data.severities, model.threshold_L)
-        else:
-            g = bayes.noninformative_pareto(data.severities, model.threshold_L)
-        post_sev = PosteriorState(family="pareto-tail", params=g, threshold_L=model.threshold_L)
-
+    """Conjugate (or non-informative) posteriors for frequency and severity, each
+    built with its final truncation (``enforce_finite_mean`` adds xi > 1)."""
     bounds = dict(model.truncation or {})
+    freq_bounds = {"lambda": bounds.pop("lambda")} if "lambda" in bounds else None
+    if model.severity_family == "pareto" and model.enforce_finite_mean:
+        lo, hi = bounds.get("xi", (-math.inf, math.inf))
+        bounds["xi"] = (max(lo, 1.0), hi)
+    counts, sev, prior, L = data.annual_counts, data.severities, model.sev_prior, model.threshold_L
     try:
-        if model.severity_family == "pareto" and model.enforce_finite_mean:
-            post_sev = bayes.truncate_posterior(post_sev, {"xi": (1.0, float("inf"))})
-        if "lambda" in bounds:
-            post_freq = bayes.truncate_posterior(post_freq, {"lambda": bounds.pop("lambda")})
-        if bounds:
-            post_sev = bayes.truncate_posterior(post_sev, bounds)
-    except ValueError as e:  # the data leave no posterior mass in a truncation region
+        freq = (bayes.noninformative_poisson(counts) if model.freq_prior is None
+                else bayes.update_poisson_gamma(model.freq_prior, counts))
+        post_freq = PosteriorState("poisson-rate", freq, truncation=freq_bounds)
+        if model.severity_family == "lognormal":
+            y = np.log(sev)
+            nix = (bayes.noninformative_lognormal(y) if prior is None
+                   else bayes.update_lognormal(prior, y))
+            post_sev = PosteriorState("lognormal", nix, truncation=bounds or None)
+        else:
+            g = (bayes.noninformative_pareto(sev, L) if prior is None
+                 else bayes.update_pareto(prior, sev, L))
+            post_sev = PosteriorState("pareto-tail", g, truncation=bounds or None, threshold_L=L)
+    except ValueError as e:  # too little data, or no posterior mass in a truncation region
         raise InsufficientDataError(f"cell {model.cell_id!r}: {e}") from e
     return post_freq, post_sev
 
@@ -190,19 +187,13 @@ def fit_summary(mle: MleReport, post_freq: PosteriorState, post_sev: PosteriorSt
     """
     summary = {"lambda": (mle.lambda_hat, *bayes.credible_interval(post_freq, 0.95)["lambda"])}
     iv = bayes.credible_interval(post_sev, 0.95, rng)
-    if mle.family == "lognormal":
-        summary["mu"] = (mle.mu_hat, *iv["mu"])
-        summary["sigma"] = tuple(float(np.sqrt(v)) for v in (mle.sigma_sq_hat, *iv["sigma_sq"]))
+    sev = mle.severity
+    if isinstance(sev, LognormalParams):
+        summary["mu"] = (sev.mu, *iv["mu"])
+        summary["sigma"] = tuple(float(np.sqrt(v)) for v in (sev.sigma_sq, *iv["sigma_sq"]))
     else:
-        summary["xi"] = (mle.xi_hat, *iv["xi"])
+        summary["xi"] = (sev.xi, *iv["xi"])
     return summary
-
-
-def severity_point_params(model: CellModel, mle: MleReport) -> LognormalParams | ParetoParams:
-    """The cell's severity distribution at its MLE: the conditional path's point."""
-    if model.severity_family == "lognormal":
-        return LognormalParams(mu=mle.mu_hat, sigma_sq=mle.sigma_sq_hat)
-    return ParetoParams(xi=mle.xi_hat, threshold_L=model.threshold_L)
 
 
 def conditional_capital(
@@ -219,20 +210,11 @@ def conditional_capital(
     Parameter uncertainty is ignored on this path.
     """
     mle = fit_mle(model, data)
-    if mle.lambda_hat <= 0:
-        raise ValueError(
-            "fitted Poisson rate is 0 (no events observed); the compound loss "
-            "model is degenerate and no capital simulation is possible"
-        )
     freq = PoissonParams(lam=mle.lambda_hat)
-    sev = severity_point_params(model, mle)
     rng = RngStream(seed).substream("cell", model.cell_id, "conditional")
-    sample = simulate_conditional_sample(freq, sev, K, rng, workers=workers)
+    sample = simulate_conditional_sample(freq, mle.severity, K, rng, workers=workers)
     est = estimate_quantile(sample, q, gamma)
-    warnings = _common_warnings(est)
-    return CapitalReport(
-        cell_id=model.cell_id, mode="conditional", estimate=est, mle=mle, warnings=tuple(warnings)
-    )
+    return CapitalReport(model.cell_id, "conditional", est, tuple(_common_warnings(est)))
 
 
 def predictive_capital(
@@ -247,9 +229,9 @@ def predictive_capital(
     """Capital at the q-quantile of the predictive loss distribution.
 
     Every simulated year uses a fresh parameter draw from the posterior, so
-    both process risk and parameter risk are reflected.
+    both process risk and parameter risk are reflected. No point estimate is
+    fitted, so informative priors carry a cell too thin for the MLE.
     """
-    mle = fit_mle(model, data)
     post_freq, post_sev = fit_posteriors(model, data)
     rng = RngStream(seed).substream("cell", model.cell_id, "predictive")
     sample = simulate_predictive_sample(post_freq, post_sev, K, rng, workers=workers)
@@ -264,9 +246,7 @@ def predictive_capital(
                 "under the posterior; consider enforce_finite_mean"
             )
 
-    return CapitalReport(
-        cell_id=model.cell_id, mode="predictive", estimate=est, mle=mle, warnings=tuple(warnings)
-    )
+    return CapitalReport(model.cell_id, "predictive", est, tuple(warnings))
 
 
 def _common_warnings(est: QuantileEstimate) -> list:

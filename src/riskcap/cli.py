@@ -155,12 +155,13 @@ def _load_cell(c) -> tuple[CellModel, LossData]:
             if key not in c:
                 raise ValidationError(f"cell {name!r}: missing {key}")
         family = c["severity_family"]
-        freq_prior = GammaParams(**c["freq_prior"]) if c.get("freq_prior") else None
-        sev_prior = None
-        if c.get("sev_prior"):
+        # Read by presence: a prior given as {} is refused, not taken as flat.
+        freq_prior = sev_prior = truncation = None
+        if c.get("freq_prior") is not None:
+            freq_prior = GammaParams(**c["freq_prior"])
+        if c.get("sev_prior") is not None:
             sev_prior = (NIXParams if family == "lognormal" else GammaParams)(**c["sev_prior"])
-        truncation = None
-        if c.get("truncation"):
+        if c.get("truncation") is not None:
             inf = math.inf
             truncation = {p: (-inf if lo is None else float(lo), inf if hi is None else float(hi))
                           for p, (lo, hi) in c["truncation"].items()}
@@ -171,7 +172,7 @@ def _load_cell(c) -> tuple[CellModel, LossData]:
             freq_prior=freq_prior,
             sev_prior=sev_prior,
             truncation=truncation,
-            enforce_finite_mean=bool(c.get("enforce_finite_mean", False)),
+            enforce_finite_mean=c.get("enforce_finite_mean", False),
         )
     except (AttributeError, TypeError, ValueError) as e:
         raise ValidationError(f"cell {name!r}: invalid config: {e}")
@@ -422,7 +423,7 @@ def cmd_experiment(args):
             w.writerow(["M", "K"] + [f"{p}_{end}" for p in params for end in ("hat", "lo", "hi")]
                        + ["q_conditional", "q_predictive"])
             for r in records:
-                estimates = [v for p in params for v in getattr(r, f"{p}_est")]
+                estimates = [v for p in params for v in r.estimates[p]]
                 w.writerow(
                     [r.M, r.K_data]
                     + [repr(float(v)) for v in estimates]

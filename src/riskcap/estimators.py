@@ -6,25 +6,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import LognormalParams, ParetoParams
+
 __all__ = ["MleReport", "mle_poisson", "mle_lognormal", "mle_pareto"]
 
 
 @dataclass(frozen=True)
 class MleReport:
-    """Point estimates for one risk cell's frequency and severity."""
+    """Point estimates for one risk cell: the Poisson rate and the severity distribution."""
 
-    family: str
     lambda_hat: float
-    mu_hat: float | None = None
-    sigma_sq_hat: float | None = None
-    xi_hat: float | None = None
+    severity: LognormalParams | ParetoParams
 
 
 def mle_poisson(counts) -> float:
     """MLE of the Poisson rate: the sample mean of annual counts.
 
-    An all-zero history yields 0.0, which is outside the model support;
-    downstream simulation rejects it with a clear diagnostic.
+    An all-zero history yields 0.0, which is outside the model support; such a
+    history has no severities, so no severity estimate exists either.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0:

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capital import (
-    CellModel,
-    LossData,
-    fit_mle,
-    fit_posteriors,
-    fit_summary,
-    severity_point_params,
-)
+from .capital import CellModel, LossData, fit_mle, fit_posteriors, fit_summary
 from .distributions import (
     LognormalParams,
     ParetoParams,
@@ -61,18 +54,16 @@ class TrueModel:
 class BiasRecord:
     """One row of the single-realization track.
 
-    Parameter entries are (point estimate, interval lower, interval upper)
-    with 0.95 equal-tail posterior intervals. Quantiles are in thousands.
+    ``estimates`` is :func:`fit_summary`'s dict: each parameter's (point
+    estimate, interval lower, interval upper) with 0.95 equal-tail posterior
+    intervals. Quantiles are in thousands.
     """
 
     M: int
     K_data: int
-    lambda_est: tuple
+    estimates: dict
     q_conditional: float
     q_predictive: float
-    mu_est: tuple | None = None
-    sigma_est: tuple | None = None
-    xi_est: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -123,8 +114,8 @@ def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream,
     mle = fit_mle(model, data)
     posteriors = fit_posteriors(model, data)
     freq = PoissonParams(lam=mle.lambda_hat)
-    sev = severity_point_params(model, mle)
-    cond = simulate_conditional_sample(freq, sev, K_sims, stream.substream("cond"), workers=workers)
+    cond = simulate_conditional_sample(freq, mle.severity, K_sims, stream.substream("cond"),
+                                       workers=workers)
     pred = simulate_predictive_sample(*posteriors, K_sims, stream.substream("pred"), workers=workers)
     return empirical_quantile(cond, q), empirical_quantile(pred, q), mle, posteriors
 
@@ -159,18 +150,13 @@ def single_realization_track(
         q_cond, q_pred, mle, (post_freq, post_sev) = _fit_and_quantiles(
             true_model, data, q, K_sims, stream, workers
         )
-
-        summary = fit_summary(mle, post_freq, post_sev)
         records.append(
             BiasRecord(
                 M=M,
                 K_data=n,
-                lambda_est=summary["lambda"],
+                estimates=fit_summary(mle, post_freq, post_sev),
                 q_conditional=q_cond / 1e3,
                 q_predictive=q_pred / 1e3,
-                mu_est=summary.get("mu"),
-                sigma_est=summary.get("sigma"),
-                xi_est=summary.get("xi"),
             )
         )
     return records

@@ -20,7 +20,6 @@ from riskcap.bayes import (
     noninformative_poisson,
     prob_tail_index_below,
     sample_posterior,
-    truncate_posterior,
     update_lognormal,
     update_pareto,
     update_poisson_gamma,
@@ -223,38 +222,70 @@ def test_posterior_concentration():
 
 
 def test_truncated_pareto_posterior_draws_above_one():
-    state = PosteriorState("pareto-tail", GammaParams(3.0, 1.0 / 3.0), threshold_L=1.0)
-    trunc = truncate_posterior(state, {"xi": (1.0, math.inf)})
+    trunc = PosteriorState("pareto-tail", GammaParams(3.0, 1.0 / 3.0),
+                           truncation={"xi": (1.0, math.inf)}, threshold_L=1.0)
     draws = sample_posterior(trunc, RngStream(11), size=20000)
     assert np.all(draws > 1.0)
 
 
+TRUNCATION_NIX = NIXParams(dof_nu=5.0, scale_beta=4.0, loc_theta=1.0, prec_phi=8.0)
+
+
+def _region_with_mass(name, mass):
+    """A one-sided truncation whose posterior mass scipy.stats puts at ``mass``."""
+    p = TRUNCATION_NIX
+    if name == "lambda":
+        return ("poisson-rate", GammaParams(6.0, 0.5),
+                (stats.gamma(6.0, scale=0.5).isf(mass), math.inf))
+    if name == "sigma_sq":  # sigma_sq = beta / W with W ~ chi2(nu)
+        return "lognormal", p, (p.scale_beta / stats.chi2(p.dof_nu).ppf(mass), math.inf)
+    scale = math.sqrt(p.scale_beta / (p.prec_phi * p.dof_nu))
+    return "lognormal", p, (stats.t(p.dof_nu, loc=p.loc_theta, scale=scale).isf(mass), math.inf)
+
+
 def test_truncation_acceptance_fraction():
-    # Pr[Gamma(3, 1/3) > 1] via the analytic CDF matches the brute-force figure
-    p = 1.0 - stats.gamma(3.0, scale=1.0 / 3.0).cdf(1.0)
-    assert p == pytest.approx(0.4232, abs=5e-4)
+    floor = bayes.MIN_TRUNCATION_ACCEPTANCE
+    for name in ("lambda", "sigma_sq", "mu"):
+        family, params, bounds = _region_with_mass(name, 1.01 * floor)
+        PosteriorState(family, params, truncation={name: bounds})
+        family, params, bounds = _region_with_mass(name, 0.99 * floor)
+        with pytest.raises(ValueError, match=f"truncation region for '{name}'"):
+            PosteriorState(family, params, truncation={name: bounds})
+
+
+def test_truncation_box_without_joint_mass_fails_at_sampling():
+    # Each marginal holds 1e-3 of the mass, but a tiny sigma_sq leaves mu no
+    # room to reach its upper tail: the joint box is empty in practice.
+    p = TRUNCATION_NIX
+    scale = math.sqrt(p.scale_beta / (p.prec_phi * p.dof_nu))
+    box = {
+        "mu": (stats.t(p.dof_nu, loc=p.loc_theta, scale=scale).isf(1e-3), math.inf),
+        "sigma_sq": (0.0, p.scale_beta / stats.chi2(p.dof_nu).isf(1e-3)),
+    }
+    state = PosteriorState("lognormal", p, truncation=box)
+    with pytest.raises(ValueError, match="acceptance"):
+        sample_posterior(state, RngStream(17), size=10)
 
 
 def test_truncation_identity_bounds():
     state = PosteriorState("poisson-rate", GammaParams(6.0, 0.5))
-    trunc = truncate_posterior(state, {"lambda": (-math.inf, math.inf)})
+    trunc = PosteriorState("poisson-rate", GammaParams(6.0, 0.5),
+                           truncation={"lambda": (-math.inf, math.inf)})
     a = sample_posterior(state, RngStream(12), size=5000)
     b = sample_posterior(trunc, RngStream(12), size=5000)
     assert np.array_equal(a, b)
 
 
 def test_truncation_zero_mass_errors():
-    state = PosteriorState("pareto-tail", GammaParams(3.0, 1.0 / 3.0), threshold_L=1.0)
-    with pytest.raises(ValueError):
-        truncate_posterior(state, {"xi": (1e9, 2e9)})
+    with pytest.raises(ValueError, match="truncation region for 'xi'"):
+        PosteriorState("pareto-tail", GammaParams(3.0, 1.0 / 3.0),
+                       truncation={"xi": (1e9, 2e9)}, threshold_L=1.0)
 
 
 def test_truncation_tiny_acceptance_errors():
-    state = PosteriorState("poisson-rate", GammaParams(6.0, 0.5))
-    # mass ~3.5e-7: positive, but acceptance is far below the 1e-4 guard
-    tight = truncate_posterior(state, {"lambda": (13.0, 13.5)})
-    with pytest.raises(ValueError, match="acceptance"):
-        sample_posterior(tight, RngStream(13), size=10)
+    # mass ~3.5e-7: positive, but far below the 1e-4 floor, so refused when built
+    with pytest.raises(ValueError, match="truncation region for 'lambda'"):
+        PosteriorState("poisson-rate", GammaParams(6.0, 0.5), truncation={"lambda": (13.0, 13.5)})
 
 
 def test_sample_posterior_gamma_mean():
@@ -287,7 +318,8 @@ def test_prob_tail_index_below():
     state = PosteriorState("pareto-tail", GammaParams(3.0, 1.0 / 3.0), threshold_L=1.0)
     p = prob_tail_index_below(state, 1.0)
     assert p == pytest.approx(stats.gamma(3.0, scale=1.0 / 3.0).cdf(1.0))
-    trunc = truncate_posterior(state, {"xi": (1.0, math.inf)})
+    trunc = PosteriorState("pareto-tail", GammaParams(3.0, 1.0 / 3.0),
+                           truncation={"xi": (1.0, math.inf)}, threshold_L=1.0)
     assert prob_tail_index_below(trunc, 1.0) == 0.0
 
 
@@ -326,7 +358,7 @@ def test_credible_interval_bad_level():
 
 def test_credible_interval_truncated_lognormal_needs_rng():
     nix = NIXParams(dof_nu=5.0, scale_beta=4.0, loc_theta=1.0, prec_phi=8.0)
-    state = truncate_posterior(PosteriorState("lognormal", nix), {"sigma_sq": (0.0, 1.0)})
+    state = PosteriorState("lognormal", nix, truncation={"sigma_sq": (0.0, 1.0)})
     # No hidden default stream: the caller's seed fixes the interval.
     with pytest.raises(ValueError, match="rng"):
         credible_interval(state, 0.95)
@@ -334,8 +366,7 @@ def test_credible_interval_truncated_lognormal_needs_rng():
         state, 0.95, RngStream(3)
     )
     # A truncated Gamma-type interval is exact and draws nothing.
-    gamma = truncate_posterior(PosteriorState("poisson-rate", GammaParams(6.0, 0.5)),
-                               {"lambda": (1.0, 4.0)})
+    gamma = PosteriorState("poisson-rate", GammaParams(6.0, 0.5), truncation={"lambda": (1.0, 4.0)})
     lo, hi = credible_interval(gamma, 0.95)["lambda"]
     assert 1.0 < lo < hi < 4.0
 

@@ -385,9 +385,14 @@ def test_row_numbers_count_comment_lines(tmp_path):
         {"truncation": [["sigma_sq", 1.0, 2.0]]},
         {"truncation": {"xi": [1.0, None]}},
         {"truncation": {"sigma_sq": [3.0, 2.0]}},
+        {"enforce_finite_mean": "false"},
+        {"freq_prior": {}},
+        {"sev_prior": {}},
+        {"sev_prior": []},
     ],
     ids=["no-counts", "no-events", "no-family", "freq-prior", "sev-prior", "short-bound",
-         "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range"],
+         "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range",
+         "finite-mean-text", "freq-prior-empty", "sev-prior-empty", "sev-prior-list"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command, capsys):
@@ -462,8 +467,11 @@ def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
     [
         {"truncation": {"lambda": [1000.0, None]}},
         {"severity_family": "pareto", "threshold_L": 1.0, "truncation": {"xi": [1000.0, None]}},
+        {"truncation": {"sigma_sq": [1e9, None]}},
+        {"truncation": {"mu": [1e6, None]}},
+        {"truncation": {"mu": [3.5, None], "sigma_sq": [None, 0.05]}},
     ],
-    ids=["lambda", "xi"],
+    ids=["lambda", "xi", "sigma_sq", "mu", "mu-and-sigma_sq"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_truncation_without_posterior_mass_exit_code(tmp_path, config_file, change, command,
@@ -476,6 +484,55 @@ def test_truncation_without_posterior_mass_exit_code(tmp_path, config_file, chan
         argv += ["--K", "1000", "--mode", "predictive"]
     assert main(argv) == EXIT_VALIDATION
     assert "cell 'cell-a': truncation region for" in capsys.readouterr().err
+
+
+def _one_cell_config(tmp_path, events, **cell):
+    """A config of one cell, 'thin', whose history is one year holding ``events``."""
+    counts = _write(tmp_path / "thin-counts.csv", f"year,count\n1,{len(events)}\n")
+    amounts = _write(tmp_path / "thin-events.csv",
+                     "year,amount\n" + "".join(f"1,{a}\n" for a in events))
+    cell = dict(id="thin", counts_file=counts, events_file=amounts, **cell)
+    return _write(tmp_path / "thin.json", json.dumps({"seed": 1, "cells": [cell]}))
+
+
+@pytest.mark.parametrize(
+    "events, cell, shown",
+    [
+        ([2.5], {"severity_family": "lognormal"}, "at least two severities are required"),
+        ([1.0, 1.0], {"severity_family": "pareto", "threshold_L": 1.0},
+         "all severities sit at the threshold"),
+        ([0.5, 3.0], {"severity_family": "pareto", "threshold_L": 1.0},
+         "severity below threshold"),
+    ],
+    ids=["one-lognormal-event", "pareto-at-threshold", "pareto-below-threshold"],
+)
+@pytest.mark.parametrize("command", ["fit", "capital"])
+def test_too_little_data_for_the_mle_exit_code(tmp_path, events, cell, shown, command, capsys):
+    argv = [command, "--config", _one_cell_config(tmp_path, events, **cell)]
+    if command == "capital":
+        argv += ["--K", "1000", "--mode", "conditional"]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"cell 'thin': {shown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "events, cell",
+    [
+        ([2.5], {"severity_family": "lognormal",
+                 "sev_prior": {"dof_nu": 4.0, "scale_beta": 16.0, "loc_theta": 1.0,
+                               "prec_phi": 2.0}}),
+        ([1.0], {"severity_family": "pareto", "threshold_L": 1.0,
+                 "sev_prior": {"shape": 8.0, "scale": 0.25}}),
+    ],
+    ids=["lognormal", "pareto-at-threshold"],
+)
+def test_informative_priors_carry_a_history_too_thin_for_the_mle(tmp_path, events, cell):
+    # Predictive capital fits no MLE: with priors on both parts, one event is enough.
+    config = _one_cell_config(tmp_path, events, freq_prior={"shape": 4.0, "scale": 0.5}, **cell)
+    out = tmp_path / "thin.csv"
+    argv = ["capital", "--config", config, "--K", "1000", "--mode", "predictive", "--csv", str(out)]
+    assert main(argv) == 0
+    assert [r["mode"] for r in read_capital_csv(out)] == ["predictive"]
 
 
 def test_aggregate_mixed_modes_rejected(tmp_path, config_file):

@@ -50,17 +50,15 @@ def test_single_realization_track_columns():
     assert [r.M for r in records] == [5, 10]
     for r in records:
         assert r.K_data > 0
-        assert r.mu_est is not None and r.sigma_est is not None
-        assert r.xi_est is None
-        lam_hat, lam_lo, lam_hi = r.lambda_est
+        assert list(r.estimates) == ["lambda", "mu", "sigma"]
+        lam_hat, lam_lo, lam_hi = r.estimates["lambda"]
         assert lam_lo < lam_hat < lam_hi
         assert r.q_conditional > 0 and r.q_predictive > 0
 
 
 def test_single_realization_track_pareto_columns():
     records = single_realization_track(PARETO_MODEL, [5], q=0.99, K_sims=10_000, seed=12)
-    assert records[0].xi_est is not None
-    assert records[0].mu_est is None
+    assert list(records[0].estimates) == ["lambda", "xi"]
 
 
 def test_single_realization_track_validates_grid():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riskcap import bayes, mc_engine
+from riskcap import mc_engine
 from riskcap.bayes import NIXParams, PosteriorState, sample_posterior
 from riskcap.distributions import (
     GammaParams,
@@ -154,7 +154,7 @@ def test_conditional_kernel_matches_reference_loop(sev):
     [
         PosteriorState("lognormal", NIX),
         PosteriorState("pareto-tail", GammaParams(21.0, 0.1), threshold_L=1.0),
-        bayes.truncate_posterior(PosteriorState("lognormal", NIX), {"sigma_sq": (0.0, 4.0)}),
+        PosteriorState("lognormal", NIX, truncation={"sigma_sq": (0.0, 4.0)}),
     ],
     ids=["lognormal", "pareto", "truncated-lognormal"],
 )
@@ -214,7 +214,7 @@ def test_conditional_kernel_exact_across_chunk_edges(sev, monkeypatch):
     [
         PosteriorState("lognormal", NIX),
         PosteriorState("pareto-tail", GammaParams(21.0, 0.1), threshold_L=1.0),
-        bayes.truncate_posterior(PosteriorState("lognormal", NIX), {"sigma_sq": (0.0, 4.0)}),
+        PosteriorState("lognormal", NIX, truncation={"sigma_sq": (0.0, 4.0)}),
     ],
     ids=["lognormal", "pareto", "truncated-lognormal"],
 )
