@@ -14,6 +14,7 @@ by the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +40,9 @@ __all__ = [
     "laplace_approximation",
 ]
 
-# Truncation bounds holding less posterior mass than this are refused, and so
-# is rejection sampling whose probe batch accepts a smaller share.
+# Truncation bounds holding less posterior mass than this are refused when the
+# posterior is built. The mass is exact, so it is also the expected acceptance
+# rate of rejection sampling inside the bounds, which checks nothing itself.
 MIN_TRUNCATION_ACCEPTANCE = 1e-4
 
 
@@ -68,6 +70,11 @@ class NIXParams:
             raise ValueError(f"prec_phi must be positive, got {self.prec_phi}")
 
 
+#: Each posterior family's parameter type and parameter names.
+_FAMILIES = {"poisson-rate": (GammaParams, ("lambda",)), "pareto-tail": (GammaParams, ("xi",)),
+             "lognormal": (NIXParams, ("mu", "sigma_sq"))}
+
+
 @dataclass(frozen=True)
 class PosteriorState:
     """A tagged conjugate posterior, optionally truncated.
@@ -75,8 +82,9 @@ class PosteriorState:
     ``family`` is one of ``poisson-rate``, ``lognormal``, ``pareto-tail``.
     ``truncation`` maps parameter names ("lambda", "xi", "mu", "sigma_sq")
     to (lower, upper) bounds; use -inf/inf for one-sided bounds. Sampling is
-    by rejection, so bounds holding less than ``MIN_TRUNCATION_ACCEPTANCE``
-    of a parameter's marginal posterior mass are refused.
+    by rejection, so a box of bounds holding less than
+    ``MIN_TRUNCATION_ACCEPTANCE`` of the joint posterior mass is refused here,
+    and this exact mass is the only check that a truncation is usable.
     ``threshold_L`` is the Pareto severity threshold, carried alongside the
     tail-index posterior so predictive simulation can draw severities.
     """
@@ -89,32 +97,25 @@ class PosteriorState:
     def __post_init__(self):
         if self.threshold_L is not None and not self.threshold_L > 0:
             raise ValueError(f"threshold_L must be positive, got {self.threshold_L}")
-        if self.family in ("poisson-rate", "pareto-tail"):
-            if not isinstance(self.params, GammaParams):
-                raise TypeError(f"{self.family} posterior requires GammaParams")
-        elif self.family == "lognormal":
-            if not isinstance(self.params, NIXParams):
-                raise TypeError("lognormal posterior requires NIXParams")
-        else:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown posterior family: {self.family}")
+        if not isinstance(self.params, _FAMILIES[self.family][0]):
+            raise TypeError(f"{self.family} posterior requires {_FAMILIES[self.family][0].__name__}")
         if self.truncation is not None:
             for name, (lo, hi) in self.truncation.items():
                 if name not in self.param_names:
                     raise ValueError(f"unknown parameter {name!r} for {self.family}")
                 if not lo < hi:
                     raise ValueError(f"empty truncation range for {name!r}: ({lo}, {hi})")
-            for name, mass in _truncated_masses(self).items():
-                if mass < MIN_TRUNCATION_ACCEPTANCE:
-                    raise ValueError(f"truncation region for {name!r} holds posterior mass "
-                                     f"{mass:.3g}, below {MIN_TRUNCATION_ACCEPTANCE}")
+            mass = _truncation_mass(self)
+            if mass is not None and mass < MIN_TRUNCATION_ACCEPTANCE:
+                names = ", ".join(map(repr, self.truncation))
+                raise ValueError(f"truncation region for {names} holds posterior mass "
+                                 f"{mass:.3g}, below {MIN_TRUNCATION_ACCEPTANCE}")
 
     @property
     def param_names(self) -> tuple:
-        if self.family == "poisson-rate":
-            return ("lambda",)
-        if self.family == "pareto-tail":
-            return ("xi",)
-        return ("mu", "sigma_sq")
+        return _FAMILIES[self.family][1]
 
     def bounds(self, name: str) -> tuple:
         if self.truncation and name in self.truncation:
@@ -239,23 +240,59 @@ def noninformative_pareto(severities, threshold_L: float) -> GammaParams:
 # Truncation, sampling, summaries
 
 
-def _truncated_masses(state: PosteriorState) -> dict:
-    """Each truncated parameter's marginal posterior mass inside its bounds.
+def _truncation_mass(state: PosteriorState) -> float | None:
+    """The exact posterior mass inside the truncation box.
 
-    For the lognormal pair the smaller one bounds the mass of the box. None
-    for a lognormal posterior with ``dof_nu <= 0``, which sampling refuses.
+    None for a lognormal posterior with ``dof_nu <= 0``, which sampling refuses.
     """
     p = state.params
     if isinstance(p, GammaParams):
-        cdfs = {state.param_names[0]: lambda x: _gamma_cdf(p, x)}
-    elif p.dof_nu > 0:  # sigma_sq = beta / W with W ~ ChiSq(nu); mu's marginal is a t
-        t_scale = math.sqrt(p.scale_beta / (p.prec_phi * p.dof_nu))
-        cdfs = {"sigma_sq": lambda s2: special.gammaincc(p.dof_nu / 2, p.scale_beta / s2 / 2)
-                if s2 > 0 else 0.0,
-                "mu": lambda mu: special.stdtr(p.dof_nu, (mu - p.loc_theta) / t_scale)}
-    else:
-        return {}
-    return {name: cdfs[name](hi) - cdfs[name](lo) for name, (lo, hi) in state.truncation.items()}
+        lo, hi = state.bounds(state.param_names[0])
+        return _gamma_cdf(p, hi) - _gamma_cdf(p, lo)
+    if p.dof_nu <= 0:
+        return None
+    u_bounds = [_sigma_sq_cdf(p, s2) for s2 in state.bounds("sigma_sq")]
+    return _nix_box_mass(p, state.bounds("mu"), u_bounds)
+
+
+def _sigma_sq_cdf(p: NIXParams, s2: float) -> float:
+    """P(sigma_sq <= s2): sigma_sq = beta / W with W ~ ChiSq(nu)."""
+    return special.gammaincc(p.dof_nu / 2, p.scale_beta / s2 / 2) if s2 > 0 else 0.0
+
+
+def _t_scale(p: NIXParams) -> float:
+    """Scale of mu's marginal, a t with dof_nu degrees of freedom centred on loc_theta."""
+    return math.sqrt(p.scale_beta / (p.prec_phi * p.dof_nu))
+
+
+@functools.cache
+def _legendre_200():
+    """Gauss-Legendre nodes and weights on [-1, 1]; computing them takes about 50 ms."""
+    return np.polynomial.legendre.leggauss(200)
+
+
+def _nix_box_mass(p: NIXParams, m_bounds, u_bounds) -> float:
+    """P(mu in ``m_bounds``, u in ``u_bounds``), where u = P(sigma_sq <= s) is
+    sigma_sq's probability coordinate: inclusion-exclusion over the corners.
+
+    A corner P(mu <= m, u' <= u) takes a closed form on an infinite edge
+    (u = 1 is s = inf); otherwise it is the integral over u' in [0, u] of
+    P(mu <= m | sigma_sq at u'), on 200 Gauss-Legendre nodes.
+    """
+    def corner(m, u):
+        if u <= 0 or m == -math.inf:
+            return 0.0
+        if m == math.inf:
+            return u
+        if u >= 1:
+            return special.stdtr(p.dof_nu, (m - p.loc_theta) / _t_scale(p))
+        x, w = _legendre_200()
+        chi2 = 2 * special.gammainccinv(p.dof_nu / 2, u * (x + 1) / 2)  # beta / sigma_sq
+        z = (m - p.loc_theta) * np.sqrt(p.prec_phi * chi2 / p.scale_beta)
+        return u / 2 * math.fsum(w * special.ndtr(z))  # fsum: the same bits on any BLAS
+
+    (m_lo, m_hi), (u_lo, u_hi) = m_bounds, u_bounds
+    return corner(m_hi, u_hi) - corner(m_lo, u_hi) - corner(m_hi, u_lo) + corner(m_lo, u_lo)
 
 
 def prob_tail_index_below(state: PosteriorState, threshold: float = 1.0) -> float:
@@ -276,75 +313,42 @@ def sample_posterior(state: PosteriorState, rng: RngStream, size=None):
 
     Gamma-type families return lambda or xi draws; the lognormal family
     returns a (mu, sigma_sq) pair of arrays. Truncation is honored by
-    rejection, with a guard against pathologically small acceptance rates.
+    rejection; its acceptance rate is the truncation mass ``PosteriorState``
+    checked.
     """
-    scalar = size is None
-    n = 1 if scalar else int(size)
-    if isinstance(state.params, GammaParams):
-        name = state.param_names[0]
-        lo, hi = state.bounds(name)
-        draw = lambda k: rng.generator.gamma(state.params.shape, state.params.scale, size=k)
-        if math.isinf(lo) and math.isinf(hi):
-            out = draw(n)
-        else:
-            accept = lambda v: (v > lo) & (v < hi)
-            out = _rejection_sample(draw, accept, n)
-        return float(out[0]) if scalar else out
-
-    # lognormal: sigma_sq ~ InvChiSq(nu, beta), then mu | sigma_sq ~ N(theta, sigma_sq/phi)
     p = state.params
-    if p.dof_nu <= 0:
-        raise ValueError(
-            f"lognormal posterior is not samplable: dof_nu = {p.dof_nu} (need > 0)"
-        )
-    mu_lo, mu_hi = state.bounds("mu")
-    s2_lo, s2_hi = state.bounds("sigma_sq")
-
-    def draw(k):
-        g = rng.generator
-        s2 = p.scale_beta / g.chisquare(p.dof_nu, size=k)
-        mu = g.normal(p.loc_theta, np.sqrt(s2 / p.prec_phi), size=k)
-        return np.column_stack([mu, s2])
-
-    if all(math.isinf(b) for b in (mu_lo, mu_hi, s2_lo, s2_hi)):
+    g = rng.generator
+    if isinstance(p, GammaParams):
+        draw = lambda k: g.gamma(p.shape, p.scale, size=k)[:, None]
+    elif p.dof_nu > 0:  # sigma_sq ~ InvChiSq(nu, beta), then mu | sigma_sq ~ N(theta, sigma_sq/phi)
+        def draw(k):
+            s2 = p.scale_beta / g.chisquare(p.dof_nu, size=k)
+            return np.column_stack([g.normal(p.loc_theta, np.sqrt(s2 / p.prec_phi), size=k), s2])
+    else:
+        raise ValueError(f"lognormal posterior is not samplable: dof_nu = {p.dof_nu} (need > 0)")
+    lo, hi = np.array([state.bounds(name) for name in state.param_names]).T
+    n = 1 if size is None else int(size)
+    if np.all(np.isinf(lo) & np.isinf(hi)):
         out = draw(n)
     else:
-
-        def accept(v):
-            return (
-                (v[:, 0] > mu_lo) & (v[:, 0] < mu_hi) & (v[:, 1] > s2_lo) & (v[:, 1] < s2_hi)
-            )
-
-        out = _rejection_sample(draw, accept, n)
-    mu, s2 = out[:, 0], out[:, 1]
-    if scalar:
-        return float(mu[0]), float(s2[0])
-    return mu, s2
+        out = _rejection_sample(draw, lo, hi, n)
+    cols = [float(c[0]) for c in out.T] if size is None else list(out.T)
+    return cols[0] if len(cols) == 1 else tuple(cols)
 
 
-def _rejection_sample(draw, accept, n):
-    """Accumulate n accepted draws; error if acceptance collapses."""
+def _rejection_sample(draw, lo, hi, n):
+    """Accumulate n draws whose every column j lies in (lo[j], hi[j]).
+    ``PosteriorState`` refused the bounds if they hold too little mass, so
+    the loop ends."""
     kept = []
     got = 0
-    proposed = 0
-    accepted = 0
-    probe_checked = False
     while got < n:
-        batch = max(n - got, 1000)
-        v = draw(batch)
-        mask = accept(v)
-        proposed += batch
-        accepted += int(mask.sum())
-        if not probe_checked and proposed >= 1000:
-            probe_checked = True
-            if accepted / proposed < MIN_TRUNCATION_ACCEPTANCE:
-                raise ValueError(
-                    "truncated-posterior rejection sampling acceptance rate below "
-                    f"{MIN_TRUNCATION_ACCEPTANCE}; bounds are too restrictive"
-                )
-        v_ok = v[mask]
-        kept.append(v_ok)
-        got += v_ok.shape[0]
+        v = draw(max(n - got, 1000))
+        ok = np.ones(len(v), dtype=bool)
+        for col, a, b in zip(v.T, lo, hi):
+            ok &= (col > a) & (col < b)
+        kept.append(v[ok])
+        got += kept[-1].shape[0]
     out = np.concatenate(kept)
     return out[:n]
 
@@ -367,17 +371,13 @@ def _chi2_ppf(p, dof):
     return 2 * special.gammaincinv(dof / 2, p)
 
 
-#: Number of draws used for empirical credible intervals of truncated posteriors.
-EMPIRICAL_CI_DRAWS = 10**6
-
-
-def credible_interval(state: PosteriorState, level: float, rng: RngStream | None = None) -> dict:
+def credible_interval(state: PosteriorState, level: float) -> dict:
     """Central (equal-tail) credible interval for each posterior parameter.
 
-    Untruncated posteriors, and truncated Gamma-type ones, use exact numeric
-    inversion of the marginal CDFs. A truncated lognormal posterior falls back
-    to empirical quantiles of 10^6 rejection draws from ``rng``, which it
-    then requires, so the caller's seed fixes the interval.
+    Every interval is exact and draws nothing. Untruncated posteriors, and
+    truncated Gamma-type ones, invert the marginal CDFs in closed form. A
+    truncated lognormal posterior inverts each parameter's marginal CDF inside
+    the box, the box's exact mass up to the parameter's value, numerically.
     """
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -391,31 +391,39 @@ def credible_interval(state: PosteriorState, level: float, rng: RngStream | None
         q = _gamma_ppf(state.params, c_lo + np.array([p_lo, p_hi]) * (c_hi - c_lo))
         return {name: (float(q[0]), float(q[1]))}
 
-    if state.truncation:
-        if rng is None:
-            raise ValueError("a truncated lognormal posterior's interval needs an rng stream")
-        mu, s2 = sample_posterior(state, rng, size=EMPIRICAL_CI_DRAWS)
-        return {
-            "mu": tuple(np.quantile(mu, [p_lo, p_hi])),
-            "sigma_sq": tuple(np.quantile(s2, [p_lo, p_hi])),
-        }
-
     p = state.params
-    # The marginal of mu is a t with dof_nu degrees of freedom, centred on
-    # loc_theta, with scale sqrt(scale_beta / (prec_phi * dof_nu)).
     if p.dof_nu <= 0:
         raise ValueError(f"marginal of mu requires dof_nu > 0, got {p.dof_nu}")
-    t_scale = math.sqrt(p.scale_beta / (p.prec_phi * p.dof_nu))
-    mu_iv = (
-        p.loc_theta + t_scale * special.stdtrit(p.dof_nu, p_lo),
-        p.loc_theta + t_scale * special.stdtrit(p.dof_nu, p_hi),
-    )
+    if state.truncation:
+        return _truncated_nix_interval(state, (p_lo, p_hi))
+    probs = np.array([p_lo, p_hi])
+    mu_iv = p.loc_theta + _t_scale(p) * special.stdtrit(p.dof_nu, probs)
     # sigma_sq = beta / W with W ~ ChiSq(nu): quantile_p = beta / chi2 quantile(1-p, nu)
-    s2_iv = (
-        p.scale_beta / _chi2_ppf(1.0 - p_lo, p.dof_nu),
-        p.scale_beta / _chi2_ppf(1.0 - p_hi, p.dof_nu),
-    )
-    return {"mu": (float(mu_iv[0]), float(mu_iv[1])), "sigma_sq": (float(s2_iv[0]), float(s2_iv[1]))}
+    s2_iv = p.scale_beta / _chi2_ppf(1.0 - probs, p.dof_nu)
+    return {"mu": tuple(map(float, mu_iv)), "sigma_sq": tuple(map(float, s2_iv))}
+
+
+def _truncated_nix_interval(state: PosteriorState, probs) -> dict:
+    """Quantiles ``probs`` of mu and sigma_sq inside a lognormal posterior's box.
+
+    Each is solved in probability coordinates, where the bracket is finite:
+    mu's marginal t CDF, and u = P(sigma_sq <= s).
+    """
+    from scipy.optimize import brentq  # only this function needs it; it is slow to import
+
+    p = state.params
+    m_lo, m_hi = state.bounds("mu")
+    u_lo, u_hi = (_sigma_sq_cdf(p, s2) for s2 in state.bounds("sigma_sq"))
+    mass = _truncation_mass(state)
+    t_of = lambda m: special.stdtr(p.dof_nu, (m - p.loc_theta) / _t_scale(p))
+    m_of = lambda t: (p.loc_theta + _t_scale(p) * special.stdtrit(p.dof_nu, t)
+                      if t > 0 else -math.inf)  # stdtrit gives +inf at t = 0
+    mu_cdf = lambda t: _nix_box_mass(p, (m_lo, m_of(t)), (u_lo, u_hi)) / mass
+    s2_cdf = lambda u: _nix_box_mass(p, (m_lo, m_hi), (u_lo, u)) / mass
+    mu = [m_of(brentq(lambda t: mu_cdf(t) - q, t_of(m_lo), t_of(m_hi))) for q in probs]
+    u = [brentq(lambda u: s2_cdf(u) - q, u_lo, u_hi) for q in probs]
+    s2 = [p.scale_beta / (2 * special.gammainccinv(p.dof_nu / 2, v)) for v in u]
+    return {"mu": tuple(map(float, mu)), "sigma_sq": tuple(map(float, s2))}
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ class CellModel:
     Priors default to non-informative (improper constant); pass explicit
     GammaParams / NIXParams to use conjugate informative priors. Setting
     ``enforce_finite_mean`` truncates the Pareto tail-index posterior to
-    xi > 1 so the predictive loss has a finite mean.
+    xi > 1 so the predictive loss has a finite mean; a lognormal cell, whose
+    mean is always finite, refuses it.
     """
 
     cell_id: str
@@ -84,6 +85,9 @@ class CellModel:
                 raise ValueError(f"truncation of {name!r} must bound one of {names} by lo < hi")
         if not isinstance(self.enforce_finite_mean, bool):
             raise TypeError(f"enforce_finite_mean must be a bool, got {self.enforce_finite_mean!r}")
+        if self.enforce_finite_mean and self.severity_family != "pareto":
+            raise ValueError("enforce_finite_mean bounds a Pareto tail index; "
+                             "a lognormal cell's mean is always finite")
 
 
 @dataclass(frozen=True)
@@ -177,23 +181,23 @@ def fit_posteriors(model: CellModel, data: LossData) -> tuple[PosteriorState, Po
     return post_freq, post_sev
 
 
-def fit_summary(mle: MleReport, post_freq: PosteriorState, post_sev: PosteriorState,
-                rng: RngStream | None = None) -> dict:
-    """Each parameter's MLE with its 0.95 posterior credible interval.
+def fit_summary(mle: MleReport | None, post_freq: PosteriorState, post_sev: PosteriorState) -> dict:
+    """Each parameter's MLE with its exact 0.95 posterior credible interval.
 
-    Maps the parameter name to ``(estimate, lower, upper)``. Lognormal cells
-    report ``sigma``, whose interval is the square root of the ``sigma_sq``
-    interval. ``rng`` is needed only by a truncated lognormal posterior.
+    Maps the parameter name to ``(estimate, lower, upper)``; every estimate is
+    None when ``mle`` is, for a history that only informative priors carry.
+    Lognormal cells report ``sigma``, whose interval is the square root of
+    the ``sigma_sq`` interval.
     """
-    summary = {"lambda": (mle.lambda_hat, *bayes.credible_interval(post_freq, 0.95)["lambda"])}
-    iv = bayes.credible_interval(post_sev, 0.95, rng)
-    sev = mle.severity
-    if isinstance(sev, LognormalParams):
-        summary["mu"] = (sev.mu, *iv["mu"])
-        summary["sigma"] = tuple(float(np.sqrt(v)) for v in (sev.sigma_sq, *iv["sigma_sq"]))
-    else:
-        summary["xi"] = (sev.xi, *iv["xi"])
-    return summary
+    iv = {**bayes.credible_interval(post_freq, 0.95), **bayes.credible_interval(post_sev, 0.95)}
+    if "sigma_sq" in iv:
+        iv["sigma"] = tuple(float(np.sqrt(v)) for v in iv.pop("sigma_sq"))
+    point = {}
+    if mle is not None:
+        sev = mle.severity
+        point = ({"lambda": mle.lambda_hat, "mu": sev.mu, "sigma": float(np.sqrt(sev.sigma_sq))}
+                 if isinstance(sev, LognormalParams) else {"lambda": mle.lambda_hat, "xi": sev.xi})
+    return {name: (point.get(name), *bounds) for name, bounds in iv.items()}
 
 
 def conditional_capital(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -246,28 +245,34 @@ def _fmt(x, digits=4):
 
 def cmd_fit(args):
     cfg = load_config(args.config)
-    seed = resolve_seed(args.seed, cfg.get("seed"))
     rows = []
-    print(f"# seed={seed}")
     for c in cfg["cells"]:
         model, data = _load_cell(c)
-        mle = capital_mod.fit_mle(model, data)
-        # Only a truncated lognormal posterior draws samples here.
-        fit_rng = RngStream(seed).substream("fit", model.cell_id)
-        summary = capital_mod.fit_summary(mle, *capital_mod.fit_posteriors(model, data), fit_rng)
+        no_mle = None
+        try:
+            mle = capital_mod.fit_mle(model, data)
+        except InsufficientDataError as e:  # informative priors may still carry the cell
+            mle, no_mle = None, e
+        try:
+            posteriors = capital_mod.fit_posteriors(model, data)
+        except InsufficientDataError as e:
+            raise no_mle or e
+        summary = capital_mod.fit_summary(mle, *posteriors)
 
         print(f"cell {model.cell_id} ({model.severity_family} severity, "
               f"{data.years} years, {data.severities.size} events)")
+        if no_mle is not None:
+            print(f"  no MLE ({no_mle}); posterior intervals only")
         for name, (estimate, lo, hi) in summary.items():
-            print(f"  {name + ':':7} {_fmt(estimate)} ({_fmt(lo)}, {_fmt(hi)})")
+            shown = "" if estimate is None else _fmt(estimate) + " "
+            print(f"  {name + ':':7} {shown}({_fmt(lo)}, {_fmt(hi)})")
             rows.append([model.cell_id, name, estimate, lo, hi])
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            fh.write(f"# seed={seed}\n")
             w = csv.writer(fh)
             w.writerow(["cell_id", "parameter", "estimate", "ci_lower", "ci_upper"])
             for row in rows:
-                w.writerow([row[0], row[1]] + [repr(float(v)) for v in row[2:]])
+                w.writerow(row[:2] + ["" if v is None else repr(float(v)) for v in row[2:]])
     return 0
 
 
@@ -295,28 +300,15 @@ def cmd_capital(args):
                 capital_mod.predictive_capital(model, data, q, K, gamma, seed, workers=args.workers)
             )
 
-    out = io.StringIO()
-    out.write(f"# seed={seed}\n")
-    w = csv.writer(out)
-    w.writerow(CAPITAL_COLUMNS)
-    for r in reports:
-        e = r.estimate
-        w.writerow(
-            [
-                r.cell_id,
-                r.mode,
-                repr(float(e.q)),
-                e.K,
-                repr(float(e.value)),
-                repr(float(e.ci_lower)),
-                repr(float(e.ci_upper)),
-                "; ".join(r.warnings),
-            ]
-        )
-    text = out.getvalue()
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            fh.write(text)
+            fh.write(f"# seed={seed}\n")
+            w = csv.writer(fh)
+            w.writerow(CAPITAL_COLUMNS)
+            for r in reports:
+                e = r.estimate
+                numbers = (repr(float(v)) for v in (e.value, e.ci_lower, e.ci_upper))
+                w.writerow([r.cell_id, r.mode, repr(float(e.q)), e.K, *numbers, "; ".join(r.warnings)])
     print(f"# seed={seed}")
     for r in reports:
         e = r.estimate
@@ -369,20 +361,15 @@ def cmd_aggregate(args):
                 f"{first[r['cell_id']]['source']}; each cell enters the bank total once"
             )
     total = sum(r["value"] for r in rows)
-    out = io.StringIO()
-    w = csv.writer(out)
-    w.writerow(CAPITAL_COLUMNS)
-    for r in rows:
-        w.writerow(
-            [r["cell_id"], r["mode"], repr(r["q"]), r["K"], repr(r["value"]),
-             repr(r["ci_lower"]), repr(r["ci_upper"]), r["warnings"]]
-        )
-    w.writerow(["TOTAL", rows[0]["mode"], repr(rows[0]["q"]), "", repr(total), "", "",
-                capital_mod.AGGREGATION_NOTE])
-    text = out.getvalue()
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+            w = csv.writer(fh)
+            w.writerow(CAPITAL_COLUMNS)
+            for r in rows:
+                w.writerow([r["cell_id"], r["mode"], repr(r["q"]), r["K"], repr(r["value"]),
+                            repr(r["ci_lower"]), repr(r["ci_upper"]), r["warnings"]])
+            w.writerow(["TOTAL", rows[0]["mode"], repr(rows[0]["q"]), "", repr(total), "", "",
+                        capital_mod.AGGREGATION_NOTE])
     print(f"bank total [{rows[0]['mode']}] Q_{rows[0]['q']:g} = {_fmt(total)}")
     print(f"note: {capital_mod.AGGREGATION_NOTE}")
     return 0
@@ -480,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="MLEs and posterior summaries")
     fit.add_argument("--config", required=True)
-    fit.add_argument("--seed", type=int)
     fit.add_argument("--csv")
     fit.set_defaults(func=cmd_fit)
 

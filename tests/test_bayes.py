@@ -253,7 +253,43 @@ def test_truncation_acceptance_fraction():
             PosteriorState(family, params, truncation={name: bounds})
 
 
-def test_truncation_box_without_joint_mass_fails_at_sampling():
+def test_truncation_masses_of_one_parameter_are_the_closed_forms():
+    # Exact to the bit: the box mass takes a closed form on every infinite edge.
+    p = TRUNCATION_NIX
+    gamma = GammaParams(6.0, 0.5)
+    u = lambda s2: special.gammaincc(p.dof_nu / 2, p.scale_beta / s2 / 2)
+    t = lambda mu: special.stdtr(p.dof_nu, (mu - p.loc_theta) / math.sqrt(
+        p.scale_beta / (p.prec_phi * p.dof_nu)))
+    cases = [
+        ("poisson-rate", gamma, "lambda", (1.0, 4.0),
+         special.gammainc(6.0, 4.0 / 0.5) - special.gammainc(6.0, 1.0 / 0.5)),
+        ("lognormal", p, "sigma_sq", (0.3, 1.2), u(1.2) - u(0.3)),
+        ("lognormal", p, "sigma_sq", (-math.inf, 1.2), u(1.2) - 0.0),
+        ("lognormal", p, "mu", (0.8, 1.4), t(1.4) - t(0.8)),
+        ("lognormal", p, "mu", (0.8, math.inf), t(math.inf) - t(0.8)),
+    ]
+    for family, params, name, bounds, mass in cases:
+        assert bayes._truncation_mass(PosteriorState(family, params, {name: bounds})) == mass
+
+
+def test_truncation_box_mass_matches_draws():
+    p = TRUNCATION_NIX
+    state = PosteriorState("lognormal", p)
+    (m_lo, m_hi), (s_lo, s_hi) = (1.1, 1.6), (0.3, 1.2)
+    mass = bayes._truncation_mass(
+        PosteriorState("lognormal", p, {"mu": (m_lo, m_hi), "sigma_sq": (s_lo, s_hi)})
+    )
+    rng = RngStream(23)
+    inside = 0
+    for _ in range(4):
+        mu, s2 = sample_posterior(state, rng, size=10**6)
+        inside += int(np.sum((mu > m_lo) & (mu < m_hi) & (s2 > s_lo) & (s2 < s_hi)))
+    sd = math.sqrt(mass * (1 - mass) / 4e6)
+    assert 0.05 < mass < 0.95
+    assert abs(inside / 4e6 - mass) < 3 * sd
+
+
+def test_truncation_box_without_joint_mass_fails_when_built():
     # Each marginal holds 1e-3 of the mass, but a tiny sigma_sq leaves mu no
     # room to reach its upper tail: the joint box is empty in practice.
     p = TRUNCATION_NIX
@@ -262,9 +298,58 @@ def test_truncation_box_without_joint_mass_fails_at_sampling():
         "mu": (stats.t(p.dof_nu, loc=p.loc_theta, scale=scale).isf(1e-3), math.inf),
         "sigma_sq": (0.0, p.scale_beta / stats.chi2(p.dof_nu).isf(1e-3)),
     }
-    state = PosteriorState("lognormal", p, truncation=box)
-    with pytest.raises(ValueError, match="acceptance"):
-        sample_posterior(state, RngStream(17), size=10)
+    for name, bounds in box.items():
+        PosteriorState("lognormal", p, truncation={name: bounds})
+    with pytest.raises(ValueError, match="truncation region for 'mu', 'sigma_sq'"):
+        PosteriorState("lognormal", p, truncation=box)
+
+
+def test_truncation_low_mass_samples_for_every_seed():
+    # The region holds 3e-4 of the mass: a first batch of 1000 proposals often
+    # accepts none, which is no reason to refuse it.
+    family, params, bounds = _region_with_mass("lambda", 3e-4)
+    state = PosteriorState(family, params, truncation={"lambda": bounds})
+    for seed in range(20):
+        draws = sample_posterior(state, RngStream(seed), size=500)
+        assert draws.shape == (500,) and np.all(draws > bounds[0])
+
+
+def _edges(draw, quantile):
+    """Bounds at two drawn probabilities; a None draw gives an infinite edge."""
+    lo, hi = (draw(st.none() | st.floats(1e-9, 1 - 1e-9)) for _ in range(2))
+    if lo is not None and hi is not None:
+        lo, hi = sorted((lo, hi))
+    return (-math.inf if lo is None else quantile(lo), math.inf if hi is None else quantile(hi))
+
+
+@st.composite
+def truncated_posteriors(draw):
+    if draw(st.booleans()):
+        params = GammaParams(draw(st.floats(0.5, 50)), draw(st.floats(0.05, 5)))
+        dist = stats.gamma(params.shape, scale=params.scale)
+        return "poisson-rate", params, {"lambda": _edges(draw, dist.ppf)}
+    p = NIXParams(draw(st.floats(1, 60)), draw(st.floats(0.1, 100)), draw(st.floats(-5, 5)),
+                  draw(st.floats(0.5, 100)))
+    t = stats.t(p.dof_nu, loc=p.loc_theta, scale=math.sqrt(p.scale_beta / (p.prec_phi * p.dof_nu)))
+    box = {"mu": _edges(draw, t.ppf),
+           "sigma_sq": _edges(draw, lambda q: p.scale_beta / stats.chi2(p.dof_nu).isf(q))}
+    return "lognormal", p, {k: v for k, v in box.items() if draw(st.booleans())} or box
+
+
+@settings(max_examples=30, deadline=None)
+@given(truncated_posteriors(), st.integers(0, 2**32))
+def test_truncation_is_refused_when_built_or_sampled_inside(posterior, seed):
+    # The one rule: no exit is left to depend on the sample size or the seed.
+    family, params, box = posterior
+    try:
+        state = PosteriorState(family, params, truncation=box)
+    except ValueError:
+        return
+    for size in (1, 500):
+        draws = sample_posterior(state, RngStream(seed), size=size)
+        named = dict(zip(state.param_names, draws if family == "lognormal" else [draws]))
+        for name, (lo, hi) in box.items():
+            assert np.all((named[name] > lo) & (named[name] < hi))
 
 
 def test_truncation_identity_bounds():
@@ -356,16 +441,19 @@ def test_credible_interval_bad_level():
         credible_interval(state, 1.5)
 
 
-def test_credible_interval_truncated_lognormal_needs_rng():
+def test_credible_interval_truncated_lognormal_matches_draws():
+    # Exact, and drawn from no stream: 1e6 draws put each end of the interval
+    # at its probability within their Monte Carlo error.
     nix = NIXParams(dof_nu=5.0, scale_beta=4.0, loc_theta=1.0, prec_phi=8.0)
-    state = PosteriorState("lognormal", nix, truncation={"sigma_sq": (0.0, 1.0)})
-    # No hidden default stream: the caller's seed fixes the interval.
-    with pytest.raises(ValueError, match="rng"):
-        credible_interval(state, 0.95)
-    assert credible_interval(state, 0.95, RngStream(3)) == credible_interval(
-        state, 0.95, RngStream(3)
-    )
-    # A truncated Gamma-type interval is exact and draws nothing.
+    box = {"mu": (0.7, math.inf), "sigma_sq": (0.0, 1.0)}
+    state = PosteriorState("lognormal", nix, truncation=box)
+    iv = credible_interval(state, 0.95)
+    mu, s2 = sample_posterior(state, RngStream(3), size=10**6)
+    sd = math.sqrt(0.025 * 0.975 / 10**6)
+    for draws, (lo, hi) in ((mu, iv["mu"]), (s2, iv["sigma_sq"])):
+        assert np.mean(draws <= lo) == pytest.approx(0.025, abs=3 * sd)
+        assert np.mean(draws <= hi) == pytest.approx(0.975, abs=3 * sd)
+    # A truncated Gamma-type interval is exact too.
     gamma = PosteriorState("poisson-rate", GammaParams(6.0, 0.5), truncation={"lambda": (1.0, 4.0)})
     lo, hi = credible_interval(gamma, 0.95)["lambda"]
     assert 1.0 < lo < hi < 4.0

@@ -170,10 +170,9 @@ def test_fit_command(tmp_path, config_file, capsys):
     rc = main(["fit", "--config", config_file, "--csv", out_csv])
     assert rc == 0
     captured = capsys.readouterr().out
-    assert "lambda" in captured and "# seed=99" in captured
+    assert "lambda" in captured and "seed" not in captured
     lines = open(out_csv).read().splitlines()
-    assert lines[0] == "# seed=99"
-    assert lines[1] == "cell_id,parameter,estimate,ci_lower,ci_upper"
+    assert lines[0] == "cell_id,parameter,estimate,ci_lower,ci_upper"
 
 
 def test_capital_command_byte_identical(tmp_path, config_file):
@@ -189,23 +188,19 @@ def test_capital_command_byte_identical(tmp_path, config_file):
     assert all(r["ci_lower"] <= r["value"] <= r["ci_upper"] for r in rows)
 
 
-def test_fit_truncated_interval_follows_seed(tmp_path, config_file):
+def test_fit_csv_does_not_depend_on_the_seed(tmp_path, config_file, monkeypatch):
+    # fit draws nothing: even a truncated lognormal interval is exact.
     cfg = json.loads(open(config_file).read())
     cfg["cells"][0]["truncation"] = {"sigma_sq": [None, 2.0]}
     config = _write(tmp_path / "trunc.json", json.dumps(cfg))
-
-    def fit_rows(seed, name):
-        out = str(tmp_path / name)
-        assert main(["fit", "--config", config, "--seed", str(seed), "--csv", out]) == 0
-        text = open(out).read()
-        return text, {line.split(",")[1]: line for line in text.splitlines()[2:]}
-
-    text_1, rows_1 = fit_rows(1, "a.csv")
-    text_1_again, _ = fit_rows(1, "b.csv")
-    _, rows_2 = fit_rows(2, "c.csv")
-    assert text_1 == text_1_again
-    assert rows_1["sigma"] != rows_2["sigma"]
-    assert rows_1["lambda"] == rows_2["lambda"]  # exact interval, no draws
+    texts = []
+    for seed in ("1", "2"):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+        out = tmp_path / f"fit-{seed}.csv"
+        assert main(["fit", "--config", config, "--csv", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert "cell-a,sigma," in texts[0]
 
 
 def test_capital_non_finite_losses_exit_code(tmp_path, capsys):
@@ -231,7 +226,8 @@ def test_capital_non_finite_losses_exit_code(tmp_path, capsys):
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
     code = (
         "import sys, riskcap.cli; "
-        "print(*(m in sys.modules for m in ('scipy.special', 'scipy.stats', 'scipy.optimize')))"
+        "print(*(m in sys.modules for m in "
+        "('scipy.special', 'scipy.stats', 'scipy.optimize', 'scipy.integrate')))"
     )
     src = str(Path(riskcap.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -239,7 +235,7 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     # scipy.special is imported up front, so its cost is not moved into the first call.
-    assert out.stdout.split() == ["True", "False", "False"]
+    assert out.stdout.split() == ["True", "False", "False", "False"]
 
 
 def test_capital_insufficient_data_exit_code(tmp_path):
@@ -386,13 +382,14 @@ def test_row_numbers_count_comment_lines(tmp_path):
         {"truncation": {"xi": [1.0, None]}},
         {"truncation": {"sigma_sq": [3.0, 2.0]}},
         {"enforce_finite_mean": "false"},
+        {"enforce_finite_mean": True},
         {"freq_prior": {}},
         {"sev_prior": {}},
         {"sev_prior": []},
     ],
     ids=["no-counts", "no-events", "no-family", "freq-prior", "sev-prior", "short-bound",
          "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range",
-         "finite-mean-text", "freq-prior-empty", "sev-prior-empty", "sev-prior-list"],
+         "finite-mean-text", "finite-mean-lognormal", "freq-prior-empty", "sev-prior-empty", "sev-prior-list"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command, capsys):
@@ -470,8 +467,10 @@ def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
         {"truncation": {"sigma_sq": [1e9, None]}},
         {"truncation": {"mu": [1e6, None]}},
         {"truncation": {"mu": [3.5, None], "sigma_sq": [None, 0.05]}},
+        # Each bound alone holds more than 1e-4 of the mass; together they hold less.
+        {"truncation": {"mu": [2.0, None], "sigma_sq": [None, 0.15]}},
     ],
-    ids=["lambda", "xi", "sigma_sq", "mu", "mu-and-sigma_sq"],
+    ids=["lambda", "xi", "sigma_sq", "mu", "mu-and-sigma_sq", "joint-box"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_truncation_without_posterior_mass_exit_code(tmp_path, config_file, change, command,
@@ -533,6 +532,28 @@ def test_informative_priors_carry_a_history_too_thin_for_the_mle(tmp_path, event
     argv = ["capital", "--config", config, "--K", "1000", "--mode", "predictive", "--csv", str(out)]
     assert main(argv) == 0
     assert [r["mode"] for r in read_capital_csv(out)] == ["predictive"]
+
+
+@pytest.mark.parametrize(
+    "events, cell, params",
+    [
+        ([2.5], {"severity_family": "lognormal",
+                 "sev_prior": {"dof_nu": 4.0, "scale_beta": 16.0, "loc_theta": 1.0,
+                               "prec_phi": 2.0}}, ["lambda", "mu", "sigma"]),
+        ([1.0], {"severity_family": "pareto", "threshold_L": 1.0,
+                 "sev_prior": {"shape": 8.0, "scale": 0.25}}, ["lambda", "xi"]),
+    ],
+    ids=["lognormal", "pareto-at-threshold"],
+)
+def test_fit_reports_posterior_intervals_without_an_mle(tmp_path, events, cell, params, capsys):
+    config = _one_cell_config(tmp_path, events, freq_prior={"shape": 4.0, "scale": 0.5}, **cell)
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--config", config, "--csv", str(out)]) == 0
+    assert "no MLE" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[1] for r in rows] == params
+    for _, _, estimate, lo, hi in rows:
+        assert estimate == "" and float(lo) < float(hi)
 
 
 def test_aggregate_mixed_modes_rejected(tmp_path, config_file):

@@ -35,7 +35,7 @@ PARETO = [
 
 DIGESTS = {
     "capital": "f13a73642e6424138397791734a706249cc0b62904a3ba32257908256a6299cf",
-    "fit": "24203fd68d171b6f04d22c7e299b0d955d48976595d8be4205f7b63a31de0f1c",
+    "fit": "5b0378a2d6635d54e633e3046726ab4594b05a11a76f1e700b40eddc3ad3a6df",
     "track-lognormal": "59775983d10797527610619b5124648d53d3bfb335603934d8a0fd5f75860043",
     "track-pareto": "c91c69644a25cc00b6dacd288add299855026f5dff80454ec92d03c13b2dad8a",
     "bias-lognormal": "bc9dfc43d866bb6f583545d54e61edb8503fb76b95b55a2aca7f050863bbbb61",
