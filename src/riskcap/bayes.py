@@ -1,15 +1,15 @@
 """Conjugate posterior updates, posterior sampling, and the Gaussian
 (Laplace) approximation.
 
-Three conjugate pairs are supported:
+Three conjugate pairs are supported, each with one posterior constructor:
 
-* Poisson rate with a Gamma prior;
-* Lognormal (mu, sigma_sq) with a Normal-Inverse-Chi-squared prior;
-* Pareto tail index with a Gamma prior.
+* Poisson rate, Gamma prior: ``poisson_posterior``;
+* Lognormal (mu, sigma_sq), Normal-Inverse-Chi-squared prior: ``lognormal_posterior``;
+* Pareto tail index, Gamma prior: ``pareto_posterior``.
 
-Non-informative (improper constant) priors yield posteriors whose mode
-coincides with the maximum-likelihood estimate; this identity is enforced
-by the test suite.
+A prior of None is the non-informative (improper constant) prior, the flat
+limit of the update, whose posterior mode is the maximum-likelihood estimate
+(the test suite enforces this). ``PosteriorState`` refuses an improper posterior.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ __all__ = [
     "PosteriorState",
     "LaplaceResult",
     "InsufficientDataError",
-    "update_poisson_gamma",
-    "noninformative_poisson",
-    "update_lognormal",
-    "noninformative_lognormal",
-    "update_pareto",
-    "noninformative_pareto",
+    "poisson_posterior",
+    "lognormal_posterior",
+    "pareto_posterior",
     "sample_posterior",
     "credible_interval",
     "prob_tail_index_below",
@@ -79,7 +76,7 @@ _FAMILIES = {"poisson-rate": (GammaParams, ("lambda",)), "pareto-tail": (GammaPa
 class PosteriorState:
     """A tagged conjugate posterior, optionally truncated.
 
-    ``family`` is one of ``poisson-rate``, ``lognormal``, ``pareto-tail``.
+    ``family`` is one of ``poisson-rate``, ``lognormal`` (proper: ``dof_nu > 0``), ``pareto-tail``.
     ``truncation`` maps parameter names ("lambda", "xi", "mu", "sigma_sq")
     to (lower, upper) bounds; use -inf/inf for one-sided bounds. Sampling is
     by rejection, so a box of bounds holding less than
@@ -101,6 +98,8 @@ class PosteriorState:
             raise ValueError(f"unknown posterior family: {self.family}")
         if not isinstance(self.params, _FAMILIES[self.family][0]):
             raise TypeError(f"{self.family} posterior requires {_FAMILIES[self.family][0].__name__}")
+        if self.family == "lognormal" and not self.params.dof_nu > 0:
+            raise ValueError(f"lognormal posterior needs dof_nu > 0, got {self.params.dof_nu}")
         if self.truncation is not None:
             for name, (lo, hi) in self.truncation.items():
                 if name not in self.param_names:
@@ -108,7 +107,7 @@ class PosteriorState:
                 if not lo < hi:
                     raise ValueError(f"empty truncation range for {name!r}: ({lo}, {hi})")
             mass = _truncation_mass(self)
-            if mass is not None and mass < MIN_TRUNCATION_ACCEPTANCE:
+            if mass < MIN_TRUNCATION_ACCEPTANCE:
                 names = ", ".join(map(repr, self.truncation))
                 raise ValueError(f"truncation region for {names} holds posterior mass "
                                  f"{mass:.3g}, below {MIN_TRUNCATION_ACCEPTANCE}")
@@ -135,39 +134,45 @@ class LaplaceResult:
 # Conjugate updates
 
 
-def update_poisson_gamma(prior: GammaParams, counts) -> GammaParams:
-    """Posterior Gamma for the Poisson rate after observing annual counts."""
+def poisson_posterior(prior: GammaParams | None, counts) -> GammaParams:
+    """Posterior Gamma for the Poisson rate after observing annual counts.
+
+    A ``prior`` of None is the flat prior, which needs at least one year; the
+    mode (shape - 1) * scale then equals the sample mean count.
+    """
     counts = np.asarray(counts, dtype=float)
-    _check_counts(counts)
-    n = counts.size
-    if n == 0:
+    if prior is None and counts.size == 0:
+        raise InsufficientDataError("at least one observation year is required")
+    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
+        raise ValueError("annual counts must be non-negative integers")
+    if prior is None:
+        return GammaParams(shape=counts.sum() + 1.0, scale=1.0 / counts.size)
+    if counts.size == 0:
         return prior
     shape = prior.shape + counts.sum()
-    scale = prior.scale / (1.0 + prior.scale * n)
+    scale = prior.scale / (1.0 + prior.scale * counts.size)
     return GammaParams(shape=shape, scale=scale)
 
 
-def noninformative_poisson(counts) -> GammaParams:
-    """Posterior Gamma for the Poisson rate under a flat prior.
+def lognormal_posterior(prior: NIXParams | None, log_severities) -> NIXParams:
+    """Posterior NIX parameters after observing log severities Y = ln X.
 
-    Mode (shape - 1) * scale equals the sample mean count.
+    A ``prior`` of None is the flat prior on (mu, sigma_sq), which needs
+    n >= 4 so the sigma_sq posterior has at least one degree of freedom.
     """
-    counts = np.asarray(counts, dtype=float)
-    if counts.size == 0:
-        raise InsufficientDataError("at least one observation year is required")
-    _check_counts(counts)
-    return GammaParams(shape=counts.sum() + 1.0, scale=1.0 / counts.size)
-
-
-def _check_counts(counts):
-    if counts.size and (np.any(counts < 0) or np.any(counts != np.floor(counts))):
-        raise ValueError("annual counts must be non-negative integers")
-
-
-def update_lognormal(prior: NIXParams, log_severities) -> NIXParams:
-    """Posterior NIX parameters after observing log severities Y = ln X."""
     y = np.asarray(log_severities, dtype=float)
     n = y.size
+    if prior is None:
+        if n < 4:
+            raise InsufficientDataError(
+                f"insufficient data for non-informative lognormal posterior: "
+                f"need at least 4 severities, got {n}"
+            )
+        ybar = y.mean()
+        beta_hat = float(np.sum((y - ybar) ** 2))
+        if beta_hat <= 0:
+            raise InsufficientDataError("log severities have zero sample variance")
+        return NIXParams(dof_nu=n - 3.0, scale_beta=beta_hat, loc_theta=ybar, prec_phi=float(n))
     if n == 0:
         return prior
     ybar = y.mean()
@@ -188,69 +193,41 @@ def update_lognormal(prior: NIXParams, log_severities) -> NIXParams:
     )
 
 
-def noninformative_lognormal(log_severities) -> NIXParams:
-    """Posterior NIX parameters under a flat prior on (mu, sigma_sq).
+def pareto_posterior(prior: GammaParams | None, severities, threshold_L: float) -> GammaParams:
+    """Posterior Gamma for the Pareto tail index.
 
-    Requires n >= 4 so the sigma_sq posterior has at least one degree of
-    freedom and is samplable.
+    A ``prior`` of None is the flat prior, which needs at least one severity
+    above the threshold.
     """
-    y = np.asarray(log_severities, dtype=float)
-    n = y.size
-    if n < 4:
-        raise InsufficientDataError(
-            f"insufficient data for non-informative lognormal posterior: "
-            f"need at least 4 severities, got {n}"
-        )
-    ybar = y.mean()
-    beta_hat = float(np.sum((y - ybar) ** 2))
-    if beta_hat <= 0:
-        raise InsufficientDataError("log severities have zero sample variance")
-    return NIXParams(dof_nu=n - 3.0, scale_beta=beta_hat, loc_theta=ybar, prec_phi=float(n))
-
-
-def update_pareto(prior: GammaParams, severities, threshold_L: float) -> GammaParams:
-    """Posterior Gamma for the Pareto tail index."""
     x = np.asarray(severities, dtype=float)
     if x.size == 0:
+        if prior is None:
+            raise InsufficientDataError("at least one severity is required")
         return prior
     if np.any(x < threshold_L):
         raise ValueError("severity below threshold")
     log_ratio = float(np.sum(np.log(x / threshold_L)))
+    if prior is None:
+        if log_ratio <= 0:
+            raise InsufficientDataError(
+                "all severities sit at the threshold; tail index is unidentified"
+            )
+        return GammaParams(shape=x.size + 1.0, scale=1.0 / log_ratio)
     shape = prior.shape + x.size
     scale = 1.0 / (1.0 / prior.scale + log_ratio)
     return GammaParams(shape=shape, scale=scale)
-
-
-def noninformative_pareto(severities, threshold_L: float) -> GammaParams:
-    """Posterior Gamma for the Pareto tail index under a flat prior."""
-    x = np.asarray(severities, dtype=float)
-    if x.size == 0:
-        raise InsufficientDataError("at least one severity is required")
-    if np.any(x < threshold_L):
-        raise ValueError("severity below threshold")
-    log_ratio = float(np.sum(np.log(x / threshold_L)))
-    if log_ratio <= 0:
-        raise InsufficientDataError(
-            "all severities sit at the threshold; tail index is unidentified"
-        )
-    return GammaParams(shape=x.size + 1.0, scale=1.0 / log_ratio)
 
 
 # ---------------------------------------------------------------------------
 # Truncation, sampling, summaries
 
 
-def _truncation_mass(state: PosteriorState) -> float | None:
-    """The exact posterior mass inside the truncation box.
-
-    None for a lognormal posterior with ``dof_nu <= 0``, which sampling refuses.
-    """
+def _truncation_mass(state: PosteriorState) -> float:
+    """The exact posterior mass inside the truncation box."""
     p = state.params
     if isinstance(p, GammaParams):
         lo, hi = state.bounds(state.param_names[0])
         return _gamma_cdf(p, hi) - _gamma_cdf(p, lo)
-    if p.dof_nu <= 0:
-        return None
     u_bounds = [_sigma_sq_cdf(p, s2) for s2 in state.bounds("sigma_sq")]
     return _nix_box_mass(p, state.bounds("mu"), u_bounds)
 
@@ -320,12 +297,10 @@ def sample_posterior(state: PosteriorState, rng: RngStream, size=None):
     g = rng.generator
     if isinstance(p, GammaParams):
         draw = lambda k: g.gamma(p.shape, p.scale, size=k)[:, None]
-    elif p.dof_nu > 0:  # sigma_sq ~ InvChiSq(nu, beta), then mu | sigma_sq ~ N(theta, sigma_sq/phi)
+    else:  # sigma_sq ~ InvChiSq(nu, beta), then mu | sigma_sq ~ N(theta, sigma_sq/phi)
         def draw(k):
             s2 = p.scale_beta / g.chisquare(p.dof_nu, size=k)
             return np.column_stack([g.normal(p.loc_theta, np.sqrt(s2 / p.prec_phi), size=k), s2])
-    else:
-        raise ValueError(f"lognormal posterior is not samplable: dof_nu = {p.dof_nu} (need > 0)")
     lo, hi = np.array([state.bounds(name) for name in state.param_names]).T
     n = 1 if size is None else int(size)
     if np.all(np.isinf(lo) & np.isinf(hi)):
@@ -392,8 +367,6 @@ def credible_interval(state: PosteriorState, level: float) -> dict:
         return {name: (float(q[0]), float(q[1]))}
 
     p = state.params
-    if p.dof_nu <= 0:
-        raise ValueError(f"marginal of mu requires dof_nu > 0, got {p.dof_nu}")
     if state.truncation:
         return _truncated_nix_interval(state, (p_lo, p_hi))
     probs = np.array([p_lo, p_hi])

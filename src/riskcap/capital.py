@@ -155,28 +155,24 @@ def fit_mle(model: CellModel, data: LossData) -> MleReport:
 
 
 def fit_posteriors(model: CellModel, data: LossData) -> tuple[PosteriorState, PosteriorState]:
-    """Conjugate (or non-informative) posteriors for frequency and severity, each
-    built with its final truncation (``enforce_finite_mean`` adds xi > 1)."""
+    """Conjugate posteriors for frequency and severity, each built with its final
+    truncation (``enforce_finite_mean`` adds xi > 1); a prior of None is flat."""
     bounds = dict(model.truncation or {})
     freq_bounds = {"lambda": bounds.pop("lambda")} if "lambda" in bounds else None
     if model.severity_family == "pareto" and model.enforce_finite_mean:
         lo, hi = bounds.get("xi", (-math.inf, math.inf))
         bounds["xi"] = (max(lo, 1.0), hi)
-    counts, sev, prior, L = data.annual_counts, data.severities, model.sev_prior, model.threshold_L
+    sev, L = data.severities, model.threshold_L
     try:
-        freq = (bayes.noninformative_poisson(counts) if model.freq_prior is None
-                else bayes.update_poisson_gamma(model.freq_prior, counts))
+        freq = bayes.poisson_posterior(model.freq_prior, data.annual_counts)
         post_freq = PosteriorState("poisson-rate", freq, truncation=freq_bounds)
         if model.severity_family == "lognormal":
-            y = np.log(sev)
-            nix = (bayes.noninformative_lognormal(y) if prior is None
-                   else bayes.update_lognormal(prior, y))
+            nix = bayes.lognormal_posterior(model.sev_prior, np.log(sev))
             post_sev = PosteriorState("lognormal", nix, truncation=bounds or None)
         else:
-            g = (bayes.noninformative_pareto(sev, L) if prior is None
-                 else bayes.update_pareto(prior, sev, L))
+            g = bayes.pareto_posterior(model.sev_prior, sev, L)
             post_sev = PosteriorState("pareto-tail", g, truncation=bounds or None, threshold_L=L)
-    except ValueError as e:  # too little data, or no posterior mass in a truncation region
+    except ValueError as e:  # too little data, an improper posterior, or a massless truncation
         raise InsufficientDataError(f"cell {model.cell_id!r}: {e}") from e
     return post_freq, post_sev
 

@@ -32,11 +32,10 @@ __all__ = [
     "simulate_predictive_sample",
     "empirical_quantile",
     "estimate_quantile",
-    "ci_indices",
     "usable_cpus",
 ]
 
-DEFAULT_BATCH_SIZE = 100_000
+BATCH_SIZE = 100_000
 #: Beyond this many losses we refuse rather than silently subsample; exact
 #: order statistics require the full sample in memory.
 MAX_SAMPLE_SIZE = 10**7
@@ -126,7 +125,7 @@ def _compound_batch(gen: np.random.Generator, n: int, lam, sev: dict) -> np.ndar
     return out
 
 
-def _run_batches(batch_fn, K: int, rng: RngStream, batch_size: int, workers: int) -> LossSample:
+def _run_batches(batch_fn, K: int, rng: RngStream, workers: int) -> LossSample:
     if K < 1:
         raise ValueError("K must be at least 1")
     if K > MAX_SAMPLE_SIZE:
@@ -134,11 +133,11 @@ def _run_batches(batch_fn, K: int, rng: RngStream, batch_size: int, workers: int
             f"K = {K} exceeds the in-memory sample cap of {MAX_SAMPLE_SIZE}; "
             "exact order statistics require the full sample"
         )
-    n_batches = (K + batch_size - 1) // batch_size
+    n_batches = (K + BATCH_SIZE - 1) // BATCH_SIZE
     values = np.empty(K)
 
     def one(i):
-        part = values[i * batch_size:(i + 1) * batch_size]
+        part = values[i * BATCH_SIZE:(i + 1) * BATCH_SIZE]
         part[:] = batch_fn(part.size, rng.substream("batch", i))
 
     if workers > 1 and n_batches > 1:
@@ -155,7 +154,6 @@ def simulate_conditional_sample(
     sev: LognormalParams | ParetoParams,
     K: int,
     rng: RngStream,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     workers: int = 1,
 ) -> LossSample:
     """K i.i.d. annual losses at fixed point parameters, sorted ascending.
@@ -167,7 +165,7 @@ def simulate_conditional_sample(
         raise TypeError(f"unsupported severity family: {type(sev).__name__}")
     point = sev.sampler_args()
     return _run_batches(
-        lambda n, st: _compound_batch(st.generator, n, freq.lam, point), K, rng, batch_size, workers
+        lambda n, st: _compound_batch(st.generator, n, freq.lam, point), K, rng, workers
     )
 
 
@@ -176,7 +174,6 @@ def simulate_predictive_sample(
     post_sev: PosteriorState,
     K: int,
     rng: RngStream,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     workers: int = 1,
 ) -> LossSample:
     """K annual losses, each under a fresh parameter draw from the posteriors.
@@ -202,7 +199,7 @@ def simulate_predictive_sample(
                    "threshold_L": post_sev.threshold_L}
         return _compound_batch(stream.generator, n, lam, sev)
 
-    return _run_batches(batch, K, rng, batch_size, workers)
+    return _run_batches(batch, K, rng, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +217,15 @@ def empirical_quantile(sample: LossSample, q: float) -> float:
     return float(sample.values[_quantile_index(sample.K, q) - 1])
 
 
-def ci_indices(K: int, q: float, gamma: float) -> tuple[int, int, bool]:
+def _ci_indices(K: int, q: float, gamma: float) -> tuple[int, int, bool]:
     """Order-statistic indices (1-based) of the conservative quantile CI.
 
     The count of samples below the true quantile is Binomial(K, q); the
     normal approximation gives r = floor(Kq - z*sqrt(Kq(1-q))) and
     s = ceil(Kq + z*sqrt(Kq(1-q))) with z the (1+gamma)/2 normal quantile.
     Indices are clamped to [1, K]. The approximation is flagged reliable
-    when Kq(1-q) >= 50.
+    when Kq(1-q) >= 50. Its one caller has checked q.
     """
-    if not 0 < q < 1:
-        raise ValueError(f"q must be in (0, 1), got {q}")
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     z = special.ndtri((1.0 + gamma) / 2.0)
@@ -246,7 +241,7 @@ def ci_indices(K: int, q: float, gamma: float) -> tuple[int, int, bool]:
 def estimate_quantile(sample: LossSample, q: float, gamma: float) -> QuantileEstimate:
     """Point quantile and conservative CI (Z_r, Z_s) from a simulated loss sample."""
     value = empirical_quantile(sample, q)
-    r, s, reliable = ci_indices(sample.K, q, gamma)
+    r, s, reliable = _ci_indices(sample.K, q, gamma)
     return QuantileEstimate(
         q=q,
         value=value,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -15,14 +16,11 @@ from riskcap.bayes import (
     PosteriorState,
     credible_interval,
     laplace_approximation,
-    noninformative_lognormal,
-    noninformative_pareto,
-    noninformative_poisson,
+    lognormal_posterior,
+    pareto_posterior,
+    poisson_posterior,
     prob_tail_index_below,
     sample_posterior,
-    update_lognormal,
-    update_pareto,
-    update_poisson_gamma,
 )
 from riskcap.distributions import GammaParams, RngStream
 
@@ -37,28 +35,28 @@ def nix_mode(nix: NIXParams) -> tuple:
 
 
 def test_update_poisson_gamma_hand_example():
-    post = update_poisson_gamma(GammaParams(1.0, 1.0), [2, 3])
+    post = poisson_posterior(GammaParams(1.0, 1.0), [2, 3])
     assert post.shape == pytest.approx(6.0)
     assert post.scale == pytest.approx(1.0 / 3.0)
 
 
 def test_update_poisson_gamma_empty_is_identity():
     prior = GammaParams(2.5, 0.7)
-    assert update_poisson_gamma(prior, []) == prior
+    assert poisson_posterior(prior, []) == prior
 
 
 def test_update_poisson_gamma_zero_counts():
-    post = update_poisson_gamma(GammaParams(2.0, 0.5), [0, 0])
+    post = poisson_posterior(GammaParams(2.0, 0.5), [0, 0])
     assert post.shape == pytest.approx(2.0)
     assert post.scale == pytest.approx(0.25)
 
 
 def test_noninformative_poisson():
-    post = noninformative_poisson([2, 3])
+    post = poisson_posterior(None, [2, 3])
     assert (post.shape, post.scale) == (6.0, 0.5)
     assert (post.shape - 1) * post.scale == pytest.approx(2.5)  # mode = sample mean
 
-    post0 = noninformative_poisson([0])
+    post0 = poisson_posterior(None, [0])
     assert (post0.shape, post0.scale) == (1.0, 1.0)
     assert (post0.shape - 1) * post0.scale == 0.0
 
@@ -69,13 +67,13 @@ def test_noninformative_poisson_table_row():
     counts[:4003 % 400] = 4003 // 400 + 1
     counts[4003 % 400:] = 4003 // 400
     assert counts.sum() == 4003
-    post = noninformative_poisson(counts)
+    post = poisson_posterior(None, counts)
     assert post.shape * post.scale == pytest.approx(10.01)  # posterior mean
 
 
 def test_noninformative_poisson_empty_errors():
     with pytest.raises(InsufficientDataError):
-        noninformative_poisson([])
+        poisson_posterior(None, [])
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +82,7 @@ def test_noninformative_poisson_empty_errors():
 
 def test_update_lognormal_hand_example():
     prior = NIXParams(dof_nu=2.0, scale_beta=1.0, loc_theta=0.0, prec_phi=1.0)
-    post = update_lognormal(prior, [0.0, 1.0, 1.0, 2.0])
+    post = lognormal_posterior(prior, [0.0, 1.0, 1.0, 2.0])
     assert post.dof_nu == pytest.approx(6.0)
     assert post.prec_phi == pytest.approx(5.0)
     assert post.loc_theta == pytest.approx(0.8)
@@ -93,11 +91,11 @@ def test_update_lognormal_hand_example():
 
 def test_update_lognormal_empty_is_identity():
     prior = NIXParams(dof_nu=2.0, scale_beta=1.0, loc_theta=0.5, prec_phi=3.0)
-    assert update_lognormal(prior, []) == prior
+    assert lognormal_posterior(prior, []) == prior
 
 
 def test_noninformative_lognormal_hand_example():
-    post = noninformative_lognormal([0.0, 1.0, 1.0, 2.0])
+    post = lognormal_posterior(None, [0.0, 1.0, 1.0, 2.0])
     assert post.dof_nu == pytest.approx(1.0)
     assert post.scale_beta == pytest.approx(2.0)
     assert post.loc_theta == pytest.approx(1.0)
@@ -107,9 +105,9 @@ def test_noninformative_lognormal_hand_example():
 
 def test_noninformative_lognormal_errors():
     with pytest.raises(InsufficientDataError):
-        noninformative_lognormal([0.0, 1.0, 2.0])
+        lognormal_posterior(None, [0.0, 1.0, 2.0])
     with pytest.raises(InsufficientDataError):
-        noninformative_lognormal([0.0, 0.0, 0.0, 0.0])
+        lognormal_posterior(None, [0.0, 0.0, 0.0, 0.0])
 
 
 def test_marginal_mu():
@@ -121,10 +119,13 @@ def test_marginal_mu():
     assert (lo, hi) == pytest.approx((t.ppf(0.05), t.ppf(0.95)), rel=1e-12)
 
 
-def test_marginal_mu_requires_positive_dof():
-    post = NIXParams(dof_nu=-1.0, scale_beta=2.0, loc_theta=0.0, prec_phi=1.0)
-    with pytest.raises(ValueError, match="dof_nu > 0"):
-        credible_interval(PosteriorState("lognormal", post), 0.95)
+def test_improper_lognormal_posterior_is_refused_when_built():
+    # Neither mu's marginal t nor sigma_sq's inverse chi-squared exists, so
+    # there is nothing to sample or summarise.
+    for dof_nu in (-1.0, 0.0):
+        post = NIXParams(dof_nu=dof_nu, scale_beta=2.0, loc_theta=1.0, prec_phi=4.0)
+        with pytest.raises(ValueError, match=f"lognormal posterior needs dof_nu > 0, got {dof_nu}"):
+            PosteriorState("lognormal", post)
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +133,30 @@ def test_marginal_mu_requires_positive_dof():
 
 
 def test_update_pareto_hand_example():
-    post = update_pareto(GammaParams(1.0, 1.0), [math.e, math.e**2], 1.0)
+    post = pareto_posterior(GammaParams(1.0, 1.0), [math.e, math.e**2], 1.0)
     assert post.shape == pytest.approx(3.0)
     assert post.scale == pytest.approx(0.25)
 
 
 def test_update_pareto_empty_and_errors():
     prior = GammaParams(2.0, 0.5)
-    assert update_pareto(prior, [], 1.0) == prior
+    assert pareto_posterior(prior, [], 1.0) == prior
     with pytest.raises(ValueError, match="below threshold"):
-        update_pareto(prior, [0.5], 1.0)
+        pareto_posterior(prior, [0.5], 1.0)
 
 
 def test_noninformative_pareto():
-    post = noninformative_pareto([math.e, math.e**2], 1.0)
+    post = pareto_posterior(None, [math.e, math.e**2], 1.0)
     assert post.shape == pytest.approx(3.0)
     assert post.scale == pytest.approx(1.0 / 3.0)
     assert (post.shape - 1) * post.scale == pytest.approx(2.0 / 3.0)
 
-    single = noninformative_pareto([math.e**4], 1.0)
+    single = pareto_posterior(None, [math.e**4], 1.0)
     assert single.shape == pytest.approx(2.0)
     assert single.scale == pytest.approx(0.25)
 
     with pytest.raises(InsufficientDataError):
-        noninformative_pareto([1.0], 1.0)
+        pareto_posterior(None, [1.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +169,8 @@ counts_lists = st.lists(st.integers(min_value=0, max_value=50), min_size=0, max_
 @settings(max_examples=200)
 def test_poisson_sequential_equals_batch(d1, d2):
     prior = GammaParams(1.3, 0.8)
-    seq = update_poisson_gamma(update_poisson_gamma(prior, d1), d2)
-    batch = update_poisson_gamma(prior, d1 + d2)
+    seq = poisson_posterior(poisson_posterior(prior, d1), d2)
+    batch = poisson_posterior(prior, d1 + d2)
     assert seq.shape == pytest.approx(batch.shape, rel=1e-12)
     assert seq.scale == pytest.approx(batch.scale, rel=1e-12)
 
@@ -181,8 +182,8 @@ reals = st.lists(st.floats(min_value=-5, max_value=5), min_size=0, max_size=20)
 @settings(max_examples=200)
 def test_lognormal_sequential_equals_batch(d1, d2):
     prior = NIXParams(dof_nu=2.0, scale_beta=1.5, loc_theta=0.3, prec_phi=2.0)
-    seq = update_lognormal(update_lognormal(prior, d1), d2)
-    batch = update_lognormal(prior, d1 + d2)
+    seq = lognormal_posterior(lognormal_posterior(prior, d1), d2)
+    batch = lognormal_posterior(prior, d1 + d2)
     assert seq.dof_nu == pytest.approx(batch.dof_nu, rel=1e-12)
     assert seq.scale_beta == pytest.approx(batch.scale_beta, rel=1e-12, abs=1e-12)
     assert seq.loc_theta == pytest.approx(batch.loc_theta, rel=1e-12, abs=1e-12)
@@ -193,7 +194,7 @@ def test_lognormal_sequential_equals_batch(d1, d2):
 @settings(max_examples=100)
 def test_lognormal_posterior_beta_nonnegative(d1, d2):
     prior = NIXParams(dof_nu=2.0, scale_beta=1.0, loc_theta=0.0, prec_phi=1.0)
-    post = update_lognormal(prior, d1 + d2)
+    post = lognormal_posterior(prior, d1 + d2)
     assert post.scale_beta >= -1e-9
 
 
@@ -204,16 +205,16 @@ def test_lognormal_posterior_beta_nonnegative(d1, d2):
 @settings(max_examples=200)
 def test_pareto_sequential_equals_batch(d1, d2):
     prior = GammaParams(1.7, 0.6)
-    seq = update_pareto(update_pareto(prior, d1, 1.0), d2, 1.0)
-    batch = update_pareto(prior, d1 + d2, 1.0)
+    seq = pareto_posterior(pareto_posterior(prior, d1, 1.0), d2, 1.0)
+    batch = pareto_posterior(prior, d1 + d2, 1.0)
     assert seq.shape == pytest.approx(batch.shape, rel=1e-12)
     assert seq.scale == pytest.approx(batch.scale, rel=1e-12)
 
 
 def test_posterior_concentration():
     data = [2, 3, 5, 1]
-    once = noninformative_poisson(data)
-    twice = noninformative_poisson(data * 2)
+    once = poisson_posterior(None, data)
+    twice = poisson_posterior(None, data * 2)
     assert twice.shape * twice.scale**2 < once.shape * once.scale**2  # posterior variance
 
 
@@ -272,10 +273,23 @@ def test_truncation_masses_of_one_parameter_are_the_closed_forms():
         assert bayes._truncation_mass(PosteriorState(family, params, {name: bounds})) == mass
 
 
-def test_truncation_box_mass_matches_draws():
-    p = TRUNCATION_NIX
+@pytest.mark.parametrize(
+    "dof_nu, mu_bounds, sigma_sq_bounds",
+    [
+        (TRUNCATION_NIX.dof_nu, (1.1, 1.6), (0.3, 1.2)),
+        # At nu <= 1 mu's marginal t has no mean. Every corner of the first box
+        # of each pair is a quadrature; two of the second's are.
+        (1.0, (0.0, 3.0), (1.0, 30.0)),
+        (1.0, (-math.inf, 2.0), (1.0, 30.0)),
+        (0.5, (0.0, 3.0), (1.0, 30.0)),
+        (0.5, (-math.inf, 2.0), (1.0, 30.0)),
+    ],
+    ids=["nu5", "nu1", "nu1-mu-below", "nu0.5", "nu0.5-mu-below"],
+)
+def test_truncation_box_mass_matches_draws(dof_nu, mu_bounds, sigma_sq_bounds):
+    p = dataclasses.replace(TRUNCATION_NIX, dof_nu=dof_nu)
     state = PosteriorState("lognormal", p)
-    (m_lo, m_hi), (s_lo, s_hi) = (1.1, 1.6), (0.3, 1.2)
+    (m_lo, m_hi), (s_lo, s_hi) = mu_bounds, sigma_sq_bounds
     mass = bayes._truncation_mass(
         PosteriorState("lognormal", p, {"mu": (m_lo, m_hi), "sigma_sq": (s_lo, s_hi)})
     )
@@ -392,13 +406,6 @@ def test_sample_posterior_lognormal_support_and_marginal():
     assert res.pvalue > 0.01
 
 
-def test_sample_posterior_unsamplable_lognormal():
-    nix = NIXParams(dof_nu=-1.0, scale_beta=2.0, loc_theta=1.0, prec_phi=4.0)
-    state = PosteriorState("lognormal", nix)
-    with pytest.raises(ValueError, match="not samplable"):
-        sample_posterior(state, RngStream(16))
-
-
 def test_prob_tail_index_below():
     state = PosteriorState("pareto-tail", GammaParams(3.0, 1.0 / 3.0), threshold_L=1.0)
     p = prob_tail_index_below(state, 1.0)
@@ -501,7 +508,7 @@ def test_laplace_rejects_degenerate_curvature():
 def test_laplace_lognormal_posterior_vs_empirical():
     rng = RngStream(18)
     y = rng.generator.normal(1.0, 2.0, size=1000)
-    nix = noninformative_lognormal(y)
+    nix = lognormal_posterior(None, y)
     state = PosteriorState("lognormal", nix)
 
     def logpost(x):

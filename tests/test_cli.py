@@ -386,10 +386,13 @@ def test_row_numbers_count_comment_lines(tmp_path):
         {"freq_prior": {}},
         {"sev_prior": {}},
         {"sev_prior": []},
+        # cell-a's 5 events leave the lognormal posterior with dof_nu = 0: improper.
+        {"sev_prior": {"dof_nu": -5, "scale_beta": 1.0, "loc_theta": 0.0, "prec_phi": 1.0}},
     ],
     ids=["no-counts", "no-events", "no-family", "freq-prior", "sev-prior", "short-bound",
          "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range",
-         "finite-mean-text", "finite-mean-lognormal", "freq-prior-empty", "sev-prior-empty", "sev-prior-list"],
+         "finite-mean-text", "finite-mean-lognormal", "freq-prior-empty", "sev-prior-empty",
+         "sev-prior-list", "improper-posterior"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command, capsys):

@@ -70,7 +70,7 @@ counts_lists = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_
 @given(counts=counts_lists)
 @settings(max_examples=200)
 def test_poisson_mle_equals_noninformative_mode(counts):
-    g = bayes.noninformative_poisson(counts)
+    g = bayes.poisson_posterior(None, counts)
     mode = (g.shape - 1) * g.scale
     assert mode == pytest.approx(mle_poisson(counts), rel=1e-12, abs=1e-12)
 
@@ -78,7 +78,7 @@ def test_poisson_mle_equals_noninformative_mode(counts):
 @given(xs=st.lists(st.floats(min_value=1.01, max_value=1e4), min_size=1, max_size=30))
 @settings(max_examples=200)
 def test_pareto_mle_equals_noninformative_mode(xs):
-    g = bayes.noninformative_pareto(xs, 1.0)
+    g = bayes.pareto_posterior(None, xs, 1.0)
     mode = (g.shape - 1) * g.scale
     assert mode == pytest.approx(mle_pareto(xs, 1.0), rel=1e-12)
 
@@ -90,7 +90,7 @@ def test_pareto_mle_equals_noninformative_mode(xs):
 )
 @settings(max_examples=200)
 def test_lognormal_mle_equals_noninformative_joint_mode(ys):
-    nix = bayes.noninformative_lognormal(ys)
+    nix = bayes.lognormal_posterior(None, ys)
     mode_mu, mode_s2 = nix.loc_theta, nix.scale_beta / (nix.dof_nu + 3.0)  # joint NIX mode
     mu, s2 = mle_lognormal(np.exp(ys))
     assert mode_mu == pytest.approx(mu, rel=1e-12, abs=1e-12)

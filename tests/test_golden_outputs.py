@@ -40,6 +40,12 @@ DIGESTS = {
     "track-pareto": "c91c69644a25cc00b6dacd288add299855026f5dff80454ec92d03c13b2dad8a",
     "bias-lognormal": "bc9dfc43d866bb6f583545d54e61edb8503fb76b95b55a2aca7f050863bbbb61",
     "bias-pareto": "1cc288326cf2bf6d63c82d8d7e7d50648edeb1367b0baa2cb2690db7e0ccbdc6",
+    "simulate-lognormal-counts": "ec7f3525bcdee7430853e7adc3664ed39fd714ba901b1e8dc5f47f73d55ef884",
+    "simulate-lognormal-events": "3163645df4c316cd4eb64f81d647ae50a8b4e5b74b5bdc2104b9e0a96160b49a",
+    "simulate-pareto-counts": "ec7f3525bcdee7430853e7adc3664ed39fd714ba901b1e8dc5f47f73d55ef884",
+    "simulate-pareto-events": "977ba7aeaa688a3c1db2f4fc80b101ca0ac371bdc2eaa59e734d2c6907c7e706",
+    "aggregate-conditional": "d41046c1c27dd6d33b87bd2f8517e0b532577583a366c85d5b19fea5fb1a93cd",
+    "aggregate-predictive": "0f14970d009c0d78835f15e4ede032582a8c2040e736a349f8281884a0978be1",
 }
 
 
@@ -66,14 +72,33 @@ def config(tmp_path):
     return str(path)
 
 
-def _runs(config, tmp_path):
+def _runs(config, out):
+    """The argv of each pinned run; ``out(name)`` is the path of a CSV it writes."""
     experiment = ["--m-grid", "5,10", "--K", "20000", "--R", "2", "--seed", "5"]
-    yield "capital", ["capital", "--config", config, "--K", "20000", "--mode", "both",
-                      "--workers", "2"]
-    yield "fit", ["fit", "--config", config]
+    yield ["capital", "--config", config, "--K", "20000", "--mode", "both", "--workers", "2",
+           "--csv", out("capital")]
+    yield ["fit", "--config", config, "--csv", out("fit")]
     for which in ("track", "bias"):
         for family in ("lognormal", "pareto"):
-            yield f"{which}-{family}", ["experiment", which, "--severity", family, *experiment]
+            yield ["experiment", which, "--severity", family, *experiment,
+                   "--out", out(f"{which}-{family}")]
+    for family in ("lognormal", "pareto"):
+        yield ["simulate", "--family", family, "--lambda0", "4", "--years", "12", "--seed", "5",
+               "--counts-out", out(f"simulate-{family}-counts"),
+               "--events-out", out(f"simulate-{family}-events")]
+    # aggregate refuses mixed modes, so it sums each mode's rows of the capital CSV.
+    for mode in ("conditional", "predictive"):
+        yield ["aggregate", _rows_of_mode(out("capital"), mode), "--out", out(f"aggregate-{mode}")]
+
+
+def _rows_of_mode(capital_csv, mode):
+    """A copy of ``capital_csv`` without the rows of the other mode."""
+    other = {"conditional": "predictive", "predictive": "conditional"}[mode]
+    lines = open(capital_csv).read().splitlines(keepends=True)
+    path = capital_csv.replace(".csv", f"-{mode}-rows.csv")
+    with open(path, "w") as fh:
+        fh.writelines(line for line in lines if line.split(",")[1:2] != [other])
+    return path
 
 
 @pytest.mark.skipif(
@@ -82,10 +107,10 @@ def _runs(config, tmp_path):
     f"this is numpy {np.__version__} and scipy {scipy.__version__}",
 )
 def test_outputs_match_pinned_digests(config, tmp_path, capsys):
-    digests = {}
-    for name, argv in _runs(config, tmp_path):
-        out = tmp_path / f"{name}.csv"
-        flag = "--out" if argv[0] == "experiment" else "--csv"
-        assert main(argv + [flag, str(out)]) == 0, capsys.readouterr().err
-        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    paths = {}
+    out = lambda name: paths.setdefault(name, str(tmp_path / f"{name}.csv"))
+    for argv in _runs(config, out):
+        assert main(argv) == 0, capsys.readouterr().err
+    digests = {name: hashlib.sha256(open(path, "rb").read()).hexdigest()
+               for name, path in paths.items()}
     assert digests == DIGESTS

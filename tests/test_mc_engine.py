@@ -16,7 +16,7 @@ from riskcap.distributions import (
 )
 from riskcap.mc_engine import (
     LossSample,
-    ci_indices,
+    _ci_indices,
     empirical_quantile,
     estimate_quantile,
     simulate_conditional_sample,
@@ -60,7 +60,7 @@ def test_conditional_sample_basic_contracts():
 def test_parallelism_invariance():
     args = (PoissonParams(10.0), LN12, 250_000)
     samples = [
-        simulate_conditional_sample(*args, RngStream(6), batch_size=50_000, workers=w)
+        simulate_conditional_sample(*args, RngStream(6), workers=w)
         for w in (1, 2, 8)
     ]
     assert np.array_equal(samples[0].values, samples[1].values)
@@ -73,7 +73,7 @@ def test_predictive_parallelism_invariance():
         "lognormal", NIXParams(dof_nu=47.0, scale_beta=180.0, loc_theta=1.0, prec_phi=50.0)
     )
     samples = [
-        simulate_predictive_sample(pf, ps, 120_000, RngStream(7), batch_size=50_000, workers=w)
+        simulate_predictive_sample(pf, ps, 120_000, RngStream(7), workers=w)
         for w in (1, 2, 8)
     ]
     assert np.array_equal(samples[0].values, samples[1].values)
@@ -145,7 +145,7 @@ def test_conditional_kernel_matches_reference_loop(sev):
     n, rng = 3000, RngStream(21)
     expected = _reference_batch(rng.substream("batch", 0), n, 0.4, vars(sev))
     assert np.count_nonzero(expected == 0) > n // 2
-    sample = simulate_conditional_sample(PoissonParams(0.4), sev, n, rng, batch_size=n)
+    sample = simulate_conditional_sample(PoissonParams(0.4), sev, n, rng)
     assert np.array_equal(sample.values, np.sort(expected))
 
 
@@ -170,7 +170,7 @@ def test_predictive_kernel_matches_reference_loop(post_sev):
         sev = {"xi": sample_posterior(post_sev, stream, size=n), "threshold_L": 1.0}
     expected = _reference_batch(stream, n, lam, sev)
     assert np.count_nonzero(expected == 0) > n // 2
-    sample = simulate_predictive_sample(post_freq, post_sev, n, rng, batch_size=n)
+    sample = simulate_predictive_sample(post_freq, post_sev, n, rng)
     assert np.array_equal(sample.values, np.sort(expected))
 
 
@@ -196,9 +196,10 @@ def _chunked(monkeypatch, simulate):
 @pytest.mark.parametrize("sev", [LN12, PAR21], ids=["lognormal", "pareto"])
 def test_conditional_kernel_exact_across_chunk_edges(sev, monkeypatch):
     rng, batches = RngStream(23), (1000, 1000, 500)
+    monkeypatch.setattr(mc_engine, "BATCH_SIZE", 1000)
 
     def simulate():
-        return simulate_conditional_sample(PoissonParams(4.0), sev, 2500, rng, 1000, workers=2)
+        return simulate_conditional_sample(PoissonParams(4.0), sev, 2500, rng, workers=2)
 
     expected = np.concatenate(
         [_reference_batch(rng.substream("batch", b), n, 4.0, vars(sev)) for b, n in enumerate(batches)]
@@ -231,7 +232,7 @@ def test_predictive_kernel_exact_across_chunk_edges(post_sev, monkeypatch):
     expected = _reference_batch(stream, n, lam, sev)
 
     def simulate():
-        return simulate_predictive_sample(post_freq, post_sev, n, rng, batch_size=n)
+        return simulate_predictive_sample(post_freq, post_sev, n, rng)
 
     default = simulate()
     chunked = _chunked(monkeypatch, simulate)
@@ -289,18 +290,18 @@ def test_quantile_monotone_in_q():
 
 
 def test_ci_indices_exact():
-    assert ci_indices(10**5, 0.999, 0.95) == (99880, 99920, True)
+    assert _ci_indices(10**5, 0.999, 0.95) == (99880, 99920, True)
 
 
 def test_ci_collapses_as_gamma_to_zero():
-    r, s, _ = ci_indices(10**5, 0.999, 1e-12)
+    r, s, _ = _ci_indices(10**5, 0.999, 1e-12)
     # z -> 0: both endpoints land next to floor(K*q)
     assert abs(r - 99900) <= 1
     assert abs(s - 99900) <= 1
 
 
 def test_ci_reliability_flag():
-    _, _, reliable = ci_indices(10**3, 0.999, 0.95)
+    _, _, reliable = _ci_indices(10**3, 0.999, 0.95)
     assert not reliable  # Kq(1-q) = 0.999 < 50
 
 
