@@ -119,13 +119,13 @@ def test_marginal_mu():
     assert (lo, hi) == pytest.approx((t.ppf(0.05), t.ppf(0.95)), rel=1e-12)
 
 
-def test_improper_lognormal_posterior_is_refused_when_built():
+def test_marginal_mu_requires_positive_dof():
     # Neither mu's marginal t nor sigma_sq's inverse chi-squared exists, so
-    # there is nothing to sample or summarise.
+    # PosteriorState refuses the posterior when built, before any interval.
     for dof_nu in (-1.0, 0.0):
-        post = NIXParams(dof_nu=dof_nu, scale_beta=2.0, loc_theta=1.0, prec_phi=4.0)
+        post = NIXParams(dof_nu=dof_nu, scale_beta=2.0, loc_theta=0.0, prec_phi=1.0)
         with pytest.raises(ValueError, match=f"lognormal posterior needs dof_nu > 0, got {dof_nu}"):
-            PosteriorState("lognormal", post)
+            credible_interval(PosteriorState("lognormal", post), 0.95)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +404,14 @@ def test_sample_posterior_lognormal_support_and_marginal():
     t = stats.t(df=nix.dof_nu, loc=nix.loc_theta, scale=scale)
     res = stats.kstest(mu, t.cdf)
     assert res.pvalue > 0.01
+
+
+def test_sample_posterior_unsamplable_lognormal():
+    # An improper posterior is refused when its state is built, so there is
+    # nothing for sample_posterior to draw from.
+    nix = NIXParams(dof_nu=-1.0, scale_beta=2.0, loc_theta=1.0, prec_phi=4.0)
+    with pytest.raises(ValueError, match="lognormal posterior needs dof_nu > 0, got -1.0"):
+        sample_posterior(PosteriorState("lognormal", nix), RngStream(16))
 
 
 def test_prob_tail_index_below():
