@@ -3,8 +3,8 @@
 Loss data lives in two CSV files per cell: a counts file (``year,count``)
 listing every observation year including zero-count ones, and an events
 file (``year,amount``) whose per-year rows must tally to the counts file.
-All emitted CSVs are re-parseable by this module's own readers and are
-byte-stable under a fixed seed.
+Every CSV the commands read or write goes through ``_read_csv`` or
+``_write_csv``, and every emitted CSV is byte-stable under a fixed seed.
 
 Exit codes: 0 success, 2 validation failure, 3 computation failure.
 """
@@ -41,6 +41,7 @@ DEFAULT_GAMMA = 0.95
 DEFAULT_M_GRID = (5, 10, 15, 20, 40, 60, 80, 100, 200, 400)
 
 CAPITAL_COLUMNS = ["cell_id", "mode", "q", "K", "value", "ci_lower", "ci_upper", "warnings"]
+CAPITAL_TYPES = (str, str, float, int, float, float, float, str)
 
 
 class ValidationError(Exception):
@@ -48,13 +49,15 @@ class ValidationError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Loss file I/O
+# CSV I/O
 
 
-def _csv_rows(path, header):
-    """(line number, row) of each data row of a CSV file, after its header.
+def _read_csv(path, header, types):
+    """(line number, typed fields, raw row) of each data row of a CSV file.
 
     Lines starting with ``#`` are skipped, but the numbers are the file's own.
+    The first other line must be ``header``; a row with another field count,
+    or a field its entry of ``types`` cannot parse, is malformed.
     """
     with open(path, newline="") as fh:
         kept = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
@@ -62,17 +65,33 @@ def _csv_rows(path, header):
     first = next(rows, (None, None))[1]
     if first != header:
         raise ValidationError(f"{path}: expected header {','.join(header)!r}, got {first}")
-    return rows
-
-
-def read_counts_file(path) -> dict:
-    """Parse a counts CSV into {year: count}, with row-numbered diagnostics."""
-    counts = {}
-    for i, row in _csv_rows(path, ["year", "count"]):
+    for n, row in rows:
         try:
-            year, count = int(row[0]), int(row[1])
-        except (ValueError, IndexError):
-            raise ValidationError(f"{path}:{i}: malformed row {row!r}")
+            if len(row) != len(header):
+                raise ValueError
+            fields = [parse(field) for parse, field in zip(types, row)]
+        except ValueError:
+            raise ValidationError(f"{path}:{n}: malformed row {row!r}")
+        yield n, fields, row
+
+
+def _write_csv(path, header, rows, comments=()):
+    """Write ``# comment`` lines, the header and the rows of a CSV file.
+
+    A float is written as its ``repr``, which reads back to the same float,
+    and None as an empty field.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _read_counts(path) -> dict:
+    """{year: count} of a counts CSV."""
+    counts = {}
+    for i, (year, count), _ in _read_csv(path, ["year", "count"], (int, int)):
         if count < 0:
             raise ValidationError(f"{path}:{i}: negative count {count}")
         if year in counts:
@@ -83,14 +102,10 @@ def read_counts_file(path) -> dict:
     return counts
 
 
-def read_events_file(path) -> list:
-    """Parse an events CSV into [(year, amount)], with row-numbered diagnostics."""
+def _read_events(path) -> list:
+    """[(year, amount)] of an events CSV."""
     events = []
-    for i, row in _csv_rows(path, ["year", "amount"]):
-        try:
-            year, amount = int(row[0]), float(row[1])
-        except (ValueError, IndexError):
-            raise ValidationError(f"{path}:{i}: malformed row {row!r}")
+    for i, (year, amount), _ in _read_csv(path, ["year", "amount"], (int, float)):
         if not math.isfinite(amount):
             raise ValidationError(f"{path}:{i}: non-finite amount {amount}")
         if not amount > 0:
@@ -101,8 +116,8 @@ def read_events_file(path) -> list:
 
 def load_loss_data(counts_path, events_path) -> LossData:
     """Read and cross-validate the two-file loss format."""
-    counts = read_counts_file(counts_path)
-    events = read_events_file(events_path)
+    counts = _read_counts(counts_path)
+    events = _read_events(events_path)
     tallies = {}
     for year, _ in events:
         if year not in counts:
@@ -124,22 +139,6 @@ def load_loss_data(counts_path, events_path) -> LossData:
         by_year[year].append(amount)
     severities = [a for y in years for a in by_year[y]]
     return LossData(annual_counts=np.array(annual), severities=np.array(severities))
-
-
-def write_loss_files(data: LossData, counts_path, events_path, start_year: int = 1):
-    with open(counts_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "count"])
-        for i, c in enumerate(data.annual_counts):
-            w.writerow([start_year + i, int(c)])
-    with open(events_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["year", "amount"])
-        k = 0
-        for i, c in enumerate(data.annual_counts):
-            for _ in range(int(c)):
-                w.writerow([start_year + i, repr(float(data.severities[k]))])
-                k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def load_config(path) -> dict:
     return cfg
 
 
-def resolve_seed(flag_seed, config_seed=None):
+def _resolve_seed(flag_seed, config_seed=None):
     """Seed precedence: flag, then RISKCAP_SEED env var, then config, then clock."""
     env = os.environ.get(SEED_ENV_VAR)
     for source, value in (("--seed", flag_seed), (SEED_ENV_VAR, env), ("config seed", config_seed)):
@@ -213,11 +212,14 @@ def resolve_seed(flag_seed, config_seed=None):
 
 
 def cmd_simulate(args):
-    seed = resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed)
     model = _true_model_from_args(args, args.family)
     _checked("--years", args.years, whole=True)
     data = exp_mod.generate_synthetic(model, args.years, RngStream(seed).substream("simulate"))
-    write_loss_files(data, args.counts_out, args.events_out)
+    years = np.arange(1, data.years + 1)
+    _write_csv(args.counts_out, ["year", "count"], zip(years, data.annual_counts))
+    _write_csv(args.events_out, ["year", "amount"],
+               zip(np.repeat(years, data.annual_counts), data.severities))
     print(f"# seed={seed}")
     print(
         f"wrote {data.years} years ({int(data.severities.size)} events) "
@@ -268,11 +270,7 @@ def cmd_fit(args):
             print(f"  {name + ':':7} {shown}({_fmt(lo)}, {_fmt(hi)})")
             rows.append([model.cell_id, name, estimate, lo, hi])
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cell_id", "parameter", "estimate", "ci_lower", "ci_upper"])
-            for row in rows:
-                w.writerow(row[:2] + ["" if v is None else repr(float(v)) for v in row[2:]])
+        _write_csv(args.csv, ["cell_id", "parameter", "estimate", "ci_lower", "ci_upper"], rows)
     return 0
 
 
@@ -282,7 +280,7 @@ def cmd_capital(args):
     K = args.K if args.K is not None else cfg.get("K", DEFAULT_K)
     gamma = args.gamma if args.gamma is not None else cfg.get("gamma", DEFAULT_GAMMA)
     mode = args.mode if args.mode is not None else cfg.get("mode", "both")
-    seed = resolve_seed(args.seed, cfg.get("seed"))
+    seed = _resolve_seed(args.seed, cfg.get("seed"))
     q, gamma = _checked("q", q), _checked("gamma", gamma)
     K = _checked("K", K, whole=True, most=MAX_SAMPLE_SIZE)
     if mode not in ("conditional", "predictive", "both"):
@@ -301,14 +299,9 @@ def cmd_capital(args):
             )
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            fh.write(f"# seed={seed}\n")
-            w = csv.writer(fh)
-            w.writerow(CAPITAL_COLUMNS)
-            for r in reports:
-                e = r.estimate
-                numbers = (repr(float(v)) for v in (e.value, e.ci_lower, e.ci_upper))
-                w.writerow([r.cell_id, r.mode, repr(float(e.q)), e.K, *numbers, "; ".join(r.warnings)])
+        rows = [[r.cell_id, r.mode, r.estimate.q, r.estimate.K, r.estimate.value,
+                 r.estimate.ci_lower, r.estimate.ci_upper, "; ".join(r.warnings)] for r in reports]
+        _write_csv(args.csv, CAPITAL_COLUMNS, rows, comments=[f"seed={seed}"])
     print(f"# seed={seed}")
     for r in reports:
         e = r.estimate
@@ -322,22 +315,16 @@ def cmd_capital(args):
     return 0
 
 
-def read_capital_csv(path):
-    """Re-parse a capital CSV emitted by cmd_capital (round-trip contract).
+def _read_capital(path):
+    """The rows of a capital CSV, as written by ``capital``, each a dict by column.
 
     Each row also carries its ``path:line`` as ``source``.
     """
     rows = []
-    for i, row in _csv_rows(path, CAPITAL_COLUMNS):
-        try:
-            cell_id, mode, q, K, value, lo, hi, warnings = row
-            numbers = float(q), int(K), float(value), float(lo), float(hi)
-        except ValueError:
-            raise ValidationError(f"{path}:{i}: malformed row {row!r}")
-        if not all(map(math.isfinite, numbers)):
+    for i, fields, row in _read_csv(path, CAPITAL_COLUMNS, CAPITAL_TYPES):
+        if not all(map(math.isfinite, fields[2:7])):  # q, K, value and the interval
             raise ValidationError(f"{path}:{i}: non-finite number in row {row!r}")
-        fields = dict(zip(CAPITAL_COLUMNS, (cell_id, mode, *numbers, warnings)))
-        rows.append(dict(fields, source=f"{path}:{i}"))
+        rows.append(dict(zip(CAPITAL_COLUMNS, fields), source=f"{path}:{i}"))
     if not rows:
         raise ValidationError(f"{path}: no capital rows")
     return rows
@@ -346,7 +333,7 @@ def read_capital_csv(path):
 def cmd_aggregate(args):
     rows = []
     for path in args.inputs:
-        rows.extend(read_capital_csv(path))
+        rows.extend(_read_capital(path))
     modes = {r["mode"] for r in rows}
     qs = {r["q"] for r in rows}
     if len(modes) > 1 or len(qs) > 1:
@@ -362,14 +349,10 @@ def cmd_aggregate(args):
             )
     total = sum(r["value"] for r in rows)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CAPITAL_COLUMNS)
-            for r in rows:
-                w.writerow([r["cell_id"], r["mode"], repr(r["q"]), r["K"], repr(r["value"]),
-                            repr(r["ci_lower"]), repr(r["ci_upper"]), r["warnings"]])
-            w.writerow(["TOTAL", rows[0]["mode"], repr(rows[0]["q"]), "", repr(total), "", "",
-                        capital_mod.AGGREGATION_NOTE])
+        table = [[r[c] for c in CAPITAL_COLUMNS] for r in rows]
+        table.append(["TOTAL", rows[0]["mode"], rows[0]["q"], None, total, None, None,
+                      capital_mod.AGGREGATION_NOTE])
+        _write_csv(args.out, CAPITAL_COLUMNS, table)
     print(f"bank total [{rows[0]['mode']}] Q_{rows[0]['q']:g} = {_fmt(total)}")
     print(f"note: {capital_mod.AGGREGATION_NOTE}")
     return 0
@@ -387,48 +370,36 @@ def _true_model_from_args(args, family: str) -> exp_mod.TrueModel:
 
 
 def cmd_experiment(args):
-    seed = resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed)
     model = _true_model_from_args(args, args.severity)
     try:
         m_grid = [int(m) for m in args.m_grid.split(",")] if args.m_grid else DEFAULT_M_GRID
     except ValueError:
         raise ValidationError(f"--m-grid must be comma-separated integers, got {args.m_grid!r}")
     m_grid = [_checked("--m-grid year count", m, whole=True) for m in m_grid]
-    K_default, R_default = (10**6, 100) if args.full_scale else (10**5, 20)
-    K = K_default if args.K is None else args.K
-    K = _checked("--K", K, whole=True, most=MAX_SAMPLE_SIZE)
+    K = _checked("--K", 10**5 if args.K is None else args.K, whole=True, most=MAX_SAMPLE_SIZE)
     _checked("--q", args.q)
 
     if args.which == "track":
         if m_grid != sorted(m_grid):
             raise ValidationError(f"--m-grid must be ascending for track, got {args.m_grid!r}")
+        if args.R is not None:
+            raise ValidationError("--R applies to experiment bias only; track runs one realization")
         records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed, usable_cpus())
-        with open(args.out, "w", newline="") as fh:
-            fh.write(f"# seed={seed}\n")
-            w = csv.writer(fh)
-            params = ("mu", "sigma", "lambda") if args.severity == "lognormal" else ("xi", "lambda")
-            w.writerow(["M", "K"] + [f"{p}_{end}" for p in params for end in ("hat", "lo", "hi")]
-                       + ["q_conditional", "q_predictive"])
-            for r in records:
-                estimates = [v for p in params for v in r.estimates[p]]
-                w.writerow(
-                    [r.M, r.K_data]
-                    + [repr(float(v)) for v in estimates]
-                    + [repr(float(r.q_conditional)), repr(float(r.q_predictive))]
-                )
+        params = ("mu", "sigma", "lambda") if args.severity == "lognormal" else ("xi", "lambda")
+        header = (["M", "K"] + [f"{p}_{end}" for p in params for end in ("hat", "lo", "hi")]
+                  + ["q_conditional", "q_predictive"])
+        rows = [[r.M, r.K_data, *(v for p in params for v in r.estimates[p]),
+                 r.q_conditional, r.q_predictive] for r in records]
+        _write_csv(args.out, header, rows, comments=[f"seed={seed}"])
         print(f"# seed={seed}")
         print(f"wrote {len(records)} rows to {args.out} (quantiles in thousands)")
     else:
-        R = _checked("--R", R_default if args.R is None else args.R, whole=True)
+        R = _checked("--R", 20 if args.R is None else args.R, whole=True)
         curve = exp_mod.bias_study(model, m_grid, R, args.q, K, seed, workers=usable_cpus())
-        with open(args.out, "w", newline="") as fh:
-            fh.write(f"# seed={seed}\n")
-            fh.write(f"# realizations={curve.realizations}\n")
-            fh.write(f"# reference_quantile={curve.reference_quantile!r}\n")
-            w = csv.writer(fh)
-            w.writerow(["M", "relative_bias"])
-            for M, b in curve.points:
-                w.writerow([M, repr(float(b))])
+        comments = [f"seed={seed}", f"realizations={curve.realizations}",
+                    f"reference_quantile={curve.reference_quantile!r}"]
+        _write_csv(args.out, ["M", "relative_bias"], curve.points, comments)
         print(f"# seed={seed}")
         print(f"wrote {len(curve.points)} rows to {args.out} (R={R}, K={K})")
     return 0
@@ -494,10 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--threshold-L", type=float, default=1.0)
     exp.add_argument("--m-grid", help="comma-separated year counts")
     exp.add_argument("--q", type=float, default=DEFAULT_Q)
-    exp.add_argument("--K", type=int)
-    exp.add_argument("--R", type=int)
-    exp.add_argument("--full-scale", action="store_true",
-                     help="R=100, K=1e6 (slow); default desk scale is R=20, K=1e5")
+    exp.add_argument("--K", type=int, help="simulations per quantile (default 1e5)")
+    exp.add_argument("--R", type=int, help="realizations, bias only (default 20)")
     exp.add_argument("--seed", type=int)
     exp.add_argument("--out", required=True)
     exp.set_defaults(func=cmd_experiment)

@@ -17,6 +17,7 @@ from scipy.stats import norm
 from riskcap import bayes, estimators
 from riskcap.bayes import NIXParams, PosteriorState
 from riskcap.capital import CellModel, LossData, conditional_capital, predictive_capital
+from riskcap.cli import load_loss_data
 from riskcap.cli import main as cli_main
 from riskcap.distributions import (
     GammaParams,
@@ -236,12 +237,13 @@ def test_criterion_9_credible_interval_check():
 
 def test_criterion_10_determinism(tmp_path):
     # byte-identical CSV for identical config and seed
-    data = generate_synthetic(LN_TRUE, 10, RngStream(10).substream("c10"))
     counts_path = tmp_path / "c.csv"
     events_path = tmp_path / "e.csv"
-    from riskcap.cli import write_loss_files
-
-    write_loss_files(data, counts_path, events_path)
+    rc = cli_main(["simulate", "--family", "lognormal", "--lambda0", "10", "--mu0", "1",
+                   "--sigma0", "2", "--years", "10", "--seed", "10",
+                   "--counts-out", str(counts_path), "--events-out", str(events_path)])
+    assert rc == 0
+    data = load_loss_data(counts_path, events_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps(

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -16,14 +17,21 @@ from riskcap.cli import (
     ValidationError,
     load_loss_data,
     main,
-    read_capital_csv,
-    resolve_seed,
 )
 
 
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _capital_rows(path):
+    """The rows of a capital CSV by column, its numbers as floats."""
+    with open(path, newline="") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    text = ("cell_id", "mode", "warnings")
+    return [{k: v if k in text else float(v) for k, v in row.items()}
+            for row in csv.DictReader(lines)]
 
 
 @pytest.fixture
@@ -59,19 +67,28 @@ def test_load_loss_data(loss_files):
     assert data.severities.size == 5
 
 
-def test_counts_file_validation(tmp_path):
-    bad = _write(tmp_path / "c.csv", "year,count\n1,-2\n")
-    with pytest.raises(ValidationError, match=":2:"):
-        cli.read_counts_file(bad)
-    badh = _write(tmp_path / "h.csv", "yr,n\n1,2\n")
-    with pytest.raises(ValidationError, match="header"):
-        cli.read_counts_file(badh)
+def test_counts_file_validation(config_file, loss_files, capsys):
+    counts, _ = loss_files
+    for text, shown in [
+        ("year,count\n1,-2\n2,3\n", ":2: negative count -2"),
+        ("yr,n\n1,2\n2,3\n", ": expected header 'year,count'"),
+        ("year,count\n1,2\n2,3,7\n", ":3: malformed row ['2', '3', '7']"),
+    ]:
+        _write(Path(counts), text)
+        assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
+        assert f"{counts}{shown}" in capsys.readouterr().err
 
 
-def test_events_file_validation(tmp_path):
-    bad = _write(tmp_path / "e.csv", "year,amount\n1,0.0\n")
-    with pytest.raises(ValidationError, match=":2:"):
-        cli.read_events_file(bad)
+def test_events_file_validation(config_file, loss_files, capsys):
+    _, events = loss_files
+    for text, shown in [
+        ("year,amount\n1,0.0\n1,10.0\n2,1.5\n2,3.0\n2,7.0\n", ":2: non-positive amount 0.0"),
+        ("year,amount\n1,2.5\n1,10.0\n2,1.5\n2,3.0,999\n2,7.0\n",
+         ":5: malformed row ['2', '3.0', '999']"),
+    ]:
+        _write(Path(events), text)
+        assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
+        assert f"{events}{shown}" in capsys.readouterr().err
 
 
 def test_tally_mismatch(tmp_path):
@@ -88,18 +105,27 @@ def test_event_year_missing_from_counts(tmp_path):
         load_loss_data(counts, events)
 
 
-def test_seed_precedence(monkeypatch):
+def test_seed_precedence(tmp_path, config_file, monkeypatch, capsys):
+    cfg = json.loads(open(config_file).read())
+    del cfg["seed"]
+    no_seed = _write(tmp_path / "no-seed.json", json.dumps(cfg))
+    argv = ["capital", "--K", "1000", "--mode", "conditional", "--config"]
+
+    def seed(*args):
+        assert main(argv + list(args)) == 0
+        return int(capsys.readouterr().out.splitlines()[0].removeprefix("# seed="))
+
     monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-    assert resolve_seed(7) == 7  # flag wins
-    assert resolve_seed(None) == 123  # env next
-    assert resolve_seed(None, 55) == 123  # env also beats a config default
+    assert seed(config_file, "--seed", "7") == 7  # flag wins
+    assert seed(no_seed) == 123  # env next
+    assert seed(config_file) == 123  # env also beats a config default
     monkeypatch.delenv(cli.SEED_ENV_VAR)
-    assert resolve_seed(None, 55) == 55  # config before the clock
-    assert resolve_seed(None) >= 0  # time-derived fallback
+    assert seed(config_file) == 99  # config before the clock
+    assert seed(no_seed) >= 0  # time-derived fallback
 
     monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
-    with pytest.raises(ValidationError):
-        resolve_seed(None)
+    assert main(argv + [no_seed]) == EXIT_VALIDATION
+    assert cli.SEED_ENV_VAR in capsys.readouterr().err
 
 
 def test_negative_seed_exit_code(tmp_path, config_file, monkeypatch, capsys):
@@ -183,7 +209,7 @@ def test_capital_command_byte_identical(tmp_path, config_file):
     assert main(args + [out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    rows = read_capital_csv(out1)
+    rows = _capital_rows(out1)
     assert [r["mode"] for r in rows] == ["conditional", "predictive"]
     assert all(r["ci_lower"] <= r["value"] <= r["ci_upper"] for r in rows)
 
@@ -290,7 +316,7 @@ def test_aggregate_command(tmp_path, config_file, capsys):
     rc = main(["aggregate", cap_a, cap_b, "--out", out])
     assert rc == 0
     assert "bank total" in capsys.readouterr().out
-    values = [read_capital_csv(cap)[0]["value"] for cap in (cap_a, cap_b)]
+    values = [_capital_rows(cap)[0]["value"] for cap in (cap_a, cap_b)]
     lines = open(out).read().splitlines()
     assert [line.split(",")[0] for line in lines] == ["cell_id", "cell-a", "cell-b", "TOTAL"]
     assert lines[-1].split(",")[4] == repr(values[0] + values[1])
@@ -298,7 +324,7 @@ def test_aggregate_command(tmp_path, config_file, capsys):
 
 def test_aggregate_total_is_sum_of_distinct_cells(tmp_path, config_file):
     caps = [_capital_csv(tmp_path, config_file, c) for c in ("a", "b", "c")]
-    values = [read_capital_csv(cap)[0]["value"] for cap in caps]
+    values = [_capital_rows(cap)[0]["value"] for cap in caps]
     out = str(tmp_path / "total.csv")
     assert main(["aggregate", *caps, "--out", out]) == 0
     assert _total(out) == pytest.approx(sum(values), rel=1e-15)
@@ -361,10 +387,11 @@ def test_aggregate_malformed_capital_csv_exit_code(tmp_path, rows, message, caps
     assert f"{path}{message}" in capsys.readouterr().err
 
 
-def test_row_numbers_count_comment_lines(tmp_path):
-    bad = _write(tmp_path / "c.csv", "# seed=1\nyear,count\n1,2\n2,-1\n")
-    with pytest.raises(ValidationError, match=":4: negative count"):
-        cli.read_counts_file(bad)
+def test_row_numbers_count_comment_lines(config_file, loss_files, capsys):
+    counts, _ = loss_files
+    _write(Path(counts), "# seed=1\nyear,count\n1,2\n2,-1\n")
+    assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
+    assert f"{counts}:4: negative count" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -445,16 +472,18 @@ def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, cap
         (["experiment", "track", "--m-grid", "10,5"],
          "--m-grid must be ascending for track, got '10,5'"),
         (["experiment", "bias", "--sigma0", "0"], "sigma_sq must be positive"),
+        (["experiment", "track", "--R", "0"], "--R applies to experiment bias only"),
         (["simulate", "--family", "pareto", "--lambda0", "-1", "--years", "5"], "lambda0"),
         (["simulate", "--family", "pareto", "--lambda0", "2", "--years", "0"], "--years"),
     ],
     ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "K-above-cap", "m-grid-descending", "sigma0",
-         "lambda0", "years"],
+         "track-R", "lambda0", "years"],
 )
 def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
     # The flags under test come last, so they override these.
     if argv[0] == "experiment":
-        n, base = 2, ["--m-grid", "5", "--R", "1", "--K", "1000", "--out", f"{tmp_path}/o.csv"]
+        n, base = 2, ["--m-grid", "5", "--K", "1000", "--out", f"{tmp_path}/o.csv"]
+        base += ["--R", "1"] if argv[1] == "bias" else []
     else:
         n, base = 1, ["--counts-out", f"{tmp_path}/c.csv", "--events-out", f"{tmp_path}/e.csv"]
     argv = argv[:n] + base + ["--seed", "1"] + argv[n:]
@@ -534,7 +563,7 @@ def test_informative_priors_carry_a_history_too_thin_for_the_mle(tmp_path, event
     out = tmp_path / "thin.csv"
     argv = ["capital", "--config", config, "--K", "1000", "--mode", "predictive", "--csv", str(out)]
     assert main(argv) == 0
-    assert [r["mode"] for r in read_capital_csv(out)] == ["predictive"]
+    assert [r["mode"] for r in _capital_rows(out)] == ["predictive"]
 
 
 @pytest.mark.parametrize(

@@ -74,13 +74,14 @@ def config(tmp_path):
 
 def _runs(config, out):
     """The argv of each pinned run; ``out(name)`` is the path of a CSV it writes."""
-    experiment = ["--m-grid", "5,10", "--K", "20000", "--R", "2", "--seed", "5"]
+    experiment = {"track": ["--m-grid", "5,10", "--K", "20000", "--seed", "5"]}
+    experiment["bias"] = experiment["track"] + ["--R", "2"]
     yield ["capital", "--config", config, "--K", "20000", "--mode", "both", "--workers", "2",
            "--csv", out("capital")]
     yield ["fit", "--config", config, "--csv", out("fit")]
     for which in ("track", "bias"):
         for family in ("lognormal", "pareto"):
-            yield ["experiment", which, "--severity", family, *experiment,
+            yield ["experiment", which, "--severity", family, *experiment[which],
                    "--out", out(f"{which}-{family}")]
     for family in ("lognormal", "pareto"):
         yield ["simulate", "--family", family, "--lambda0", "4", "--years", "12", "--seed", "5",

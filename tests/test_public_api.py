@@ -44,10 +44,26 @@ def test_readme_lists_each_module_all():
         assert sorted(listed.get(f"riskcap.{name}", [])) == sorted(module.__all__), name
 
 
+def _trees() -> dict:
+    return {
+        info.name: ast.parse(Path(riskcap.__path__[0], f"{info.name}.py").read_text())
+        for info in pkgutil.iter_modules(riskcap.__path__)
+    }
+
+
 def test_no_module_imports_a_private_name_of_another():
-    for info in pkgutil.iter_modules(riskcap.__path__):
-        tree = ast.parse(Path(riskcap.__path__[0], f"{info.name}.py").read_text())
+    for name, tree in _trees().items():
         private = [alias.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.level
                    for alias in node.names if alias.name.startswith("_")]
-        assert not private, f"riskcap.{info.name} imports {private}"
+        assert not private, f"riskcap.{name} imports {private}"
+
+
+def test_one_csv_reader_and_one_csv_writer():
+    # Every CSV goes through cli's one reader and one writer, which own the
+    # number format and the malformed-row rule.
+    calls = [f"{name}: csv.{node.func.attr}" for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "csv"]
+    assert sorted(calls) == ["cli: csv.reader", "cli: csv.writer"]
