@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .distributions import GammaParams, RngStream
 
@@ -234,6 +233,7 @@ def _truncation_mass(state: PosteriorState) -> float:
 
 def _sigma_sq_cdf(p: NIXParams, s2: float) -> float:
     """P(sigma_sq <= s2): sigma_sq = beta / W with W ~ ChiSq(nu)."""
+    from scipy import special
     return special.gammaincc(p.dof_nu / 2, p.scale_beta / s2 / 2) if s2 > 0 else 0.0
 
 
@@ -256,6 +256,8 @@ def _nix_box_mass(p: NIXParams, m_bounds, u_bounds) -> float:
     (u = 1 is s = inf); otherwise it is the integral over u' in [0, u] of
     P(mu <= m | sigma_sq at u'), on 200 Gauss-Legendre nodes.
     """
+    from scipy import special
+
     def corner(m, u):
         if u <= 0 or m == -math.inf:
             return 0.0
@@ -330,19 +332,24 @@ def _rejection_sample(draw, lo, hi, n):
 
 # The scipy.special expressions that scipy.stats evaluates for these
 # distributions, bit for bit. Importing scipy.stats would cost more than the
-# CLI's whole start-up without it.
+# CLI's whole start-up without it. Every function here that calls
+# scipy.special imports it itself, so runs that evaluate no special function
+# (capital on an untruncated lognormal cell, experiment bias) never load scipy.
 
 
 def _gamma_cdf(params: GammaParams, x: float) -> float:
     """Gamma(shape, scale) CDF; 0 at and below the support's lower edge."""
+    from scipy import special
     return special.gammainc(params.shape, max(x, 0.0) / params.scale)
 
 
 def _gamma_ppf(params: GammaParams, p):
+    from scipy import special
     return special.gammaincinv(params.shape, p) * params.scale
 
 
 def _chi2_ppf(p, dof):
+    from scipy import special
     return 2 * special.gammaincinv(dof / 2, p)
 
 
@@ -354,6 +361,7 @@ def credible_interval(state: PosteriorState, level: float) -> dict:
     truncated lognormal posterior inverts each parameter's marginal CDF inside
     the box, the box's exact mass up to the parameter's value, numerically.
     """
+    from scipy import special
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level}")
     p_lo = (1.0 - level) / 2.0
@@ -382,6 +390,7 @@ def _truncated_nix_interval(state: PosteriorState, probs) -> dict:
     Each is solved in probability coordinates, where the bracket is finite:
     mu's marginal t CDF, and u = P(sigma_sq <= s).
     """
+    from scipy import special
     from scipy.optimize import brentq  # only this function needs it; it is slow to import
 
     p = state.params

@@ -55,19 +55,29 @@ class ValidationError(Exception):
 def _read_csv(path, header, types):
     """(line number, typed fields, raw row) of each data row of a CSV file.
 
-    Lines starting with ``#`` are skipped, but the numbers are the file's own.
-    The first other line must be ``header``; a row with another field count,
-    or a field its entry of ``types`` cannot parse, is malformed.
+    Lines starting with ``#`` are skipped, but the numbers are the file's own:
+    a row is numbered by the line it starts on, even if a quoted field spans
+    lines. The first other line must be ``header``; a row with another field
+    count, or a field its entry of ``types`` cannot parse, is malformed. A
+    number may not hold digit underscores, which ``int`` and ``float`` accept.
     """
     with open(path, newline="") as fh:
         kept = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
-    rows = zip((n for n, _ in kept), csv.reader(line for _, line in kept))
+    reader = csv.reader(line for _, line in kept)
+
+    def numbered():
+        start = 0  # lines the reader has consumed: the next row starts on kept[start]
+        for row in reader:
+            yield kept[start][0], row
+            start = reader.line_num
+
+    rows = numbered()
     first = next(rows, (None, None))[1]
     if first != header:
         raise ValidationError(f"{path}: expected header {','.join(header)!r}, got {first}")
     for n, row in rows:
         try:
-            if len(row) != len(header):
+            if len(row) != len(header) or any(t is not str and "_" in f for t, f in zip(types, row)):
                 raise ValueError
             fields = [parse(field) for parse, field in zip(types, row)]
         except ValueError:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .bayes import PosteriorState, sample_posterior
 from .distributions import (
@@ -228,7 +228,7 @@ def _ci_indices(K: int, q: float, gamma: float) -> tuple[int, int, bool]:
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    z = special.ndtri((1.0 + gamma) / 2.0)
+    z = statistics.NormalDist().inv_cdf((1.0 + gamma) / 2.0)
     spread = z * math.sqrt(K * q * (1.0 - q))
     r = int(math.floor(K * q - spread))
     s = int(math.ceil(K * q + spread))

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskcap
 from riskcap import cli
@@ -73,6 +77,8 @@ def test_counts_file_validation(config_file, loss_files, capsys):
         ("year,count\n1,-2\n2,3\n", ":2: negative count -2"),
         ("yr,n\n1,2\n2,3\n", ": expected header 'year,count'"),
         ("year,count\n1,2\n2,3,7\n", ":3: malformed row ['2', '3', '7']"),
+        ("year,count\n1,1_0\n2,3\n", ":2: malformed row ['1', '1_0']"),  # int() takes 1_0
+        ("year,count\n1,2\n2_0,3\n", ":3: malformed row ['2_0', '3']"),
     ]:
         _write(Path(counts), text)
         assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
@@ -85,10 +91,66 @@ def test_events_file_validation(config_file, loss_files, capsys):
         ("year,amount\n1,0.0\n1,10.0\n2,1.5\n2,3.0\n2,7.0\n", ":2: non-positive amount 0.0"),
         ("year,amount\n1,2.5\n1,10.0\n2,1.5\n2,3.0,999\n2,7.0\n",
          ":5: malformed row ['2', '3.0', '999']"),
+        ("year,amount\n1,2.5\n1,3_0.0\n2,1.5\n2,3.0\n2,7.0\n",  # float() takes 3_0.0
+         ":3: malformed row ['1', '3_0.0']"),
+        # The quoted field spans lines 2-3, so the bad row starts on line 5.
+        ('year,amount\n1,"2.5\n"\n1,10.0\n2,x\n2,3.0\n2,7.0\n', ":5: malformed row ['2', 'x']"),
     ]:
         _write(Path(events), text)
         assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
         assert f"{events}{shown}" in capsys.readouterr().err
+
+
+#: Ways to spoil one data row, each (fields, index of a field) -> fields.
+_CORRUPTIONS = {
+    "extra field": lambda fields, i: fields + ["1"],
+    "missing field": lambda fields, i: fields[:1],
+    "non-number": lambda fields, i: [*fields[:i], "x", *fields[i + 1:]],
+    "underscore": lambda fields, i: [*fields[:i], fields[i][0] + "_" + fields[i][1:], *fields[i + 1:]],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_corrupted_row_names_its_file_and_line(tmp_path_factory, data):
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=6)
+                       .filter(lambda c: sum(c) >= 4), label="counts")
+    amounts = data.draw(st.lists(st.floats(10.0, 1e6), min_size=sum(counts),
+                                 max_size=sum(counts), unique=True), label="amounts")
+    years = range(2001, 2001 + len(counts))
+    event_years = [y for y, c in zip(years, counts) for _ in range(c)]
+    rows = {"counts": [[str(y), str(c)] for y, c in zip(years, counts)],
+            "events": [[str(y), repr(a)] for y, a in zip(event_years, amounts)]}
+    d = tmp_path_factory.mktemp("loss")
+    paths = {name: str(d / f"{name}.csv") for name in rows}
+    cfg = _write(d / "cfg.json", json.dumps({"cells": [{
+        "id": "a", "severity_family": "lognormal",
+        "counts_file": paths["counts"], "events_file": paths["events"]}]}))
+    comments = data.draw(st.integers(0, 2), label="comment lines")
+
+    def write(name, body):
+        header = "year,count" if name == "counts" else "year,amount"
+        _write(Path(paths[name]), "# note\n" * comments + "\n".join([header, *map(",".join, body)]) + "\n")
+
+    def fit():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            return main(["fit", "--config", cfg]), err.getvalue()
+
+    for name, body in rows.items():
+        write(name, body)
+    assert fit()[0] == 0
+
+    name = data.draw(st.sampled_from(sorted(rows)), label="file")
+    row = data.draw(st.integers(0, len(rows[name]) - 1), label="row")
+    how = data.draw(st.sampled_from(sorted(_CORRUPTIONS)), label="corruption")
+    fields = rows[name][row]
+    # An underscore goes between two digits, where int() and float() accept it.
+    index = data.draw(st.sampled_from([i for i, f in enumerate(fields) if f[:2].isdigit()]
+                                      if how == "underscore" else [0, 1]), label="field")
+    write(name, [*rows[name][:row], _CORRUPTIONS[how](fields, index), *rows[name][row + 1:]])
+    rc, err = fit()
+    assert rc == EXIT_VALIDATION
+    assert f"{paths[name]}:{comments + 2 + row}: malformed row" in err
 
 
 def test_tally_mismatch(tmp_path):
@@ -249,19 +311,46 @@ def test_capital_non_finite_losses_exit_code(tmp_path, capsys):
     assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
 
 
-def test_cli_import_leaves_out_scipy_stats_and_optimize():
-    code = (
-        "import sys, riskcap.cli; "
-        "print(*(m in sys.modules for m in "
-        "('scipy.special', 'scipy.stats', 'scipy.optimize', 'scipy.integrate')))"
-    )
+def _fresh_python(code, *args):
+    """stdout of ``code`` run in a fresh interpreter that imports this riskcap."""
     src = str(Path(riskcap.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    # scipy.special is imported up front, so its cost is not moved into the first call.
-    assert out.stdout.split() == ["True", "False", "False", "False"]
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    code = "import sys, riskcap.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_scipy_loads_only_for_special_functions(tmp_path, config_file):
+    # Capital on an untruncated lognormal cell and the bias study evaluate no
+    # special function, so they never load scipy; a truncated Pareto cell's
+    # predictive run needs scipy.special (its truncation mass and tail-index
+    # probability) and nothing more.
+    counts = _write(tmp_path / "pc.csv", "year,count\n1,2\n2,3\n")
+    events = _write(tmp_path / "pe.csv", "year,amount\n1,2.0\n1,3.0\n2,5.0\n2,1.5\n2,4.0\n")
+    cell = {"id": "p", "severity_family": "pareto", "threshold_L": 1.0,
+            "enforce_finite_mean": True, "counts_file": counts, "events_file": events}
+    pareto = _write(tmp_path / "pareto.json", json.dumps({"seed": 1, "cells": [cell]}))
+    code = (
+        "import sys\n"
+        "from riskcap.cli import main\n"
+        "cfg, pareto, out = sys.argv[1:]\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert main(['capital', '--config', cfg, '--K', '2000', '--mode', 'both']) == 0\n"
+        "assert main(['experiment', 'bias', '--m-grid', '5,10', '--K', '2000', '--R', '2',\n"
+        "             '--seed', '1', '--out', out]) == 0\n"
+        "print('after-lognormal', scipy())\n"
+        "assert main(['capital', '--config', pareto, '--K', '2000', '--mode', 'predictive']) == 0\n"
+        "print('after-pareto', *(m in sys.modules for m in\n"
+        "      ('scipy.special', 'scipy.stats', 'scipy.optimize', 'scipy.integrate')))\n"
+    )
+    out = _fresh_python(code, config_file, pareto, str(tmp_path / "bias.csv")).splitlines()
+    assert "after-lognormal []" in out
+    assert "after-pareto True False False False" in out
 
 
 def test_capital_insufficient_data_exit_code(tmp_path):

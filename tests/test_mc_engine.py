@@ -293,6 +293,23 @@ def test_ci_indices_exact():
     assert _ci_indices(10**5, 0.999, 0.95) == (99880, 99920, True)
 
 
+def test_ci_indices_match_ndtri():
+    # _ci_indices takes z from the standard library, which can differ from
+    # scipy's ndtri by one ulp; the integer indices must not.
+    from scipy.special import ndtri
+
+    Ks = np.union1d(np.round(np.logspace(0, 7, 500)), [10**3, 2000, 10**4, 10**5, 10**6])
+    qs = [0.5, 0.75, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999]
+    gammas = [1e-12, *np.linspace(0.02, 0.98, 33), 0.99, 0.999, 1 - 1e-9]
+    for q in qs:
+        for gamma in gammas:
+            spread = ndtri((1.0 + gamma) / 2.0) * np.sqrt(Ks * q * (1.0 - q))
+            r = np.clip(np.floor(Ks * q - spread), 1, Ks)
+            s = np.clip(np.ceil(Ks * q + spread), 1, Ks)
+            got = np.array([_ci_indices(int(K), q, gamma)[:2] for K in Ks])
+            np.testing.assert_array_equal(got, np.column_stack([r, s]), err_msg=f"q={q}, gamma={gamma}")
+
+
 def test_ci_collapses_as_gamma_to_zero():
     r, s, _ = _ci_indices(10**5, 0.999, 1e-12)
     # z -> 0: both endpoints land next to floor(K*q)
