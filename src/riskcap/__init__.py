@@ -17,10 +17,10 @@ from .distributions import (
     GammaParams,
     LognormalParams,
     ParetoParams,
-    PoissonParams,
+    PointParams,
     RngStream,
 )
-from .experiments import TrueModel, bias_study, generate_synthetic, single_realization_track
+from .experiments import bias_study, generate_synthetic, single_realization_track
 from .mc_engine import (
     LossSample,
     QuantileEstimate,

@@ -60,6 +60,8 @@ class NIXParams:
     prec_phi: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"NIX parameters must be finite, got {self}")
         if not self.scale_beta > 0:
             raise ValueError(f"scale_beta must be positive, got {self.scale_beta}")
         if not self.prec_phi > 0:

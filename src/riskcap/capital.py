@@ -15,8 +15,7 @@ import numpy as np
 
 from . import bayes, estimators
 from .bayes import InsufficientDataError, NIXParams, PosteriorState
-from .distributions import GammaParams, LognormalParams, ParetoParams, PoissonParams, RngStream
-from .estimators import MleReport
+from .distributions import GammaParams, LognormalParams, ParetoParams, PointParams, RngStream
 from .mc_engine import (
     QuantileEstimate,
     estimate_quantile,
@@ -140,7 +139,7 @@ class CapitalReport:
     warnings: tuple = ()
 
 
-def fit_mle(model: CellModel, data: LossData) -> MleReport:
+def fit_mle(model: CellModel, data: LossData) -> PointParams:
     """Maximum-likelihood point estimates: the conditional path's point."""
     try:
         lam = estimators.mle_poisson(data.annual_counts)
@@ -149,9 +148,9 @@ def fit_mle(model: CellModel, data: LossData) -> MleReport:
         else:
             xi = estimators.mle_pareto(data.severities, model.threshold_L)
             severity = ParetoParams(xi=xi, threshold_L=model.threshold_L)
+        return PointParams(lam=lam, severity=severity)
     except ValueError as e:  # too little data for a point estimate
         raise InsufficientDataError(f"cell {model.cell_id!r}: {e}") from e
-    return MleReport(lambda_hat=lam, severity=severity)
 
 
 def fit_posteriors(model: CellModel, data: LossData) -> tuple[PosteriorState, PosteriorState]:
@@ -177,7 +176,8 @@ def fit_posteriors(model: CellModel, data: LossData) -> tuple[PosteriorState, Po
     return post_freq, post_sev
 
 
-def fit_summary(mle: MleReport | None, post_freq: PosteriorState, post_sev: PosteriorState) -> dict:
+def fit_summary(mle: PointParams | None, post_freq: PosteriorState,
+                post_sev: PosteriorState) -> dict:
     """Each parameter's MLE with its exact 0.95 posterior credible interval.
 
     Maps the parameter name to ``(estimate, lower, upper)``; every estimate is
@@ -191,8 +191,8 @@ def fit_summary(mle: MleReport | None, post_freq: PosteriorState, post_sev: Post
     point = {}
     if mle is not None:
         sev = mle.severity
-        point = ({"lambda": mle.lambda_hat, "mu": sev.mu, "sigma": float(np.sqrt(sev.sigma_sq))}
-                 if isinstance(sev, LognormalParams) else {"lambda": mle.lambda_hat, "xi": sev.xi})
+        point = ({"lambda": mle.lam, "mu": sev.mu, "sigma": float(np.sqrt(sev.sigma_sq))}
+                 if isinstance(sev, LognormalParams) else {"lambda": mle.lam, "xi": sev.xi})
     return {name: (point.get(name), *bounds) for name, bounds in iv.items()}
 
 
@@ -209,10 +209,8 @@ def conditional_capital(
 
     Parameter uncertainty is ignored on this path.
     """
-    mle = fit_mle(model, data)
-    freq = PoissonParams(lam=mle.lambda_hat)
     rng = RngStream(seed).substream("cell", model.cell_id, "conditional")
-    sample = simulate_conditional_sample(freq, mle.severity, K, rng, workers=workers)
+    sample = simulate_conditional_sample(fit_mle(model, data), K, rng, workers=workers)
     est = estimate_quantile(sample, q, gamma)
     return CapitalReport(model.cell_id, "conditional", est, tuple(_common_warnings(est)))
 

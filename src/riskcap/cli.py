@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -25,7 +26,7 @@ from . import capital as capital_mod
 from . import experiments as exp_mod
 from .bayes import InsufficientDataError, NIXParams
 from .capital import CellModel, LossData
-from .distributions import GammaParams, LognormalParams, ParetoParams, RngStream
+from .distributions import GammaParams, LognormalParams, ParetoParams, PointParams, RngStream
 from .mc_engine import MAX_SAMPLE_SIZE, usable_cpus
 
 __all__ = ["main"]
@@ -51,6 +52,11 @@ class ValidationError(Exception):
 # ---------------------------------------------------------------------------
 # CSV I/O
 
+#: The spelling of a number field: ASCII only, where ``int`` and ``float`` also
+#: take spaces, a "+", digit underscores and non-ASCII digits.
+_NUMBER = {int: re.compile(r"-?[0-9]+"),
+           float: re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)")}
+
 
 def _read_csv(path, header, types):
     """(line number, typed fields, raw row) of each data row of a CSV file.
@@ -58,8 +64,8 @@ def _read_csv(path, header, types):
     Lines starting with ``#`` are skipped, but the numbers are the file's own:
     a row is numbered by the line it starts on, even if a quoted field spans
     lines. The first other line must be ``header``; a row with another field
-    count, or a field its entry of ``types`` cannot parse, is malformed. A
-    number may not hold digit underscores, which ``int`` and ``float`` accept.
+    count, or a number field that does not match its ASCII grammar in
+    ``_NUMBER``, is malformed.
     """
     with open(path, newline="") as fh:
         kept = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
@@ -77,7 +83,8 @@ def _read_csv(path, header, types):
         raise ValidationError(f"{path}: expected header {','.join(header)!r}, got {first}")
     for n, row in rows:
         try:
-            if len(row) != len(header) or any(t is not str and "_" in f for t, f in zip(types, row)):
+            if len(row) != len(header) or not all(
+                    t is str or _NUMBER[t].fullmatch(f) for t, f in zip(types, row)):
                 raise ValueError
             fields = [parse(field) for parse, field in zip(types, row)]
         except ValueError:
@@ -368,15 +375,19 @@ def cmd_aggregate(args):
     return 0
 
 
-def _true_model_from_args(args, family: str) -> exp_mod.TrueModel:
+def _true_model_from_args(args, family: str) -> PointParams:
     try:
         if family == "lognormal":
-            sev = LognormalParams(mu=args.mu0, sigma_sq=args.sigma0**2)
+            # A product, not **2, which raises OverflowError past 1e154.
+            sev = LognormalParams(mu=args.mu0, sigma_sq=args.sigma0 * args.sigma0)
         else:
             sev = ParetoParams(xi=args.xi0, threshold_L=args.threshold_L)
-        return exp_mod.TrueModel(lambda0=args.lambda0, severity=sev)
     except ValueError as e:
         raise ValidationError(f"invalid true model: {e}")
+    try:
+        return PointParams(lam=args.lambda0, severity=sev)
+    except ValueError as e:
+        raise ValidationError(f"invalid true model: --lambda0: {e}")
 
 
 def cmd_experiment(args):

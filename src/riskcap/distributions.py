@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "PoissonParams",
+    "PointParams",
     "LognormalParams",
     "ParetoParams",
     "GammaParams",
@@ -66,17 +66,6 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class PoissonParams:
-    """Annual event-count distribution, rate ``lam`` > 0."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"Poisson rate must be positive, got {self.lam}")
-
-
-@dataclass(frozen=True)
 class LognormalParams:
     """Severity on log scale: ln(X) ~ Normal(mu, sigma_sq)."""
 
@@ -84,12 +73,10 @@ class LognormalParams:
     sigma_sq: float
 
     def __post_init__(self):
-        if not self.sigma_sq > 0:
-            raise ValueError(f"sigma_sq must be positive, got {self.sigma_sq}")
-
-    def sampler_args(self) -> dict:
-        """Keyword arguments of :func:`sample_severities` for these parameters."""
-        return {"mu": self.mu, "sigma": math.sqrt(self.sigma_sq)}
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
+        if not 0 < self.sigma_sq < math.inf:
+            raise ValueError(f"sigma_sq must be positive and finite, got {self.sigma_sq}")
 
 
 @dataclass(frozen=True)
@@ -100,14 +87,34 @@ class ParetoParams:
     threshold_L: float
 
     def __post_init__(self):
-        if not self.xi > 0:
-            raise ValueError(f"tail index xi must be positive, got {self.xi}")
-        if not self.threshold_L > 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold_L}")
+        for name, value in vars(self).items():
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+@dataclass(frozen=True)
+class PointParams:
+    """One point of the cell model: Poisson rate ``lam`` > 0 and a severity.
+
+    The MLE, the synthetic truth and the conditional simulation's parameters
+    are all points.
+    """
+
+    lam: float
+    severity: LognormalParams | ParetoParams
+
+    def __post_init__(self):
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"Poisson rate lam must be positive and finite, got {self.lam}")
+        if not isinstance(self.severity, (LognormalParams, ParetoParams)):
+            raise TypeError(f"unsupported severity family: {type(self.severity).__name__}")
 
     def sampler_args(self) -> dict:
-        """Keyword arguments of :func:`sample_severities` for these parameters."""
-        return {"xi": self.xi, "threshold_L": self.threshold_L}
+        """Keyword arguments of :func:`sample_severities` for this point's severity."""
+        sev = self.severity
+        if isinstance(sev, LognormalParams):
+            return {"mu": sev.mu, "sigma": math.sqrt(sev.sigma_sq)}
+        return {"xi": sev.xi, "threshold_L": sev.threshold_L}
 
 
 @dataclass(frozen=True)
@@ -118,10 +125,9 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        for name, value in vars(self).items():
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def sample_severities(size: int, gen: np.random.Generator, *, mu=None, sigma=None,

@@ -2,21 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .distributions import LognormalParams, ParetoParams
-
-__all__ = ["MleReport", "mle_poisson", "mle_lognormal", "mle_pareto"]
-
-
-@dataclass(frozen=True)
-class MleReport:
-    """Point estimates for one risk cell: the Poisson rate and the severity distribution."""
-
-    lambda_hat: float
-    severity: LognormalParams | ParetoParams
+__all__ = ["mle_poisson", "mle_lognormal", "mle_pareto"]
 
 
 def mle_poisson(counts) -> float:

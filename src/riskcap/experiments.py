@@ -19,35 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capital import CellModel, LossData, fit_mle, fit_posteriors, fit_summary
-from .distributions import (
-    LognormalParams,
-    ParetoParams,
-    PoissonParams,
-    RngStream,
-    sample_severities,
-)
+from .distributions import ParetoParams, PointParams, RngStream, sample_severities
 from .mc_engine import empirical_quantile, simulate_conditional_sample, simulate_predictive_sample
 
 __all__ = [
-    "TrueModel",
     "BiasRecord",
     "BiasCurve",
     "generate_synthetic",
     "single_realization_track",
     "bias_study",
 ]
-
-
-@dataclass(frozen=True)
-class TrueModel:
-    """Data-generating parameters for a synthetic risk cell."""
-
-    lambda0: float
-    severity: LognormalParams | ParetoParams
-
-    def __post_init__(self):
-        if not self.lambda0 > 0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +62,7 @@ class BiasCurve:
             raise ValueError("reference quantile must be positive")
 
 
-def generate_synthetic(true_model: TrueModel, M: int, rng: RngStream) -> LossData:
+def generate_synthetic(true_model: PointParams, M: int, rng: RngStream) -> LossData:
     """Simulate M years of counts and the matching severities.
 
     Each year consumes its own substream, so for a fixed stream the dataset
@@ -90,12 +71,12 @@ def generate_synthetic(true_model: TrueModel, M: int, rng: RngStream) -> LossDat
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    sev = true_model.severity.sampler_args()
+    sev = true_model.sampler_args()
     counts = np.empty(M, dtype=int)
     sev_chunks = []
     for m in range(M):
         gen = rng.substream("year", m).generator
-        n = int(gen.poisson(true_model.lambda0))
+        n = int(gen.poisson(true_model.lam))
         counts[m] = n
         sev_chunks.append(sample_severities(n, gen, **sev))
     severities = np.concatenate(sev_chunks) if sev_chunks else np.array([])
@@ -113,15 +94,13 @@ def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream,
         model = CellModel("synthetic", "lognormal")
     mle = fit_mle(model, data)
     posteriors = fit_posteriors(model, data)
-    freq = PoissonParams(lam=mle.lambda_hat)
-    cond = simulate_conditional_sample(freq, mle.severity, K_sims, stream.substream("cond"),
-                                       workers=workers)
+    cond = simulate_conditional_sample(mle, K_sims, stream.substream("cond"), workers=workers)
     pred = simulate_predictive_sample(*posteriors, K_sims, stream.substream("pred"), workers=workers)
     return empirical_quantile(cond, q), empirical_quantile(pred, q), mle, posteriors
 
 
 def single_realization_track(
-    true_model: TrueModel,
+    true_model: PointParams,
     M_grid,
     q: float = 0.999,
     K_sims: int = 10**6,
@@ -163,16 +142,14 @@ def single_realization_track(
 
 
 def true_parameter_quantile(
-    true_model: TrueModel, q: float, K: int, rng: RngStream, workers: int = 1
+    true_model: PointParams, q: float, K: int, rng: RngStream, workers: int = 1
 ) -> float:
     """Quantile of the annual loss at the true parameters (the bias reference)."""
-    freq = PoissonParams(lam=true_model.lambda0)
-    sample = simulate_conditional_sample(freq, true_model.severity, K, rng, workers=workers)
-    return empirical_quantile(sample, q)
+    return empirical_quantile(simulate_conditional_sample(true_model, K, rng, workers), q)
 
 
 def bias_study(
-    true_model: TrueModel,
+    true_model: PointParams,
     M_grid,
     R: int = 100,
     q: float = 0.999,

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import PosteriorState, sample_posterior
-from .distributions import (
-    LognormalParams,
-    ParetoParams,
-    PoissonParams,
-    RngStream,
-    sample_severities,
-)
+from .distributions import PointParams, RngStream, sample_severities
 
 __all__ = [
     "LossSample",
@@ -150,22 +144,16 @@ def _run_batches(batch_fn, K: int, rng: RngStream, workers: int) -> LossSample:
 
 
 def simulate_conditional_sample(
-    freq: PoissonParams,
-    sev: LognormalParams | ParetoParams,
-    K: int,
-    rng: RngStream,
-    workers: int = 1,
+    point: PointParams, K: int, rng: RngStream, workers: int = 1
 ) -> LossSample:
-    """K i.i.d. annual losses at fixed point parameters, sorted ascending.
+    """K i.i.d. annual losses at one point of the cell model, sorted ascending.
 
     This is the predictive computation with the posterior collapsed to a
     point mass: every scenario shares the same parameters.
     """
-    if not isinstance(sev, (LognormalParams, ParetoParams)):
-        raise TypeError(f"unsupported severity family: {type(sev).__name__}")
-    point = sev.sampler_args()
+    sev = point.sampler_args()
     return _run_batches(
-        lambda n, st: _compound_batch(st.generator, n, freq.lam, point), K, rng, workers
+        lambda n, st: _compound_batch(st.generator, n, point.lam, sev), K, rng, workers
     )
 
 

@@ -22,11 +22,11 @@ from riskcap.cli import main as cli_main
 from riskcap.distributions import (
     GammaParams,
     LognormalParams,
-    PoissonParams,
+    PointParams,
     RngStream,
     sample_severities,
 )
-from riskcap.experiments import TrueModel, bias_study, generate_synthetic
+from riskcap.experiments import bias_study, generate_synthetic
 from riskcap.mc_engine import (
     LossSample,
     _ci_indices,
@@ -36,7 +36,7 @@ from riskcap.mc_engine import (
     simulate_predictive_sample,
 )
 
-LN_TRUE = TrueModel(lambda0=10.0, severity=LognormalParams(mu=1.0, sigma_sq=4.0))
+LN_TRUE = PointParams(lam=10.0, severity=LognormalParams(mu=1.0, sigma_sq=4.0))
 
 
 def _report(name, ok, detail):
@@ -47,7 +47,7 @@ def _report(name, ok, detail):
 def test_criterion_1_true_parameter_quantile():
     t0 = time.time()
     sample = simulate_conditional_sample(
-        PoissonParams(10.0), LognormalParams(1.0, 4.0), 10**6, RngStream(2024)
+        PointParams(10.0, LognormalParams(1.0, 4.0)), 10**6, RngStream(2024)
     )
     q = empirical_quantile(sample, 0.999)
     elapsed = time.time() - t0

@@ -15,11 +15,11 @@ from riskcap.capital import (
     fit_posteriors,
     predictive_capital,
 )
-from riskcap.distributions import LognormalParams, RngStream
+from riskcap.distributions import LognormalParams, PointParams, RngStream
 from riskcap.cli import main
-from riskcap.experiments import TrueModel, generate_synthetic
+from riskcap.experiments import generate_synthetic
 
-TRUE = TrueModel(lambda0=10.0, severity=LognormalParams(mu=1.0, sigma_sq=4.0))
+TRUE = PointParams(lam=10.0, severity=LognormalParams(mu=1.0, sigma_sq=4.0))
 
 
 def _data(M, seed=0):

@@ -29,6 +29,13 @@ def _write(path, text):
     return str(path)
 
 
+def _run(argv):
+    """``main``'s exit code and stderr, where a Hypothesis test cannot take ``capsys``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
 def _capital_rows(path):
     """The rows of a capital CSV by column, its numbers as floats."""
     with open(path, newline="") as fh:
@@ -69,6 +76,9 @@ def test_load_loss_data(loss_files):
     data = load_loss_data(*loss_files)
     assert list(data.annual_counts) == [2, 3]
     assert data.severities.size == 5
+    # Every spelling repr writes reads back, and so do a bare point and an integer.
+    _write(Path(loss_files[1]), "year,amount\n1,2.5e+16\n1,1e-05\n2,.5\n2,7.\n2,3\n")
+    assert load_loss_data(*loss_files).severities.tolist() == [2.5e16, 1e-05, 0.5, 7.0, 3.0]
 
 
 def test_counts_file_validation(config_file, loss_files, capsys):
@@ -79,6 +89,10 @@ def test_counts_file_validation(config_file, loss_files, capsys):
         ("year,count\n1,2\n2,3,7\n", ":3: malformed row ['2', '3', '7']"),
         ("year,count\n1,1_0\n2,3\n", ":2: malformed row ['1', '1_0']"),  # int() takes 1_0
         ("year,count\n1,2\n2_0,3\n", ":3: malformed row ['2_0', '3']"),
+        # int() also takes a space, a "+" and a full-width digit.
+        ("year,count\n1, 2\n2,3\n", ":2: malformed row ['1', ' 2']"),
+        ("year,count\n1,2\n2,+3\n", ":3: malformed row ['2', '+3']"),
+        ("year,count\n1,2\n2,\uff13\n", ":3: malformed row ['2', '\uff13']"),
     ]:
         _write(Path(counts), text)
         assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
@@ -93,8 +107,11 @@ def test_events_file_validation(config_file, loss_files, capsys):
          ":5: malformed row ['2', '3.0', '999']"),
         ("year,amount\n1,2.5\n1,3_0.0\n2,1.5\n2,3.0\n2,7.0\n",  # float() takes 3_0.0
          ":3: malformed row ['1', '3_0.0']"),
-        # The quoted field spans lines 2-3, so the bad row starts on line 5.
-        ('year,amount\n1,"2.5\n"\n1,10.0\n2,x\n2,3.0\n2,7.0\n', ":5: malformed row ['2', 'x']"),
+        # float() also takes the newline and the space of a quoted amount, and a "+".
+        ('year,amount\n1,"2.5\n"\n1,10.0\n2,1.5\n2,3.0\n2,7.0\n',
+         ":2: malformed row ['1', '2.5\\n']"),
+        ('year,amount\n1,2.5\n1," 5.0"\n2,1.5\n2,3.0\n2,7.0\n', ":3: malformed row ['1', ' 5.0']"),
+        ("year,amount\n1,2.5\n1,10.0\n2,+1.5\n2,3.0\n2,7.0\n", ":4: malformed row ['2', '+1.5']"),
     ]:
         _write(Path(events), text)
         assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
@@ -132,13 +149,9 @@ def test_one_corrupted_row_names_its_file_and_line(tmp_path_factory, data):
         header = "year,count" if name == "counts" else "year,amount"
         _write(Path(paths[name]), "# note\n" * comments + "\n".join([header, *map(",".join, body)]) + "\n")
 
-    def fit():
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-            return main(["fit", "--config", cfg]), err.getvalue()
-
     for name, body in rows.items():
         write(name, body)
-    assert fit()[0] == 0
+    assert _run(["fit", "--config", cfg])[0] == 0
 
     name = data.draw(st.sampled_from(sorted(rows)), label="file")
     row = data.draw(st.integers(0, len(rows[name]) - 1), label="row")
@@ -148,7 +161,7 @@ def test_one_corrupted_row_names_its_file_and_line(tmp_path_factory, data):
     index = data.draw(st.sampled_from([i for i, f in enumerate(fields) if f[:2].isdigit()]
                                       if how == "underscore" else [0, 1]), label="field")
     write(name, [*rows[name][:row], _CORRUPTIONS[how](fields, index), *rows[name][row + 1:]])
-    rc, err = fit()
+    rc, err = _run(["fit", "--config", cfg])
     assert rc == EXIT_VALIDATION
     assert f"{paths[name]}:{comments + 2 + row}: malformed row" in err
 
@@ -467,13 +480,58 @@ _CAPITAL_HEADER = "# seed=1\ncell_id,mode,q,K,value,ci_lower,ci_upper,warnings\n
         ("a,conditional,0.999,2000,10.0,9.0,11.0,\nb,conditional,0.999,2000,inf,9.0,11.0,\n",
          ":4: non-finite"),
         ("", ": no capital rows"),
+        # The quoted warnings span lines 3-4, so the bad row starts on line 5.
+        ('a,conditional,0.999,2000,10.0,9.0,11.0,"one\ntwo"\n'
+         "b,conditional,0.999,2000,x,9.0,11.0,\n", ":5: malformed row"),
     ],
-    ids=["short", "non-numeric", "long", "non-finite", "empty"],
+    ids=["short", "non-numeric", "long", "non-finite", "empty", "multi-line-field"],
 )
 def test_aggregate_malformed_capital_csv_exit_code(tmp_path, rows, message, capsys):
     path = _write(tmp_path / "cap.csv", _CAPITAL_HEADER + rows)
     assert main(["aggregate", path]) == EXIT_VALIDATION
     assert f"{path}{message}" in capsys.readouterr().err
+
+
+_FULL_WIDTH = str.maketrans({str(d): chr(0xFF10 + d) for d in range(10)})
+
+
+def _respelled(spell):
+    """A corruption that replaces field i by ``spell`` of it."""
+    return lambda fields, i: [*fields[:i], spell(fields[i]), *fields[i + 1:]]
+
+
+#: Ways to spoil one capital row, each (fields, index of a number field) -> fields.
+_CAPITAL_CORRUPTIONS = {
+    "extra field": lambda fields, i: fields + ["1"],
+    "missing field": lambda fields, i: fields[:-1],
+    "non-number": _respelled(lambda f: "x"),
+    "inf": _respelled(lambda f: "inf"),
+    # Each of these int() and float() would take.
+    "space": _respelled(lambda f: " " + f),
+    "plus": _respelled(lambda f: "+" + f),
+    "full-width": _respelled(lambda f: f.translate(_FULL_WIDTH)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_corrupted_capital_row_names_its_file_and_line(tmp_path_factory, data):
+    values = data.draw(st.lists(st.floats(1.0, 1e12), min_size=1, max_size=5), label="values")
+    rows = [[f"cell-{i}", "predictive", "0.999", "2000", repr(v), repr(v / 2), repr(v * 2), "w"]
+            for i, v in enumerate(values)]
+    comments = data.draw(st.lists(st.just("note"), max_size=2), label="comment lines")
+    path = str(tmp_path_factory.mktemp("capital") / "cap.csv")
+    cli._write_csv(path, cli.CAPITAL_COLUMNS, rows, comments)
+    assert _run(["aggregate", path])[0] == 0
+
+    row = data.draw(st.integers(0, len(rows) - 1), label="row")
+    how = data.draw(st.sampled_from(sorted(_CAPITAL_CORRUPTIONS)), label="corruption")
+    index = data.draw(st.integers(2, 6), label="number field")  # q, K, value and the interval
+    rows[row] = _CAPITAL_CORRUPTIONS[how](rows[row], index)
+    cli._write_csv(path, cli.CAPITAL_COLUMNS, rows, comments)
+    rc, err = _run(["aggregate", path])
+    assert rc == EXIT_VALIDATION
+    assert f"{path}:{len(comments) + 2 + row}: " in err
 
 
 def test_row_numbers_count_comment_lines(config_file, loss_files, capsys):
@@ -504,11 +562,13 @@ def test_row_numbers_count_comment_lines(config_file, loss_files, capsys):
         {"sev_prior": []},
         # cell-a's 5 events leave the lognormal posterior with dof_nu = 0: improper.
         {"sev_prior": {"dof_nu": -5, "scale_beta": 1.0, "loc_theta": 0.0, "prec_phi": 1.0}},
+        {"freq_prior": {"shape": math.inf, "scale": 1.0}},
+        {"sev_prior": {"dof_nu": 2.0, "scale_beta": math.inf, "loc_theta": 0.0, "prec_phi": 1.0}},
     ],
     ids=["no-counts", "no-events", "no-family", "freq-prior", "sev-prior", "short-bound",
          "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range",
          "finite-mean-text", "finite-mean-lognormal", "freq-prior-empty", "sev-prior-empty",
-         "sev-prior-list", "improper-posterior"],
+         "sev-prior-list", "improper-posterior", "freq-prior-infinite", "sev-prior-infinite"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command, capsys):
@@ -523,6 +583,51 @@ def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command,
     argv = [command, "--config", bad] + (["--K", "1000"] if command == "capital" else [])
     assert main(argv) == EXIT_VALIDATION
     assert "cell 'cell-a'" in capsys.readouterr().err
+
+
+def _one_field_spoiled(valid: dict, bad):
+    """``valid`` with one of its fields, drawn, set to a value drawn from ``bad``."""
+    return st.sampled_from(sorted(valid)).flatmap(lambda k: bad.map(lambda v: {**valid, k: v}))
+
+
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_GAMMA = {"shape": 2.0, "scale": 1.0}
+_NIX = {"dof_nu": 2.0, "scale_beta": 1.0, "loc_theta": 0.0, "prec_phi": 1.0}
+_BOUND = st.floats(-1e6, 1e6)
+#: One field of a valid lognormal config cell and an invalid value for it.
+_BAD_CELL_FIELD = st.one_of(
+    st.tuples(st.just("freq_prior"), st.one_of(
+        st.just({}), _one_field_spoiled(_GAMMA, _NON_FINITE))),
+    st.tuples(st.just("sev_prior"), st.one_of(
+        st.just({}), st.just(_GAMMA), _one_field_spoiled(_NIX, _NON_FINITE))),
+    st.tuples(st.just("enforce_finite_mean"),
+              st.one_of(st.just(True), st.integers(), st.floats(), st.text())),
+    st.tuples(st.just("truncation"), st.one_of(
+        # lo >= hi on a parameter of the cell, or a parameter it does not have
+        st.builds(lambda name, lo, gap: {name: [lo, lo - gap]},
+                  st.sampled_from(["lambda", "mu", "sigma_sq"]), _BOUND, st.floats(0.0, 1e6)),
+        st.builds(lambda name: {name: [0.0, 1.0]},
+                  st.text(max_size=8).filter(lambda n: n not in ("lambda", "mu", "sigma_sq"))))),
+    st.tuples(st.just("severity_family"),
+              st.text().filter(lambda f: f not in ("lognormal", "pareto"))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_id=st.from_regex(r"[a-z][a-z0-9-]{0,7}", fullmatch=True), field=_BAD_CELL_FIELD)
+def test_one_invalid_config_field_names_its_cell(tmp_path_factory, cell_id, field):
+    d = tmp_path_factory.mktemp("cfg")
+    counts = _write(d / "counts.csv", "year,count\n1,2\n2,3\n")
+    events = _write(d / "events.csv", "year,amount\n1,2.5\n1,10.0\n2,1.5\n2,3.0\n2,7.0\n")
+    cell = {"id": cell_id, "severity_family": "lognormal", "counts_file": counts,
+            "events_file": events}
+    assert _run(["fit", "--config", _write(d / "good.json", json.dumps({"cells": [cell]}))])[0] == 0
+    key, value = field
+    bad = _write(d / "bad.json", json.dumps({"cells": [{**cell, key: value}]}))
+    for argv in (["fit"], ["capital", "--mode", "predictive", "--K", "1000", "--seed", "1"]):
+        rc, err = _run(argv + ["--config", bad])
+        assert rc == EXIT_VALIDATION, (argv, err)
+        assert f"cell {cell_id!r}" in err
 
 
 @pytest.mark.parametrize(
@@ -564,9 +669,23 @@ def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, cap
         (["experiment", "track", "--R", "0"], "--R applies to experiment bias only"),
         (["simulate", "--family", "pareto", "--lambda0", "-1", "--years", "5"], "lambda0"),
         (["simulate", "--family", "pareto", "--lambda0", "2", "--years", "0"], "--years"),
+        (["simulate", "--family", "pareto", "--lambda0", "inf", "--years", "5"], "lambda0"),
+        (["simulate", "--family", "lognormal", "--lambda0", "2", "--years", "5", "--mu0", "inf"],
+         "mu must be finite, got inf"),
+        (["simulate", "--family", "lognormal", "--lambda0", "2", "--years", "5", "--mu0", "nan"],
+         "mu must be finite, got nan"),
+        (["simulate", "--family", "lognormal", "--lambda0", "2", "--years", "5", "--sigma0", "inf"],
+         "sigma_sq must be positive and finite, got inf"),
+        # sigma0**2 would raise OverflowError here.
+        (["simulate", "--family", "lognormal", "--lambda0", "2", "--years", "5",
+          "--sigma0", "1e200"], "sigma_sq must be positive and finite, got inf"),
+        (["simulate", "--family", "pareto", "--lambda0", "2", "--years", "5", "--xi0", "inf"],
+         "xi must be positive and finite, got inf"),
+        (["experiment", "bias", "--mu0", "inf"], "mu must be finite, got inf"),
     ],
     ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "K-above-cap", "m-grid-descending", "sigma0",
-         "track-R", "lambda0", "years"],
+         "track-R", "lambda0", "years", "lambda0-inf", "mu0-inf", "mu0-nan", "sigma0-inf",
+         "sigma0-overflow", "xi0-inf", "experiment-mu0-inf"],
 )
 def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
     # The flags under test come last, so they override these.

@@ -10,7 +10,7 @@ from riskcap.distributions import (
     GammaParams,
     LognormalParams,
     ParetoParams,
-    PoissonParams,
+    PointParams,
     RngStream,
     sample_severities,
 )
@@ -38,20 +38,37 @@ def _inv_chi_sq_draws(dof, scale_beta, seed):
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        PoissonParams(0.0)
+        PointParams(0.0, LognormalParams(mu=0.0, sigma_sq=1.0))
     with pytest.raises(ValueError):
         LognormalParams(mu=0.0, sigma_sq=-1.0)
     with pytest.raises(ValueError):
         ParetoParams(xi=-2.0, threshold_L=1.0)
     with pytest.raises(ValueError):
         GammaParams(shape=1.0, scale=0.0)
+    with pytest.raises(TypeError, match="unsupported severity family: GammaParams"):
+        PointParams(1.0, GammaParams(shape=1.0, scale=1.0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_params_refuse_non_finite_fields(bad):
+    ln = LognormalParams(mu=0.0, sigma_sq=1.0)
+    nix = dict(dof_nu=-2.0, scale_beta=1.0, loc_theta=0.0, prec_phi=1.0)
+    NIXParams(**nix)  # a prior's dof_nu may be negative, but not infinite
+    makers = [lambda: PointParams(bad, ln), lambda: LognormalParams(bad, 1.0),
+              lambda: LognormalParams(0.0, bad), lambda: ParetoParams(bad, 1.0),
+              lambda: ParetoParams(2.0, bad), lambda: GammaParams(bad, 1.0),
+              lambda: GammaParams(1.0, bad)]
+    makers += [lambda k=k: NIXParams(**{**nix, k: bad}) for k in nix]
+    for make in makers:
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 def test_poisson_moments():
     # Counts are drawn only inside the compound kernel; with every severity
     # exactly 1 (sigma_sq so small that exp rounds to 1), each annual loss is its count.
     unit = LognormalParams(mu=0.0, sigma_sq=1e-300)
-    draws = simulate_conditional_sample(PoissonParams(10.0), unit, N, RngStream(11)).values
+    draws = simulate_conditional_sample(PointParams(10.0, unit), N, RngStream(11)).values
     assert np.all(draws >= 0)
     assert np.all(draws == draws.astype(int))
     assert draws.mean() == pytest.approx(10.0, abs=3 * math.sqrt(10.0 / N))
@@ -70,7 +87,7 @@ def test_lognormal_sampler_matches_root_per_loss():
     # Callers take sqrt(sigma_sq) once per parameter value; the losses must
     # be the bits of exp(Z * sqrt(sigma_sq) + mu) with the root taken per loss.
     z = RngStream(8).generator.standard_normal(1000)
-    point = LognormalParams(mu=1.0, sigma_sq=3.0).sampler_args()
+    point = PointParams(1.0, LognormalParams(mu=1.0, sigma_sq=3.0)).sampler_args()
     x = sample_severities(1000, RngStream(8).generator, **point)
     assert np.array_equal(x, np.exp(z * np.sqrt(np.full(1000, 3.0)) + 1.0))
 

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from riskcap.distributions import LognormalParams, ParetoParams, RngStream, sample_severities
+from riskcap.distributions import (
+    LognormalParams,
+    ParetoParams,
+    PointParams,
+    RngStream,
+    sample_severities,
+)
 from riskcap.experiments import (
     BiasCurve,
-    TrueModel,
     _fit_and_quantiles,
     bias_study,
     generate_synthetic,
@@ -12,8 +17,8 @@ from riskcap.experiments import (
     true_parameter_quantile,
 )
 
-LN_MODEL = TrueModel(lambda0=10.0, severity=LognormalParams(mu=1.0, sigma_sq=4.0))
-PARETO_MODEL = TrueModel(lambda0=10.0, severity=ParetoParams(xi=2.0, threshold_L=1.0))
+LN_MODEL = PointParams(lam=10.0, severity=LognormalParams(mu=1.0, sigma_sq=4.0))
+PARETO_MODEL = PointParams(lam=10.0, severity=ParetoParams(xi=2.0, threshold_L=1.0))
 
 
 def test_generate_synthetic_shape_and_support():

@@ -10,7 +10,7 @@ from riskcap.distributions import (
     GammaParams,
     LognormalParams,
     ParetoParams,
-    PoissonParams,
+    PointParams,
     RngStream,
     sample_severities,
 )
@@ -29,13 +29,12 @@ PAR21 = ParetoParams(xi=2.0, threshold_L=1.0)
 
 def test_annual_loss_zero_when_no_events():
     # lam small enough that N=0 happens quickly
-    freq = PoissonParams(1e-9)
-    sample = simulate_conditional_sample(freq, LN12, 1, RngStream(1))
+    sample = simulate_conditional_sample(PointParams(1e-9, LN12), 1, RngStream(1))
     assert sample.values.tolist() == [0.0]
 
 
 def test_compound_mean_lognormal():
-    sample = simulate_conditional_sample(PoissonParams(10.0), LN12, 10**5, RngStream(2))
+    sample = simulate_conditional_sample(PointParams(10.0, LN12), 10**5, RngStream(2))
     # Wald: E[Z] = lam * exp(mu + sigma_sq/2)
     expected = 10.0 * math.exp(1.0 + 2.0)
     se = sample.values.std() / math.sqrt(sample.K)
@@ -43,22 +42,22 @@ def test_compound_mean_lognormal():
 
 
 def test_compound_mean_pareto():
-    sample = simulate_conditional_sample(PoissonParams(10.0), PAR21, 10**5, RngStream(3))
+    sample = simulate_conditional_sample(PointParams(10.0, PAR21), 10**5, RngStream(3))
     assert sample.values.mean() == pytest.approx(20.0, rel=0.10)
 
 
 def test_conditional_sample_basic_contracts():
-    s1 = simulate_conditional_sample(PoissonParams(10.0), LN12, 1, RngStream(4))
+    s1 = simulate_conditional_sample(PointParams(10.0, LN12), 1, RngStream(4))
     assert s1.K == 1
-    a = simulate_conditional_sample(PoissonParams(10.0), LN12, 5000, RngStream(5))
-    b = simulate_conditional_sample(PoissonParams(10.0), LN12, 5000, RngStream(5))
+    a = simulate_conditional_sample(PointParams(10.0, LN12), 5000, RngStream(5))
+    b = simulate_conditional_sample(PointParams(10.0, LN12), 5000, RngStream(5))
     assert np.array_equal(a.values, b.values)
     assert np.all(np.diff(a.values) >= 0)
     assert np.all(a.values >= 0)
 
 
 def test_parallelism_invariance():
-    args = (PoissonParams(10.0), LN12, 250_000)
+    args = (PointParams(10.0, LN12), 250_000)
     samples = [
         simulate_conditional_sample(*args, RngStream(6), workers=w)
         for w in (1, 2, 8)
@@ -91,7 +90,7 @@ def test_predictive_point_mass_limit_matches_conditional():
         NIXParams(dof_nu=1e10, scale_beta=4e10, loc_theta=1.0, prec_phi=1e10),
     )
     pred = simulate_predictive_sample(pf, ps, 10**5, RngStream(8))
-    cond = simulate_conditional_sample(PoissonParams(10.0), LN12, 10**5, RngStream(9))
+    cond = simulate_conditional_sample(PointParams(10.0, LN12), 10**5, RngStream(9))
     q_pred = empirical_quantile(pred, 0.99)
     q_cond = empirical_quantile(cond, 0.99)
     assert q_pred == pytest.approx(q_cond, rel=0.1)
@@ -145,7 +144,7 @@ def test_conditional_kernel_matches_reference_loop(sev):
     n, rng = 3000, RngStream(21)
     expected = _reference_batch(rng.substream("batch", 0), n, 0.4, vars(sev))
     assert np.count_nonzero(expected == 0) > n // 2
-    sample = simulate_conditional_sample(PoissonParams(0.4), sev, n, rng)
+    sample = simulate_conditional_sample(PointParams(0.4, sev), n, rng)
     assert np.array_equal(sample.values, np.sort(expected))
 
 
@@ -199,7 +198,7 @@ def test_conditional_kernel_exact_across_chunk_edges(sev, monkeypatch):
     monkeypatch.setattr(mc_engine, "BATCH_SIZE", 1000)
 
     def simulate():
-        return simulate_conditional_sample(PoissonParams(4.0), sev, 2500, rng, workers=2)
+        return simulate_conditional_sample(PointParams(4.0, sev), 2500, rng, workers=2)
 
     expected = np.concatenate(
         [_reference_batch(rng.substream("batch", b), n, 4.0, vars(sev)) for b, n in enumerate(batches)]
@@ -243,7 +242,7 @@ def test_predictive_kernel_exact_across_chunk_edges(post_sev, monkeypatch):
 @pytest.mark.parametrize(
     "simulate, params",
     [
-        (simulate_conditional_sample, (PoissonParams(1000.0), LN12)),
+        (simulate_conditional_sample, (PointParams(1000.0, LN12),)),
         (simulate_predictive_sample,
          (PosteriorState("poisson-rate", GammaParams(1e4, 0.1)), PosteriorState("lognormal", NIX))),
     ],
@@ -283,7 +282,7 @@ def test_empirical_quantile_index_rule():
 
 def test_quantile_monotone_in_q():
     rng = RngStream(12)
-    sample = simulate_conditional_sample(PoissonParams(10.0), LN12, 10_000, rng)
+    sample = simulate_conditional_sample(PointParams(10.0, LN12), 10_000, rng)
     qs = [0.5, 0.9, 0.99, 0.999]
     vals = [empirical_quantile(sample, q) for q in qs]
     assert vals == sorted(vals)
@@ -323,7 +322,7 @@ def test_ci_reliability_flag():
 
 
 def test_ci_brackets_point_estimate():
-    sample = simulate_conditional_sample(PoissonParams(10.0), LN12, 10**5, RngStream(13))
+    sample = simulate_conditional_sample(PointParams(10.0, LN12), 10**5, RngStream(13))
     est = estimate_quantile(sample, 0.999, 0.95)
     assert est.ci_lower <= est.value == empirical_quantile(sample, 0.999) <= est.ci_upper
 
