@@ -289,11 +289,11 @@ def prob_tail_index_below(state: PosteriorState, threshold: float = 1.0) -> floa
     return float(max(num, 0.0) / (cdf(hi) - cdf(lo)))
 
 
-def sample_posterior(state: PosteriorState, rng: RngStream, size=None):
-    """Draw parameters from the (possibly truncated) posterior.
+def sample_posterior(state: PosteriorState, rng: RngStream, size: int):
+    """Draw ``size`` parameter points from the (possibly truncated) posterior.
 
-    Gamma-type families return lambda or xi draws; the lognormal family
-    returns a (mu, sigma_sq) pair of arrays. Truncation is honored by
+    Gamma-type families return an array of lambda or xi draws; the lognormal
+    family returns a (mu, sigma_sq) pair of arrays. Truncation is honored by
     rejection; its acceptance rate is the truncation mass ``PosteriorState``
     checked.
     """
@@ -306,13 +306,9 @@ def sample_posterior(state: PosteriorState, rng: RngStream, size=None):
             s2 = p.scale_beta / g.chisquare(p.dof_nu, size=k)
             return np.column_stack([g.normal(p.loc_theta, np.sqrt(s2 / p.prec_phi), size=k), s2])
     lo, hi = np.array([state.bounds(name) for name in state.param_names]).T
-    n = 1 if size is None else int(size)
-    if np.all(np.isinf(lo) & np.isinf(hi)):
-        out = draw(n)
-    else:
-        out = _rejection_sample(draw, lo, hi, n)
-    cols = [float(c[0]) for c in out.T] if size is None else list(out.T)
-    return cols[0] if len(cols) == 1 else tuple(cols)
+    bounded = not np.all(np.isinf(lo) & np.isinf(hi))
+    out = _rejection_sample(draw, lo, hi, size) if bounded else draw(size)
+    return out[:, 0] if out.shape[1] == 1 else tuple(out.T)
 
 
 def _rejection_sample(draw, lo, hi, n):

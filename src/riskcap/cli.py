@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from statistics import NormalDist
 
 import numpy as np
 
@@ -105,57 +106,40 @@ def _write_csv(path, header, rows, comments=()):
         w.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _read_counts(path) -> dict:
-    """{year: count} of a counts CSV."""
-    counts = {}
-    for i, (year, count), _ in _read_csv(path, ["year", "count"], (int, int)):
-        if count < 0:
-            raise ValidationError(f"{path}:{i}: negative count {count}")
-        if year in counts:
-            raise ValidationError(f"{path}:{i}: duplicate year {year}")
-        counts[year] = count
-    if not counts:
-        raise ValidationError(f"{path}: no observation years")
-    return counts
-
-
-def _read_events(path) -> list:
-    """[(year, amount)] of an events CSV."""
-    events = []
-    for i, (year, amount), _ in _read_csv(path, ["year", "amount"], (int, float)):
-        if not math.isfinite(amount):
-            raise ValidationError(f"{path}:{i}: non-finite amount {amount}")
-        if not amount > 0:
-            raise ValidationError(f"{path}:{i}: non-positive amount {amount}")
-        events.append((year, amount))
-    return events
-
-
 def load_loss_data(counts_path, events_path) -> LossData:
-    """Read and cross-validate the two-file loss format."""
-    counts = _read_counts(counts_path)
-    events = _read_events(events_path)
-    tallies = {}
-    for year, _ in events:
-        if year not in counts:
+    """Read and cross-validate the two-file loss format.
+
+    Each counts row opens its year's entry (line, count, amounts); each events
+    row appends its amount to its year's entry. Years come out sorted, and the
+    amounts of a year in events-file order.
+    """
+    table = {}
+    for i, (year, count), _ in _read_csv(counts_path, ["year", "count"], (int, int)):
+        if count < 0:
+            raise ValidationError(f"{counts_path}:{i}: negative count {count}")
+        if year in table:
+            raise ValidationError(f"{counts_path}:{i}: duplicate year {year}")
+        table[year] = (i, count, [])
+    if not table:
+        raise ValidationError(f"{counts_path}: no observation years")
+    for i, (year, amount), _ in _read_csv(events_path, ["year", "amount"], (int, float)):
+        if not math.isfinite(amount):
+            raise ValidationError(f"{events_path}:{i}: non-finite amount {amount}")
+        if not amount > 0:
+            raise ValidationError(f"{events_path}:{i}: non-positive amount {amount}")
+        if year not in table:
             raise ValidationError(
-                f"{events_path}: event year {year} missing from counts file "
+                f"{events_path}:{i}: event year {year} missing from counts file {counts_path} "
                 "(zero-count years must still appear in counts)"
             )
-        tallies[year] = tallies.get(year, 0) + 1
-    for year, n in counts.items():
-        if tallies.get(year, 0) != n:
-            raise ValidationError(
-                f"tally mismatch for year {year}: counts file says {n}, "
-                f"events file has {tallies.get(year, 0)}"
-            )
-    years = sorted(counts)
-    annual = [counts[y] for y in years]
-    by_year = {y: [] for y in years}
-    for year, amount in events:
-        by_year[year].append(amount)
-    severities = [a for y in years for a in by_year[y]]
-    return LossData(annual_counts=np.array(annual), severities=np.array(severities))
+        table[year][2].append(amount)
+    for year, (i, count, amounts) in table.items():
+        if len(amounts) != count:
+            raise ValidationError(f"{counts_path}:{i}: tally mismatch for year {year}: "
+                                  f"counts file says {count}, {events_path} has {len(amounts)}")
+    entries = [table[y] for y in sorted(table)]
+    return LossData(annual_counts=np.array([count for _, count, _ in entries]),
+                    severities=np.array([a for _, _, amounts in entries for a in amounts]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +214,9 @@ def _resolve_seed(flag_seed, config_seed=None):
 
 def cmd_simulate(args):
     seed = _resolve_seed(args.seed)
-    model = _true_model_from_args(args, args.family)
-    _checked("--years", args.years, whole=True)
-    data = exp_mod.generate_synthetic(model, args.years, RngStream(seed).substream("simulate"))
+    years = _checked("--years", args.years, whole=True)
+    model = _true_model_from_args(args, args.family, years)
+    data = exp_mod.generate_synthetic(model, years, RngStream(seed).substream("simulate"))
     years = np.arange(1, data.years + 1)
     _write_csv(args.counts_out, ["year", "count"], zip(years, data.annual_counts))
     _write_csv(args.events_out, ["year", "amount"],
@@ -375,7 +359,9 @@ def cmd_aggregate(args):
     return 0
 
 
-def _true_model_from_args(args, family: str) -> PointParams:
+def _true_model_from_args(args, family: str, years: int) -> PointParams:
+    """The true point of ``simulate`` and ``experiment``, refused if over ``years``
+    years it expects more than 1e-6 losses above the largest double."""
     try:
         if family == "lognormal":
             # A product, not **2, which raises OverflowError past 1e154.
@@ -385,14 +371,27 @@ def _true_model_from_args(args, family: str) -> PointParams:
     except ValueError as e:
         raise ValidationError(f"invalid true model: {e}")
     try:
-        return PointParams(lam=args.lambda0, severity=sev)
+        point = PointParams(lam=args.lambda0, severity=sev)
     except ValueError as e:
         raise ValidationError(f"invalid true model: --lambda0: {e}")
+    top = sys.float_info.max
+    if family == "lognormal":  # P(ln X > ln top) as P(-ln X < -ln top), which keeps its digits
+        p = NormalDist(-sev.mu, math.sqrt(sev.sigma_sq)).cdf(-math.log(top))
+        flags = "--mu0, --sigma0"
+    else:
+        p, flags = (sev.threshold_L / top) ** sev.xi, "--xi0, --threshold-L"
+    expected = point.lam * years * p  # losses above the largest double over the run
+    if expected > 1e-6:
+        raise ValidationError(
+            f"invalid true model: {flags} put a loss above the largest double with chance {p:.3g}, "
+            f"so {expected:.3g} losses would overflow at --lambda0 {args.lambda0:g} "
+            f"over {years:g} simulated years (at most 1e-06 allowed)")
+    return point
 
 
 def cmd_experiment(args):
     seed = _resolve_seed(args.seed)
-    model = _true_model_from_args(args, args.severity)
+    model = _true_model_from_args(args, args.severity, exp_mod.REFERENCE_YEARS)
     try:
         m_grid = [int(m) for m in args.m_grid.split(",")] if args.m_grid else DEFAULT_M_GRID
     except ValueError:
@@ -440,17 +439,20 @@ def _worker_count(text: str) -> int:
     return n
 
 
+def _add_true_point_flags(parser, lambda0):
+    """The true point's flags; ``--lambda0`` is required when its default is None."""
+    parser.add_argument("--lambda0", type=float, required=lambda0 is None, default=lambda0)
+    for flag, default in ("--mu0", 1.0), ("--sigma0", 2.0), ("--xi0", 2.0), ("--threshold-L", 1.0):
+        parser.add_argument(flag, type=float, default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="riskcap", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="write synthetic loss files")
     sim.add_argument("--family", choices=["lognormal", "pareto"], required=True)
-    sim.add_argument("--lambda0", type=float, required=True)
-    sim.add_argument("--mu0", type=float, default=1.0)
-    sim.add_argument("--sigma0", type=float, default=2.0)
-    sim.add_argument("--xi0", type=float, default=2.0)
-    sim.add_argument("--threshold-L", type=float, default=1.0)
+    _add_true_point_flags(sim, lambda0=None)
     sim.add_argument("--years", type=int, required=True)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--counts-out", required=True)
@@ -479,11 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="synthetic bias studies")
     exp.add_argument("which", choices=["track", "bias"])
     exp.add_argument("--severity", choices=["lognormal", "pareto"], default="lognormal")
-    exp.add_argument("--lambda0", type=float, default=10.0)
-    exp.add_argument("--mu0", type=float, default=1.0)
-    exp.add_argument("--sigma0", type=float, default=2.0)
-    exp.add_argument("--xi0", type=float, default=2.0)
-    exp.add_argument("--threshold-L", type=float, default=1.0)
+    _add_true_point_flags(exp, lambda0=10.0)
     exp.add_argument("--m-grid", help="comma-separated year counts")
     exp.add_argument("--q", type=float, default=DEFAULT_Q)
     exp.add_argument("--K", type=int, help="simulations per quantile (default 1e5)")

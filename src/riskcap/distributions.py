@@ -138,14 +138,14 @@ def sample_severities(size: int, gen: np.random.Generator, *, mu=None, sigma=Non
     ``xi`` and ``threshold_L`` for threshold_L * (1 - U)^(-1/xi), U uniform
     on [0, 1); each a scalar or one value per draw. ``sigma`` is the log-scale
     standard deviation, so callers take the square root of ``sigma_sq`` once
-    per parameter value, not once per loss. A tail index near 0 overflows to
-    inf without a numpy warning; LossSample rejects it.
+    per parameter value, not once per loss. A severity above the largest
+    double, in either family, overflows to inf without a numpy warning;
+    LossSample rejects it.
     """
-    if xi is None:
-        x = gen.standard_normal(size)
-        x *= sigma
-        x += mu
-        return np.exp(x, out=x)
-    u = gen.random(size)
     with np.errstate(over="ignore"):
-        return threshold_L * np.power(1.0 - u, -1.0 / xi)
+        if xi is None:
+            x = gen.standard_normal(size)
+            x *= sigma
+            x += mu
+            return np.exp(x, out=x)
+        return threshold_L * np.power(1.0 - gen.random(size), -1.0 / xi)

@@ -30,6 +30,8 @@ __all__ = [
     "bias_study",
 ]
 
+REFERENCE_YEARS = 10**6  #: years the bias study simulates at the true point
+
 
 @dataclass(frozen=True)
 class BiasRecord:
@@ -155,7 +157,7 @@ def bias_study(
     q: float = 0.999,
     K_sims: int = 10**6,
     seed: int = 0,
-    K_reference: int = 10**6,
+    K_reference: int = REFERENCE_YEARS,
     workers: int = 1,
 ) -> BiasCurve:
     """Average predictive-vs-conditional quantile gap over R realizations.

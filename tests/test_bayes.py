@@ -411,7 +411,7 @@ def test_sample_posterior_unsamplable_lognormal():
     # nothing for sample_posterior to draw from.
     nix = NIXParams(dof_nu=-1.0, scale_beta=2.0, loc_theta=1.0, prec_phi=4.0)
     with pytest.raises(ValueError, match="lognormal posterior needs dof_nu > 0, got -1.0"):
-        sample_posterior(PosteriorState("lognormal", nix), RngStream(16))
+        sample_posterior(PosteriorState("lognormal", nix), RngStream(16), size=1)
 
 
 def test_prob_tail_index_below():

@@ -93,6 +93,7 @@ def test_counts_file_validation(config_file, loss_files, capsys):
         ("year,count\n1, 2\n2,3\n", ":2: malformed row ['1', ' 2']"),
         ("year,count\n1,2\n2,+3\n", ":3: malformed row ['2', '+3']"),
         ("year,count\n1,2\n2,\uff13\n", ":3: malformed row ['2', '\uff13']"),
+        ("year,count\n1,2\n2,4\n", ":3: tally mismatch for year 2: counts file says 4,"),
     ]:
         _write(Path(counts), text)
         assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
@@ -112,6 +113,8 @@ def test_events_file_validation(config_file, loss_files, capsys):
          ":2: malformed row ['1', '2.5\\n']"),
         ('year,amount\n1,2.5\n1," 5.0"\n2,1.5\n2,3.0\n2,7.0\n', ":3: malformed row ['1', ' 5.0']"),
         ("year,amount\n1,2.5\n1,10.0\n2,+1.5\n2,3.0\n2,7.0\n", ":4: malformed row ['2', '+1.5']"),
+        ("year,amount\n1,2.5\n1,10.0\n7,1.5\n2,3.0\n2,7.0\n",
+         ":4: event year 7 missing from counts file"),
     ]:
         _write(Path(events), text)
         assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
@@ -167,17 +170,22 @@ def test_one_corrupted_row_names_its_file_and_line(tmp_path_factory, data):
 
 
 def test_tally_mismatch(tmp_path):
-    counts = _write(tmp_path / "c.csv", "year,count\n1,2\n")
-    events = _write(tmp_path / "e.csv", "year,amount\n1,2.5\n")
-    with pytest.raises(ValidationError, match="tally mismatch"):
+    # The error sits at the year's counts row and names the events file too.
+    counts = _write(tmp_path / "c.csv", "# note\nyear,count\n1,1\n2,2\n3,0\n")
+    events = _write(tmp_path / "e.csv", "year,amount\n1,2.5\n2,4.0\n")
+    with pytest.raises(ValidationError) as caught:
         load_loss_data(counts, events)
+    assert str(caught.value) == (f"{counts}:4: tally mismatch for year 2: "
+                                 f"counts file says 2, {events} has 1")
 
 
 def test_event_year_missing_from_counts(tmp_path):
     counts = _write(tmp_path / "c.csv", "year,count\n1,1\n")
     events = _write(tmp_path / "e.csv", "year,amount\n1,2.5\n7,1.0\n")
-    with pytest.raises(ValidationError, match="missing from counts"):
+    with pytest.raises(ValidationError) as caught:
         load_loss_data(counts, events)
+    assert str(caught.value).startswith(
+        f"{events}:3: event year 7 missing from counts file {counts} ")
 
 
 def test_seed_precedence(tmp_path, config_file, monkeypatch, capsys):
@@ -322,6 +330,24 @@ def test_capital_non_finite_losses_exit_code(tmp_path, capsys):
     # riskcap reports the overflow; numpy must not warn about it on stderr.
     assert "overflow encountered" not in err
     assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
+
+
+def test_capital_lognormal_overflow_exit_code(tmp_path, capsys):
+    # Amounts from 1e150 to 1e300 fit a lognormal whose upper tail passes the
+    # largest double, so some conditional severities overflow to inf.
+    amounts = [10.0**e for e in range(150, 306, 15)]
+    counts = _write(tmp_path / "c.csv", "year,count\n" + "".join(
+        f"{y},1\n" for y in range(1, len(amounts) + 1)))
+    events = _write(tmp_path / "e.csv", "year,amount\n" + "".join(
+        f"{y},{a!r}\n" for y, a in enumerate(amounts, start=1)))
+    cell = {"id": "ln", "severity_family": "lognormal", "counts_file": counts, "events_file": events}
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"seed": 1, "cells": [cell]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["capital", "--config", cfg, "--K", "10000", "--mode", "conditional"])
+    assert rc == EXIT_COMPUTATION
+    assert "non-finite values out of 10000" in capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def _fresh_python(code, *args):
@@ -682,10 +708,19 @@ def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, cap
         (["simulate", "--family", "pareto", "--lambda0", "2", "--years", "5", "--xi0", "inf"],
          "xi must be positive and finite, got inf"),
         (["experiment", "bias", "--mu0", "inf"], "mu must be finite, got inf"),
+        # True points whose draws would overflow a double are refused before any draw.
+        (["simulate", "--family", "lognormal", "--lambda0", "2", "--years", "3", "--mu0", "800"],
+         "--mu0, --sigma0 put a loss above the largest double with chance 1, "
+         "so 6 losses would overflow at --lambda0 2 over 3 simulated years"),
+        (["simulate", "--family", "pareto", "--lambda0", "2", "--years", "1", "--xi0", "0.01"],
+         "--xi0, --threshold-L put a loss above the largest double with chance 0.000827"),
+        (["experiment", "bias", "--mu0", "800"], "over 1e+06 simulated years"),
+        (["experiment", "track", "--severity", "pareto", "--xi0", "0.01"], "--xi0, --threshold-L"),
     ],
     ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "K-above-cap", "m-grid-descending", "sigma0",
          "track-R", "lambda0", "years", "lambda0-inf", "mu0-inf", "mu0-nan", "sigma0-inf",
-         "sigma0-overflow", "xi0-inf", "experiment-mu0-inf"],
+         "sigma0-overflow", "xi0-inf", "experiment-mu0-inf", "mu0-overflow", "xi0-overflow",
+         "experiment-mu0-overflow", "experiment-xi0-overflow"],
 )
 def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
     # The flags under test come last, so they override these.
