@@ -290,14 +290,15 @@ def cmd_capital(args):
     reports = []
     for c in cfg["cells"]:
         model, data = _load_cell(c)
-        if mode in ("conditional", "both"):
-            reports.append(
-                capital_mod.conditional_capital(model, data, q, K, gamma, seed, workers=args.workers)
-            )
-        if mode in ("predictive", "both"):
-            reports.append(
-                capital_mod.predictive_capital(model, data, q, K, gamma, seed, workers=args.workers)
-            )
+        for m, run in (("conditional", capital_mod.conditional_capital),
+                       ("predictive", capital_mod.predictive_capital)):
+            try:
+                if mode in (m, "both"):
+                    reports.append(run(model, data, q, K, gamma, seed, workers=args.workers))
+            except InsufficientDataError:  # names its cell already, and exits 2
+                raise
+            except ValueError as e:  # a computation failure, such as non-finite losses
+                raise ValueError(f"cell {model.cell_id!r} [{m}]: {e}") from e
 
     if args.csv:
         rows = [[r.cell_id, r.mode, r.estimate.q, r.estimate.K, r.estimate.value,
@@ -400,28 +401,33 @@ def cmd_experiment(args):
     K = _checked("--K", 10**5 if args.K is None else args.K, whole=True, most=MAX_SAMPLE_SIZE)
     _checked("--q", args.q)
 
-    if args.which == "track":
-        if m_grid != sorted(m_grid):
-            raise ValidationError(f"--m-grid must be ascending for track, got {args.m_grid!r}")
-        if args.R is not None:
-            raise ValidationError("--R applies to experiment bias only; track runs one realization")
-        records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed, usable_cpus())
-        params = ("mu", "sigma", "lambda") if args.severity == "lognormal" else ("xi", "lambda")
-        header = (["M", "K"] + [f"{p}_{end}" for p in params for end in ("hat", "lo", "hi")]
-                  + ["q_conditional", "q_predictive"])
-        rows = [[r.M, r.K_data, *(v for p in params for v in r.estimates[p]),
-                 r.q_conditional, r.q_predictive] for r in records]
-        _write_csv(args.out, header, rows, comments=[f"seed={seed}"])
-        print(f"# seed={seed}")
-        print(f"wrote {len(records)} rows to {args.out} (quantiles in thousands)")
-    else:
-        R = _checked("--R", 20 if args.R is None else args.R, whole=True)
-        curve = exp_mod.bias_study(model, m_grid, R, args.q, K, seed, workers=usable_cpus())
-        comments = [f"seed={seed}", f"realizations={curve.realizations}",
-                    f"reference_quantile={curve.reference_quantile!r}"]
-        _write_csv(args.out, ["M", "relative_bias"], curve.points, comments)
-        print(f"# seed={seed}")
-        print(f"wrote {len(curve.points)} rows to {args.out} (R={R}, K={K})")
+    try:
+        if args.which == "track":
+            if m_grid != sorted(m_grid):
+                raise ValidationError(f"--m-grid must be ascending for track, got {args.m_grid!r}")
+            if args.R is not None:
+                raise ValidationError(
+                    "--R applies to experiment bias only; track runs one realization")
+            records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed,
+                                                       usable_cpus())
+            params = ("mu", "sigma", "lambda") if args.severity == "lognormal" else ("xi", "lambda")
+            header = (["M", "K"] + [f"{p}_{end}" for p in params for end in ("hat", "lo", "hi")]
+                      + ["q_conditional", "q_predictive"])
+            rows = [[r.M, r.K_data, *(v for p in params for v in r.estimates[p]),
+                     r.q_conditional, r.q_predictive] for r in records]
+            _write_csv(args.out, header, rows, comments=[f"seed={seed}"])
+            print(f"# seed={seed}")
+            print(f"wrote {len(records)} rows to {args.out} (quantiles in thousands)")
+        else:
+            R = _checked("--R", 20 if args.R is None else args.R, whole=True)
+            curve = exp_mod.bias_study(model, m_grid, R, args.q, K, seed, workers=usable_cpus())
+            comments = [f"seed={seed}", f"realizations={curve.realizations}",
+                        f"reference_quantile={curve.reference_quantile!r}"]
+            _write_csv(args.out, ["M", "relative_bias"], curve.points, comments)
+            print(f"# seed={seed}")
+            print(f"wrote {len(curve.points)} rows to {args.out} (R={R}, K={K})")
+    except InsufficientDataError as e:  # a synthetic history too thin to fit
+        raise ValidationError(f"{e}; raise --lambda0 or the smallest --m-grid year count")
     return 0
 
 

@@ -65,23 +65,17 @@ class BiasCurve:
 
 
 def generate_synthetic(true_model: PointParams, M: int, rng: RngStream) -> LossData:
-    """Simulate M years of counts and the matching severities.
+    """Simulate M years of counts, then the matching severities in year order.
 
-    Each year consumes its own substream, so for a fixed stream the dataset
-    at M years is an exact prefix of the dataset at any larger M (one
-    growing loss history).
+    The counts come from one substream and the severities from another, each
+    drawn in order, so for a fixed stream the dataset at M years is an exact
+    prefix of the dataset at any larger M (one growing loss history).
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    sev = true_model.sampler_args()
-    counts = np.empty(M, dtype=int)
-    sev_chunks = []
-    for m in range(M):
-        gen = rng.substream("year", m).generator
-        n = int(gen.poisson(true_model.lam))
-        counts[m] = n
-        sev_chunks.append(sample_severities(n, gen, **sev))
-    severities = np.concatenate(sev_chunks) if sev_chunks else np.array([])
+    counts = rng.substream("counts").generator.poisson(true_model.lam, M)
+    severities = sample_severities(int(counts.sum()), rng.substream("severities").generator,
+                                   **true_model.sampler_args())
     return LossData(annual_counts=counts, severities=severities)
 
 
@@ -90,10 +84,11 @@ def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream,
 
     Returns ``(q_conditional, q_predictive, mle, (post_freq, post_sev))``.
     """
+    name = f"synthetic {data.years}-year history"
     if isinstance(true_model.severity, ParetoParams):
-        model = CellModel("synthetic", "pareto", threshold_L=true_model.severity.threshold_L)
+        model = CellModel(name, "pareto", threshold_L=true_model.severity.threshold_L)
     else:
-        model = CellModel("synthetic", "lognormal")
+        model = CellModel(name, "lognormal")
     mle = fit_mle(model, data)
     posteriors = fit_posteriors(model, data)
     cond = simulate_conditional_sample(mle, K_sims, stream.substream("cond"), workers=workers)
@@ -120,21 +115,16 @@ def single_realization_track(
     if not M_grid or sorted(M_grid) != M_grid:
         raise ValueError("M_grid must be non-empty and ascending")
     rng = RngStream(seed)
-    full = generate_synthetic(true_model, M_grid[-1], rng.substream("data"))
-
     records = []
     for M in M_grid:
-        counts = full.annual_counts[:M]
-        n = int(counts.sum())
-        data = LossData(annual_counts=counts, severities=full.severities[:n])
-        stream = rng.substream("track", M)
+        data = generate_synthetic(true_model, M, rng.substream("data"))
         q_cond, q_pred, mle, (post_freq, post_sev) = _fit_and_quantiles(
-            true_model, data, q, K_sims, stream, workers
+            true_model, data, q, K_sims, rng.substream("track", M), workers
         )
         records.append(
             BiasRecord(
                 M=M,
-                K_data=n,
+                K_data=data.severities.size,
                 estimates=fit_summary(mle, post_freq, post_sev),
                 q_conditional=q_cond / 1e3,
                 q_predictive=q_pred / 1e3,

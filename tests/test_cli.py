@@ -312,21 +312,32 @@ def test_fit_csv_does_not_depend_on_the_seed(tmp_path, config_file, monkeypatch)
     assert "cell-a,sigma," in texts[0]
 
 
-def test_capital_non_finite_losses_exit_code(tmp_path, capsys):
-    # Two exceedances far above the threshold give a tail-index posterior
-    # Gamma(3, 0.01); draws near 0 overflow the severities to inf.
+@pytest.mark.parametrize(
+    "log_amount, K",
+    [
+        # Two exceedances far above the threshold give a tail-index posterior
+        # Gamma(3, 0.01); draws near 0 overflow the severities to inf.
+        (50.0, 10_000),
+        # A milder history: E[lambda] * (1 + s ln DBL_MAX)^-a = 1.97e-4 losses a
+        # year overflow, below 1 - q, yet 1e5 years still draw some.
+        (19.0, 100_000),
+    ],
+    ids=["exp50", "exp19"],
+)
+def test_capital_non_finite_losses_exit_code(tmp_path, capsys, log_amount, K):
     counts = _write(tmp_path / "c.csv", "year,count\n1,1\n2,1\n")
-    amount = repr(math.exp(50.0))
+    amount = repr(math.exp(log_amount))
     events = _write(tmp_path / "e.csv", f"year,amount\n1,{amount}\n2,{amount}\n")
     cell = {"id": "p", "severity_family": "pareto", "threshold_L": 1.0,
             "counts_file": counts, "events_file": events}
     cfg = _write(tmp_path / "cfg.json", json.dumps({"seed": 1, "cells": [cell]}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rc = main(["capital", "--config", cfg, "--K", "10000", "--mode", "predictive"])
+        rc = main(["capital", "--config", cfg, "--K", str(K), "--mode", "predictive"])
     assert rc == EXIT_COMPUTATION
     err = capsys.readouterr().err
-    assert "non-finite values out of 10000" in err
+    assert "error: cell 'p' [predictive]: loss sample has " in err
+    assert f"non-finite values out of {K}" in err
     # riskcap reports the overflow; numpy must not warn about it on stderr.
     assert "overflow encountered" not in err
     assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
@@ -346,7 +357,9 @@ def test_capital_lognormal_overflow_exit_code(tmp_path, capsys):
         warnings.simplefilter("always")
         rc = main(["capital", "--config", cfg, "--K", "10000", "--mode", "conditional"])
     assert rc == EXIT_COMPUTATION
-    assert "non-finite values out of 10000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: cell 'ln' [conditional]: loss sample has " in err
+    assert "non-finite values out of 10000" in err
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
@@ -716,11 +729,14 @@ def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, cap
          "--xi0, --threshold-L put a loss above the largest double with chance 0.000827"),
         (["experiment", "bias", "--mu0", "800"], "over 1e+06 simulated years"),
         (["experiment", "track", "--severity", "pareto", "--xi0", "0.01"], "--xi0, --threshold-L"),
+        # A synthetic history too thin to fit names its length and the flags.
+        (["experiment", "bias", "--lambda0", "0.5", "--R", "20"],
+         "'synthetic 5-year history': at least two severities are required; raise --lambda0"),
     ],
     ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "K-above-cap", "m-grid-descending", "sigma0",
          "track-R", "lambda0", "years", "lambda0-inf", "mu0-inf", "mu0-nan", "sigma0-inf",
          "sigma0-overflow", "xi0-inf", "experiment-mu0-inf", "mu0-overflow", "xi0-overflow",
-         "experiment-mu0-overflow", "experiment-xi0-overflow"],
+         "experiment-mu0-overflow", "experiment-xi0-overflow", "experiment-thin-history"],
 )
 def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
     # The flags under test come last, so they override these.

@@ -43,10 +43,33 @@ def test_generate_synthetic_deterministic():
     assert np.array_equal(a.severities, b.severities)
 
 
-def test_track_datasets_are_nested():
+@pytest.mark.parametrize("model", [LN_MODEL, PARETO_MODEL], ids=["lognormal", "pareto"])
+def test_generate_synthetic_is_a_prefix_from_two_streams(model, monkeypatch):
+    short = generate_synthetic(model, 7, RngStream(5))
+    longer = generate_synthetic(model, 70, RngStream(5))
+    assert np.array_equal(short.annual_counts, longer.annual_counts[:7])
+    assert np.array_equal(short.severities, longer.severities[: short.severities.size])
+
+    # One counts stream and one severity stream, whatever the number of years.
+    calls = []
+    substream = RngStream.substream
+
+    def counted(self, *keys):
+        calls.append(keys)
+        return substream(self, *keys)
+
+    monkeypatch.setattr(RngStream, "substream", counted)
+    for M in (5, 400):
+        calls.clear()
+        generate_synthetic(model, M, RngStream(6))
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("model", [LN_MODEL, PARETO_MODEL], ids=["lognormal", "pareto"])
+def test_track_datasets_are_nested(model):
     # extending the grid must not change earlier rows: one growing history
-    short = single_realization_track(LN_MODEL, [5], q=0.99, K_sims=5000, seed=7)
-    longer = single_realization_track(LN_MODEL, [5, 10], q=0.99, K_sims=5000, seed=7)
+    short = single_realization_track(model, [5], q=0.99, K_sims=5000, seed=7)
+    longer = single_realization_track(model, [5, 10], q=0.99, K_sims=5000, seed=7)
     assert short[0] == longer[0]
 
 

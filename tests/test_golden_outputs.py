@@ -36,14 +36,14 @@ PARETO = [
 DIGESTS = {
     "capital": "f13a73642e6424138397791734a706249cc0b62904a3ba32257908256a6299cf",
     "fit": "5b0378a2d6635d54e633e3046726ab4594b05a11a76f1e700b40eddc3ad3a6df",
-    "track-lognormal": "59775983d10797527610619b5124648d53d3bfb335603934d8a0fd5f75860043",
-    "track-pareto": "c91c69644a25cc00b6dacd288add299855026f5dff80454ec92d03c13b2dad8a",
-    "bias-lognormal": "bc9dfc43d866bb6f583545d54e61edb8503fb76b95b55a2aca7f050863bbbb61",
-    "bias-pareto": "1cc288326cf2bf6d63c82d8d7e7d50648edeb1367b0baa2cb2690db7e0ccbdc6",
-    "simulate-lognormal-counts": "ec7f3525bcdee7430853e7adc3664ed39fd714ba901b1e8dc5f47f73d55ef884",
-    "simulate-lognormal-events": "3163645df4c316cd4eb64f81d647ae50a8b4e5b74b5bdc2104b9e0a96160b49a",
-    "simulate-pareto-counts": "ec7f3525bcdee7430853e7adc3664ed39fd714ba901b1e8dc5f47f73d55ef884",
-    "simulate-pareto-events": "977ba7aeaa688a3c1db2f4fc80b101ca0ac371bdc2eaa59e734d2c6907c7e706",
+    "track-lognormal": "d1ed9e4133073c17f189c2aa2d248c32b6aefda70d3e71cab119fb73cea6cc02",
+    "track-pareto": "f0cd9de5b7f4900ac4aa892f685bbbc303c775259ebb46bbad896bb3feba0784",
+    "bias-lognormal": "7c960fc76df9ef75d7257390973883159892c8c721123975e4567e568b1e0348",
+    "bias-pareto": "347167a704e17db18ebd535971b0f675381348b1c47ea92c3cdd875522de10df",
+    "simulate-lognormal-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
+    "simulate-lognormal-events": "451b2a49297ec719fd74a2e08d9f1cf625f4e90bbab622e085ac18bcf96b54ba",
+    "simulate-pareto-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
+    "simulate-pareto-events": "17e14be1c89074184a5c8aff2256c6f1c6d17b8e3551bb694c8293bc293ee964",
     "aggregate-conditional": "d41046c1c27dd6d33b87bd2f8517e0b532577583a366c85d5b19fea5fb1a93cd",
     "aggregate-predictive": "0f14970d009c0d78835f15e4ede032582a8c2040e736a349f8281884a0978be1",
 }
