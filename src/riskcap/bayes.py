@@ -135,6 +135,13 @@ class LaplaceResult:
 # Conjugate updates
 
 
+def _gamma_update(prior: GammaParams | None, shape: float, rate: float) -> GammaParams:
+    """Add the data's ``shape`` and ``rate`` (1/scale) to the prior's; the flat
+    prior None is their improper limit, shape 1 and rate 0."""
+    shape0, rate0 = (1.0, 0.0) if prior is None else (prior.shape, 1.0 / prior.scale)
+    return GammaParams(shape=shape0 + shape, scale=1.0 / (rate0 + rate))
+
+
 def poisson_posterior(prior: GammaParams | None, counts) -> GammaParams:
     """Posterior Gamma for the Poisson rate after observing annual counts.
 
@@ -146,52 +153,34 @@ def poisson_posterior(prior: GammaParams | None, counts) -> GammaParams:
         raise InsufficientDataError("at least one observation year is required")
     if np.any(counts < 0) or np.any(counts != np.floor(counts)):
         raise ValueError("annual counts must be non-negative integers")
-    if prior is None:
-        return GammaParams(shape=counts.sum() + 1.0, scale=1.0 / counts.size)
-    if counts.size == 0:
-        return prior
-    shape = prior.shape + counts.sum()
-    scale = prior.scale / (1.0 + prior.scale * counts.size)
-    return GammaParams(shape=shape, scale=scale)
+    return _gamma_update(prior, counts.sum(), counts.size)
 
 
 def lognormal_posterior(prior: NIXParams | None, log_severities) -> NIXParams:
     """Posterior NIX parameters after observing log severities Y = ln X.
 
-    A ``prior`` of None is the flat prior on (mu, sigma_sq), which needs
+    A ``prior`` of None is the flat prior on (mu, sigma_sq), the improper limit
+    (dof_nu, scale_beta, loc_theta, prec_phi) = (-3, 0, 0, 0), which needs
     n >= 4 so the sigma_sq posterior has at least one degree of freedom.
+    scale_beta adds the centred sum of squares, so it never falls below the
+    prior's.
     """
     y = np.asarray(log_severities, dtype=float)
     n = y.size
-    if prior is None:
-        if n < 4:
-            raise InsufficientDataError(
-                f"insufficient data for non-informative lognormal posterior: "
-                f"need at least 4 severities, got {n}"
-            )
-        ybar = y.mean()
-        beta_hat = float(np.sum((y - ybar) ** 2))
-        if beta_hat <= 0:
-            raise InsufficientDataError("log severities have zero sample variance")
-        return NIXParams(dof_nu=n - 3.0, scale_beta=beta_hat, loc_theta=ybar, prec_phi=float(n))
-    if n == 0:
-        return prior
-    ybar = y.mean()
-    y2bar = np.mean(y**2)
-    phi_hat = prior.prec_phi + n
-    theta_hat = (prior.prec_phi * prior.loc_theta + n * ybar) / phi_hat
-    beta_hat = (
-        prior.scale_beta
-        + prior.prec_phi * prior.loc_theta**2
-        + n * y2bar
-        - (prior.prec_phi * prior.loc_theta + n * ybar) ** 2 / phi_hat
-    )
-    return NIXParams(
-        dof_nu=prior.dof_nu + n,
-        scale_beta=beta_hat,
-        loc_theta=theta_hat,
-        prec_phi=phi_hat,
-    )
+    if prior is None and n < 4:
+        raise InsufficientDataError(
+            f"insufficient data for non-informative lognormal posterior: "
+            f"need at least 4 severities, got {n}"
+        )
+    nu0, beta0, theta0, phi0 = ((-3.0, 0.0, 0.0, 0.0) if prior is None else
+                                (prior.dof_nu, prior.scale_beta, prior.loc_theta, prior.prec_phi))
+    ybar = float(y.mean()) if n else theta0  # no data: the prior comes back unchanged
+    shrink = phi0 / (phi0 + n)  # the prior's weight on the location
+    beta_hat = beta0 + float(np.sum((y - ybar) ** 2)) + shrink * n * (ybar - theta0) ** 2
+    if prior is None and beta_hat <= 0:
+        raise InsufficientDataError("log severities have zero sample variance")
+    return NIXParams(dof_nu=nu0 + n, scale_beta=beta_hat,
+                     loc_theta=ybar + shrink * (theta0 - ybar), prec_phi=phi0 + n)
 
 
 def pareto_posterior(prior: GammaParams | None, severities, threshold_L: float) -> GammaParams:
@@ -201,22 +190,16 @@ def pareto_posterior(prior: GammaParams | None, severities, threshold_L: float) 
     above the threshold.
     """
     x = np.asarray(severities, dtype=float)
-    if x.size == 0:
-        if prior is None:
-            raise InsufficientDataError("at least one severity is required")
-        return prior
+    if prior is None and x.size == 0:
+        raise InsufficientDataError("at least one severity is required")
     if np.any(x < threshold_L):
         raise ValueError("severity below threshold")
     log_ratio = float(np.sum(np.log(x / threshold_L)))
-    if prior is None:
-        if log_ratio <= 0:
-            raise InsufficientDataError(
-                "all severities sit at the threshold; tail index is unidentified"
-            )
-        return GammaParams(shape=x.size + 1.0, scale=1.0 / log_ratio)
-    shape = prior.shape + x.size
-    scale = 1.0 / (1.0 / prior.scale + log_ratio)
-    return GammaParams(shape=shape, scale=scale)
+    if prior is None and log_ratio <= 0:
+        raise InsufficientDataError(
+            "all severities sit at the threshold; tail index is unidentified"
+        )
+    return _gamma_update(prior, x.size, log_ratio)
 
 
 # ---------------------------------------------------------------------------

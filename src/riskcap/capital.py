@@ -55,7 +55,8 @@ class CellModel:
     GammaParams / NIXParams to use conjugate informative priors. Setting
     ``enforce_finite_mean`` truncates the Pareto tail-index posterior to
     xi > 1 so the predictive loss has a finite mean; a lognormal cell, whose
-    mean is always finite, refuses it.
+    mean is always finite, refuses it, and refuses ``threshold_L``, the Pareto
+    severity threshold.
     """
 
     cell_id: str
@@ -76,6 +77,9 @@ class CellModel:
                 raise TypeError("pareto severity prior must be GammaParams")
             names = ("lambda", "xi")
         else:
+            if self.threshold_L is not None:
+                raise ValueError("threshold_L is the Pareto severity threshold; "
+                                 "a lognormal cell takes none")
             if self.sev_prior is not None and not isinstance(self.sev_prior, NIXParams):
                 raise TypeError("lognormal severity prior must be NIXParams")
             names = ("lambda", "mu", "sigma_sq")
@@ -107,12 +111,12 @@ class LossData:
             )
         counts = counts.astype(int)
         sev = np.asarray(self.severities, dtype=float)
-        bad = ~np.isfinite(sev)
-        if np.any(bad):
-            raise ValueError(
-                f"severities must be finite; {int(bad.sum())} of {sev.size} are not, "
-                f"the first is {float(sev[bad][0])!r}"
-            )
+        for bad, what in ((~np.isfinite(sev), "finite"), (sev <= 0, "positive")):
+            if np.any(bad):
+                raise ValueError(
+                    f"severities must be {what}; {int(bad.sum())} of {sev.size} are not, "
+                    f"the first is {float(sev[bad][0])!r}"
+                )
         object.__setattr__(self, "annual_counts", counts)
         object.__setattr__(self, "severities", sev)
         if counts.size < 1:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -195,7 +195,7 @@ def test_lognormal_sequential_equals_batch(d1, d2):
 def test_lognormal_posterior_beta_nonnegative(d1, d2):
     prior = NIXParams(dof_nu=2.0, scale_beta=1.0, loc_theta=0.0, prec_phi=1.0)
     post = lognormal_posterior(prior, d1 + d2)
-    assert post.scale_beta >= -1e-9
+    assert post.scale_beta >= prior.scale_beta
 
 
 @given(
@@ -209,6 +209,23 @@ def test_pareto_sequential_equals_batch(d1, d2):
     batch = pareto_posterior(prior, d1 + d2, 1.0)
     assert seq.shape == pytest.approx(batch.shape, rel=1e-12)
     assert seq.scale == pytest.approx(batch.scale, rel=1e-12)
+
+
+@given(counts=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=20),
+       y=st.lists(st.floats(min_value=-5, max_value=5), min_size=4, max_size=20),
+       x=st.lists(st.floats(min_value=1.01, max_value=1e4), min_size=1, max_size=20))
+@settings(max_examples=200)
+def test_flat_prior_is_the_limit_of_a_proper_prior(counts, y, x):
+    # Each update takes the flat prior None as the limit of its prior's parameters.
+    assume(np.var(y) > 1e-6)
+    near_flat = GammaParams(1.0, 1e300)
+    pairs = [(poisson_posterior(near_flat, counts), poisson_posterior(None, counts)),
+             (pareto_posterior(near_flat, x, 1.0), pareto_posterior(None, x, 1.0)),
+             (lognormal_posterior(NIXParams(-3.0, 1e-300, 0.0, 1e-300), y),
+              lognormal_posterior(None, y))]
+    for near, flat in pairs:
+        for got, want in zip(dataclasses.astuple(near), dataclasses.astuple(flat)):
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_posterior_concentration():

@@ -61,11 +61,21 @@ def test_loss_data_rejects_non_finite_severities(bad):
         LossData(annual_counts=[5], severities=[1.0, 2.0, 3.0, 4.0, bad])
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_loss_data_rejects_non_positive_severities(bad):
+    # Let through, 0 and -1 reached np.log as a RuntimeWarning and a nan NIX parameter.
+    message = f"severities must be positive; 1 of 5 are not, the first is {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LossData(annual_counts=[2, 2, 1], severities=[bad, 1.0, 2.0, 3.0, 4.0])
+
+
 def test_cell_model_validation():
     with pytest.raises(ValueError):
         CellModel(cell_id="x", severity_family="weibull")
     with pytest.raises(ValueError):
         CellModel(cell_id="x", severity_family="pareto")  # missing threshold
+    with pytest.raises(ValueError, match="a lognormal cell takes none"):
+        CellModel(cell_id="x", severity_family="lognormal", threshold_L=-5.0)
 
 
 def test_conditional_capital_deterministic():

@@ -603,11 +603,13 @@ def test_row_numbers_count_comment_lines(config_file, loss_files, capsys):
         {"sev_prior": {"dof_nu": -5, "scale_beta": 1.0, "loc_theta": 0.0, "prec_phi": 1.0}},
         {"freq_prior": {"shape": math.inf, "scale": 1.0}},
         {"sev_prior": {"dof_nu": 2.0, "scale_beta": math.inf, "loc_theta": 0.0, "prec_phi": 1.0}},
+        {"threshold_L": 1.0},
     ],
     ids=["no-counts", "no-events", "no-family", "freq-prior", "sev-prior", "short-bound",
          "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range",
          "finite-mean-text", "finite-mean-lognormal", "freq-prior-empty", "sev-prior-empty",
-         "sev-prior-list", "improper-posterior", "freq-prior-infinite", "sev-prior-infinite"],
+         "sev-prior-list", "improper-posterior", "freq-prior-infinite", "sev-prior-infinite",
+         "threshold-lognormal"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command, capsys):
@@ -805,6 +807,13 @@ def test_too_little_data_for_the_mle_exit_code(tmp_path, events, cell, shown, co
     assert f"cell 'thin': {shown}" in capsys.readouterr().err
 
 
+#: Identical losses at the prior's location with a tiny prior scale_beta: the
+#: posterior is proper, but raw sums of squares lose it to cancellation.
+_AT_PRIOR_LOCATION = {"severity_family": "lognormal",
+                      "sev_prior": {"dof_nu": 2.0, "scale_beta": 1e-13, "loc_theta": 13.1,
+                                    "prec_phi": 1.0}}
+
+
 @pytest.mark.parametrize(
     "events, cell",
     [
@@ -813,8 +822,9 @@ def test_too_little_data_for_the_mle_exit_code(tmp_path, events, cell, shown, co
                                "prec_phi": 2.0}}),
         ([1.0], {"severity_family": "pareto", "threshold_L": 1.0,
                  "sev_prior": {"shape": 8.0, "scale": 0.25}}),
+        ([math.exp(13.1)] * 10, _AT_PRIOR_LOCATION),
     ],
-    ids=["lognormal", "pareto-at-threshold"],
+    ids=["lognormal", "pareto-at-threshold", "lognormal-at-prior-location"],
 )
 def test_informative_priors_carry_a_history_too_thin_for_the_mle(tmp_path, events, cell):
     # Predictive capital fits no MLE: with priors on both parts, one event is enough.
@@ -833,8 +843,9 @@ def test_informative_priors_carry_a_history_too_thin_for_the_mle(tmp_path, event
                                "prec_phi": 2.0}}, ["lambda", "mu", "sigma"]),
         ([1.0], {"severity_family": "pareto", "threshold_L": 1.0,
                  "sev_prior": {"shape": 8.0, "scale": 0.25}}, ["lambda", "xi"]),
+        ([math.exp(13.1)] * 10, _AT_PRIOR_LOCATION, ["lambda", "mu", "sigma"]),
     ],
-    ids=["lognormal", "pareto-at-threshold"],
+    ids=["lognormal", "pareto-at-threshold", "lognormal-at-prior-location"],
 )
 def test_fit_reports_posterior_intervals_without_an_mle(tmp_path, events, cell, params, capsys):
     config = _one_cell_config(tmp_path, events, freq_prior={"shape": 4.0, "scale": 0.5}, **cell)

@@ -46,6 +46,8 @@ DIGESTS = {
     "simulate-pareto-events": "17e14be1c89074184a5c8aff2256c6f1c6d17b8e3551bb694c8293bc293ee964",
     "aggregate-conditional": "d41046c1c27dd6d33b87bd2f8517e0b532577583a366c85d5b19fea5fb1a93cd",
     "aggregate-predictive": "0f14970d009c0d78835f15e4ede032582a8c2040e736a349f8281884a0978be1",
+    "capital-informative": "0463c007d870ee681b728f45bea6988a0131201cc1ea00c2b56aec620061a17c",
+    "fit-informative": "4829ca9cf9ce2acd44aecf0f284e7df7781648106d9b3d7b2404349734f52f81",
 }
 
 
@@ -58,27 +60,45 @@ def _history(tmp_path, name, amounts):
     return {"counts_file": str(counts), "events_file": str(events)}
 
 
+def _config(tmp_path, name, cells):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"seed": 7, "cells": cells}))
+    return str(path)
+
+
 @pytest.fixture
 def config(tmp_path):
-    cells = [
+    return _config(tmp_path, "config", [
         {"id": "ln", "severity_family": "lognormal", **_history(tmp_path, "ln", LOGNORMAL)},
         {"id": "ln-trunc", "severity_family": "lognormal", "truncation": {"sigma_sq": [None, 4.0]},
          **_history(tmp_path, "ln", LOGNORMAL)},
         {"id": "pareto", "severity_family": "pareto", "threshold_L": 1.0,
          "enforce_finite_mean": True, **_history(tmp_path, "pareto", PARETO)},
-    ]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"seed": 7, "cells": cells}))
-    return str(path)
+    ])
 
 
-def _runs(config, out):
+@pytest.fixture
+def informative_config(tmp_path):
+    """Cells whose every prior is informative: the flat-prior runs never reach those bits."""
+    freq_prior = {"shape": 8.0, "scale": 0.5}
+    return _config(tmp_path, "informative", [
+        {"id": "ln-prior", "severity_family": "lognormal", "freq_prior": freq_prior,
+         "sev_prior": {"dof_nu": 4.0, "scale_beta": 6.0, "loc_theta": 1.0, "prec_phi": 2.0},
+         **_history(tmp_path, "ln", LOGNORMAL)},
+        {"id": "pareto-prior", "severity_family": "pareto", "threshold_L": 1.0,
+         "freq_prior": freq_prior, "sev_prior": {"shape": 6.0, "scale": 0.5},
+         **_history(tmp_path, "pareto", PARETO)},
+    ])
+
+
+def _runs(config, informative_config, out):
     """The argv of each pinned run; ``out(name)`` is the path of a CSV it writes."""
     experiment = {"track": ["--m-grid", "5,10", "--K", "20000", "--seed", "5"]}
     experiment["bias"] = experiment["track"] + ["--R", "2"]
-    yield ["capital", "--config", config, "--K", "20000", "--mode", "both", "--workers", "2",
-           "--csv", out("capital")]
-    yield ["fit", "--config", config, "--csv", out("fit")]
+    for cfg, suffix in ((config, ""), (informative_config, "-informative")):
+        yield ["capital", "--config", cfg, "--K", "20000", "--mode", "both", "--workers", "2",
+               "--csv", out(f"capital{suffix}")]
+        yield ["fit", "--config", cfg, "--csv", out(f"fit{suffix}")]
     for which in ("track", "bias"):
         for family in ("lognormal", "pareto"):
             yield ["experiment", which, "--severity", family, *experiment[which],
@@ -107,10 +127,10 @@ def _rows_of_mode(capital_csv, mode):
     reason=f"digests were taken with numpy {NUMPY_VERSION} and scipy {SCIPY_VERSION}; "
     f"this is numpy {np.__version__} and scipy {scipy.__version__}",
 )
-def test_outputs_match_pinned_digests(config, tmp_path, capsys):
+def test_outputs_match_pinned_digests(config, informative_config, tmp_path, capsys):
     paths = {}
     out = lambda name: paths.setdefault(name, str(tmp_path / f"{name}.csv"))
-    for argv in _runs(config, out):
+    for argv in _runs(config, informative_config, out):
         assert main(argv) == 0, capsys.readouterr().err
     digests = {name: hashlib.sha256(open(path, "rb").read()).hexdigest()
                for name, path in paths.items()}
