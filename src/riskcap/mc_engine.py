@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import PosteriorState, sample_posterior
+from .bayes import MIN_TRUNCATION_ACCEPTANCE, PosteriorState, sample_posterior
 from .distributions import PointParams, RngStream, sample_severities
 
 __all__ = [
@@ -36,6 +36,9 @@ MAX_SAMPLE_SIZE = 10**7
 #: The kernel draws severities at most this many losses at a time (a year with more
 #: is a chunk of its own), so its memory does not grow with the Poisson rate.
 CHUNK_LOSSES = 1 << 16
+
+#: The mass a count table may leave out past each end; no 53-bit uniform reaches it.
+COUNT_TAIL = 2.0**-60
 
 #: The normal approximation behind the conservative CI is trusted when
 #: K * q * (1 - q) is at least this large.
@@ -96,16 +99,52 @@ def usable_cpus() -> int:
 # Compound-loss simulation
 
 
-def _compound_batch(gen: np.random.Generator, n: int, lam, sev: dict) -> np.ndarray:
+def _count_table(alpha: float, beta: float, weight=np.ones_like, mass: float = 1.0):
+    """``(k0, cdf)``, read-only with ``cdf[-1] == 1.0``, of the count law with p(k)/p(k-1)
+    = alpha + beta/k (Panjer's (a, b, 0) class: Poisson(lam) is (0, lam), NB(a, q) is
+    (q, (a-1)q)) times ``weight(k)``, whose sum is at least ``mass``. The log pmf is summed
+    outward from the mode until the ratio bounds the rest past each end below that."""
+    mode = max(math.floor(beta / (1 - alpha)), 0)
+    width = 16 + math.ceil(10 * math.sqrt(alpha + beta) / (1 - alpha))  # 10 sd
+    while True:
+        lo, hi = max(mode - width, 0), mode + width
+        up = np.cumsum(np.log(alpha + beta / np.arange(mode + 1, hi + 1)))
+        down = np.cumsum(np.log(alpha + beta / np.arange(mode, lo, -1)))
+        rho = alpha + max(beta, 0.0) / (hi + 1)  # the largest ratio past hi
+        lower = math.exp(-down[-1]) / (alpha + beta / lo - 1) if lo else 0.0
+        if max(math.exp(up[-1]) * rho / (1 - rho), lower) < COUNT_TAIL * mass:
+            break
+        width *= 2
+    pmf = np.exp(np.concatenate([-down[::-1], [0.0], up])) * weight(np.arange(lo, hi + 1))
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False  # every batch's thread reads it
+    return lo, cdf
+
+
+def _predictive_count_table(post_freq: PosteriorState):
+    """Poisson counts over the Gamma(a, s) rate posterior are NB(a, q = s/(1+s)); a box
+    on the rate weighs count k by its mass under the rate given k, Gamma(a + k, scale q)."""
+    a, q = post_freq.params.shape, post_freq.params.scale / (1 + post_freq.params.scale)
+    if not post_freq.truncation:
+        return _count_table(q, (a - 1) * q)
+    from scipy import special
+    lo, hi = (max(b, 0.0) / q for b in post_freq.bounds("lambda"))
+    weight = lambda k: np.maximum(special.gammainc(a + k, hi) - special.gammainc(a + k, lo), 0.0)
+    return _count_table(q, (a - 1) * q, weight, MIN_TRUNCATION_ACCEPTANCE)  # the box's least mass
+
+
+def _compound_batch(gen: np.random.Generator, n: int, table: tuple, sev: dict) -> np.ndarray:
     """n annual losses: the one compound-loss kernel of both paths.
 
-    ``lam`` and each severity parameter in ``sev`` (keyword arguments of
-    :func:`sample_severities`) are either scalars shared by all n scenarios,
-    the conditional path's point estimate, or arrays of n per-scenario
-    posterior draws, the predictive path. The counts are drawn first, then
-    every severity in scenario order, whole years at a time; no loss sums to 0.
+    ``table`` is a :func:`_count_table`, read with one uniform per year. Each severity
+    parameter in ``sev`` (keyword arguments of :func:`sample_severities`) is a scalar
+    shared by all n scenarios (conditional: the point estimate) or n per-scenario
+    posterior draws (predictive). Counts come first, then every severity in scenario
+    order, whole years at a time; a zero count gives a zero loss.
     """
-    counts = gen.poisson(lam, size=n)
+    k0, cdf = table
+    counts = k0 + np.searchsorted(cdf, gen.random(n), "right")
     ends = np.cumsum(counts)
     out = np.empty(n)
     i = 0
@@ -151,9 +190,9 @@ def simulate_conditional_sample(
     This is the predictive computation with the posterior collapsed to a
     point mass: every scenario shares the same parameters.
     """
-    sev = point.sampler_args()
+    sev, table = point.sampler_args(), _count_table(0.0, point.lam)
     return _run_batches(
-        lambda n, st: _compound_batch(st.generator, n, point.lam, sev), K, rng, workers
+        lambda n, st: _compound_batch(st.generator, n, table, sev), K, rng, workers
     )
 
 
@@ -166,9 +205,9 @@ def simulate_predictive_sample(
 ) -> LossSample:
     """K annual losses, each under a fresh parameter draw from the posteriors.
 
-    This realizes the parameter-uncertainty-averaged (predictive) annual
-    loss distribution. Each batch draws its scenarios' parameters first,
-    from the same stream the kernel then draws counts and severities from.
+    This realizes the parameter-uncertainty-averaged (predictive) annual loss
+    distribution. Counts come from their negative-binomial marginal, so no rate is
+    drawn; each batch draws its severity parameters, then its losses, from one stream.
     """
     if post_freq.family != "poisson-rate":
         raise ValueError("frequency posterior must be a poisson-rate state")
@@ -177,15 +216,16 @@ def simulate_predictive_sample(
     if post_sev.family not in ("lognormal", "pareto-tail"):
         raise ValueError(f"unsupported severity posterior family: {post_sev.family}")
 
+    table = _predictive_count_table(post_freq)
+
     def batch(n, stream):
-        lam = sample_posterior(post_freq, stream, size=n)
         if post_sev.family == "lognormal":
             mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
             sev = {"mu": mu, "sigma": np.sqrt(sigma_sq)}
         else:
             sev = {"xi": sample_posterior(post_sev, stream, size=n),
                    "threshold_L": post_sev.threshold_L}
-        return _compound_batch(stream.generator, n, lam, sev)
+        return _compound_batch(stream.generator, n, table, sev)
 
     return _run_batches(batch, K, rng, workers)
 

@@ -62,8 +62,10 @@ def test_criterion_1_true_parameter_quantile():
 def test_criterion_2_convergence_at_large_data():
     data = generate_synthetic(LN_TRUE, 400, RngStream(7).substream("c2-data"))
     cell = CellModel(cell_id="c2", severity_family="lognormal")
-    cond = conditional_capital(cell, data, q=0.999, K=10**6, seed=31)
-    pred = predictive_capital(cell, data, q=0.999, K=10**6, seed=31)
+    # At K=1e6 the gap's Monte Carlo sd is about 2.3%, so a 3% test is a coin
+    # flip on the seed; at K=1e7 it is about 0.5%.
+    cond = conditional_capital(cell, data, q=0.999, K=10**7, seed=31, workers=2)
+    pred = predictive_capital(cell, data, q=0.999, K=10**7, seed=31, workers=2)
     rel = abs(pred.estimate.value - cond.estimate.value) / cond.estimate.value
     ok = rel < 0.03
     _report(

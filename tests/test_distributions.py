@@ -14,7 +14,7 @@ from riskcap.distributions import (
     RngStream,
     sample_severities,
 )
-from riskcap.mc_engine import simulate_conditional_sample
+from riskcap.mc_engine import simulate_conditional_sample, simulate_predictive_sample
 
 N = 10**5
 
@@ -73,6 +73,19 @@ def test_poisson_moments():
     assert np.all(draws == draws.astype(int))
     assert draws.mean() == pytest.approx(10.0, abs=3 * math.sqrt(10.0 / N))
     assert draws.var() == pytest.approx(10.0, rel=0.05)
+
+
+def test_predictive_count_moments():
+    # The predictive count is negative binomial: a Poisson whose rate is
+    # Gamma(a, s) has mean a*s and variance a*s*(1 + s). Unit severities again.
+    a, s = 40.0, 0.25
+    rate = PosteriorState("poisson-rate", GammaParams(a, s))
+    unit = PosteriorState("lognormal", NIXParams(dof_nu=10.0, scale_beta=1e-299,
+                                                 loc_theta=0.0, prec_phi=1.0))
+    draws = simulate_predictive_sample(rate, unit, N, RngStream(11)).values
+    assert np.all(draws == draws.astype(int))
+    assert draws.mean() == pytest.approx(a * s, abs=3 * math.sqrt(a * s * (1 + s) / N))
+    assert draws.var() == pytest.approx(a * s * (1 + s), rel=0.05)
 
 
 def test_lognormal_moments():

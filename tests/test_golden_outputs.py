@@ -34,19 +34,19 @@ PARETO = [
 ]
 
 DIGESTS = {
-    "capital": "f13a73642e6424138397791734a706249cc0b62904a3ba32257908256a6299cf",
+    "capital": "fcee749f41767cff56275b6a0d2ec6f04ba229e7d0d57100ddfe15be1fc62899",
     "fit": "5b0378a2d6635d54e633e3046726ab4594b05a11a76f1e700b40eddc3ad3a6df",
-    "track-lognormal": "d1ed9e4133073c17f189c2aa2d248c32b6aefda70d3e71cab119fb73cea6cc02",
-    "track-pareto": "f0cd9de5b7f4900ac4aa892f685bbbc303c775259ebb46bbad896bb3feba0784",
-    "bias-lognormal": "7c960fc76df9ef75d7257390973883159892c8c721123975e4567e568b1e0348",
-    "bias-pareto": "347167a704e17db18ebd535971b0f675381348b1c47ea92c3cdd875522de10df",
+    "track-lognormal": "bd7274fe13a4760822519a5bd13b6adba73d12e72cfa3084ce38183daf23491e",
+    "track-pareto": "46f63669cd2e1be458bfc59387391d0d6518375b8f8030ce1f590c534256b929",
+    "bias-lognormal": "78e09e1450a7650c13f2f189ff848e1e800947a9fbdd1ebc0af98a908d0af75c",
+    "bias-pareto": "89085f12eef9c1ca4dd08e609323446a8d4bb734af80696a9867f00c4725ee4c",
     "simulate-lognormal-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
     "simulate-lognormal-events": "451b2a49297ec719fd74a2e08d9f1cf625f4e90bbab622e085ac18bcf96b54ba",
     "simulate-pareto-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
     "simulate-pareto-events": "17e14be1c89074184a5c8aff2256c6f1c6d17b8e3551bb694c8293bc293ee964",
-    "aggregate-conditional": "d41046c1c27dd6d33b87bd2f8517e0b532577583a366c85d5b19fea5fb1a93cd",
-    "aggregate-predictive": "0f14970d009c0d78835f15e4ede032582a8c2040e736a349f8281884a0978be1",
-    "capital-informative": "0463c007d870ee681b728f45bea6988a0131201cc1ea00c2b56aec620061a17c",
+    "aggregate-conditional": "f38acc9b7cad1c475e33b13c4c317bf55530a501673cc9ab65f30c0c69d4942f",
+    "aggregate-predictive": "85c45bab8b9765dc5c2b5a756bd3c1ae7530fc4e255c43499bcba9dcbed8fd33",
+    "capital-informative": "61e9d3ab47ef9b4ecd567b6a4de8f9deee24b2528454cf722befde00fa3596d3",
     "fit-informative": "4829ca9cf9ce2acd44aecf0f284e7df7781648106d9b3d7b2404349734f52f81",
 }
 

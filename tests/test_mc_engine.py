@@ -17,6 +17,8 @@ from riskcap.distributions import (
 from riskcap.mc_engine import (
     LossSample,
     _ci_indices,
+    _count_table,
+    _predictive_count_table,
     empirical_quantile,
     estimate_quantile,
     simulate_conditional_sample,
@@ -111,24 +113,61 @@ def test_predictive_pareto_requires_threshold():
         simulate_predictive_sample(pf, ps, 100, RngStream(11))
 
 
-def _reference_batch(stream, n, lam, sev):
-    """The compound loss as a plain loop: all counts, then each scenario's
-    severities in scenario order, each summed from 0 in draw order. A
-    lognormal severity is written out as exp(Z * sqrt(sigma_sq) + mu)."""
+def _poisson_log_terms(lam):
+    return lambda k: (k * math.log(lam), -lam, -math.lgamma(k + 1))
+
+
+def _nb_log_terms(rate: GammaParams):
+    """A Poisson count whose rate is Gamma(shape a, scale s) is NB(a, q = s/(1+s))."""
+    a, q = rate.shape, rate.scale / (1 + rate.scale)
+    return lambda k: (math.lgamma(a + k), -math.lgamma(a), -math.lgamma(k + 1),
+                      a * math.log1p(-q), k * math.log(q))
+
+
+def _pmf(log_terms):
+    """The closed-form pmf whose log is the sum of ``log_terms(k)``."""
+    return lambda k: math.exp(sum(log_terms(k)))
+
+
+def _inverse_count(pmf, u):
+    """The least k whose cdf exceeds u, summing the pmf from 0."""
+    k, cdf = 0, pmf(0)
+    while cdf <= u and k < 10_000:
+        k += 1
+        cdf += pmf(k)
+    return k
+
+
+def _reference_batch(stream, n, pmf, sev):
+    """The compound loss as a plain loop: all counts, each by sequential
+    inversion of ``pmf`` at one uniform, then each scenario's severities in
+    scenario order, each summed from 0 in draw order. A lognormal severity is
+    written out as exp(Z * sqrt(sigma_sq) + mu)."""
     gen = stream.generator
-    counts = gen.poisson(lam, size=n)
+    counts = [_inverse_count(pmf, u) for u in gen.random(n)]
     out = np.zeros(n)
     for i, count in enumerate(counts):
         p = {k: v[i] if np.ndim(v) else v for k, v in sev.items()}
         if "sigma_sq" in p:
-            draws = np.exp(gen.standard_normal(int(count)) * np.sqrt(p["sigma_sq"]) + p["mu"])
+            draws = np.exp(gen.standard_normal(count) * np.sqrt(p["sigma_sq"]) + p["mu"])
         else:
-            draws = sample_severities(int(count), gen, **p)
+            draws = sample_severities(count, gen, **p)
         total = 0.0
         for x in draws:
             total += x
         out[i] = total
     return out
+
+
+def _predictive_reference(stream, n, post_freq, post_sev):
+    """A predictive batch: the severity parameters, then the reference loop
+    with counts from the negative-binomial marginal; no rate is drawn."""
+    if post_sev.family == "lognormal":
+        mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
+        sev = {"mu": mu, "sigma_sq": sigma_sq}
+    else:
+        sev = {"xi": sample_posterior(post_sev, stream, size=n), "threshold_L": 1.0}
+    return _reference_batch(stream, n, _pmf(_nb_log_terms(post_freq.params)), sev)
 
 
 LOW_RATE = GammaParams(4.0, 0.1)  # lambda around 0.4: most years have no event
@@ -142,7 +181,7 @@ NIX = NIXParams(dof_nu=17.0, scale_beta=68.0, loc_theta=1.0, prec_phi=20.0)
 )
 def test_conditional_kernel_matches_reference_loop(sev):
     n, rng = 3000, RngStream(21)
-    expected = _reference_batch(rng.substream("batch", 0), n, 0.4, vars(sev))
+    expected = _reference_batch(rng.substream("batch", 0), n, _pmf(_poisson_log_terms(0.4)), vars(sev))
     assert np.count_nonzero(expected == 0) > n // 2
     sample = simulate_conditional_sample(PointParams(0.4, sev), n, rng)
     assert np.array_equal(sample.values, np.sort(expected))
@@ -160,17 +199,70 @@ def test_conditional_kernel_matches_reference_loop(sev):
 def test_predictive_kernel_matches_reference_loop(post_sev):
     n, rng = 3000, RngStream(22)
     post_freq = PosteriorState("poisson-rate", LOW_RATE)
-    stream = rng.substream("batch", 0)
-    lam = sample_posterior(post_freq, stream, size=n)
-    if post_sev.family == "lognormal":
-        mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
-        sev = {"mu": mu, "sigma_sq": sigma_sq}
-    else:
-        sev = {"xi": sample_posterior(post_sev, stream, size=n), "threshold_L": 1.0}
-    expected = _reference_batch(stream, n, lam, sev)
+    expected = _predictive_reference(rng.substream("batch", 0), n, post_freq, post_sev)
     assert np.count_nonzero(expected == 0) > n // 2
     sample = simulate_predictive_sample(post_freq, post_sev, n, rng)
     assert np.array_equal(sample.values, np.sort(expected))
+
+
+# ---------------------------------------------------------------------------
+# Count tables
+
+
+def _table_pmf(table):
+    k0, cdf = table
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+    return np.arange(k0, k0 + cdf.size), np.diff(cdf, prepend=0.0)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "table, log_terms",
+    [
+        *[((0.0, lam), _poisson_log_terms(lam)) for lam in (1e-3, 0.4, 10.0, 1e3, 1e6)],
+        *[((rate.scale / (1 + rate.scale), (rate.shape - 1) * rate.scale / (1 + rate.scale)),
+           _nb_log_terms(rate)) for rate in (GammaParams(3.0, 2.0), GammaParams(201.0, 0.05))],
+    ],
+    ids=["poisson-1e-3", "poisson-0.4", "poisson-10", "poisson-1e3", "poisson-1e6",
+         "nb-gamma-3-2", "nb-gamma-201-0.05"],
+)
+def test_count_table_matches_closed_form(table, log_terms):
+    # Each step of the table is the closed-form pmf within 1e-12 relative, plus
+    # the reference's own rounding: at lam = 1e6 its lgamma terms reach 1e7, so
+    # it is good to only about 4e-9 there.
+    k, got = _table_pmf(_count_table(*table))
+    terms = [log_terms(int(i)) for i in k]
+    ref = np.exp([sum(t) for t in terms])
+    ref_err = 4 * EPS * np.array([sum(map(abs, t)) for t in terms])
+    assert np.all(np.abs(got - ref) <= (1e-12 + ref_err) * ref + 4 * EPS)
+
+
+def test_count_table_reaches_only_where_the_mass_is():
+    k0, cdf = _count_table(0.0, 1e9)
+    assert cdf[-1] == 1.0
+    assert cdf.size <= 100 * math.sqrt(1e9)
+    assert k0 > 1e9 - 20 * math.sqrt(1e9)
+    assert not cdf.flags.writeable
+
+
+@pytest.mark.parametrize("box", [(1.0, 4.0), (3.2, 3.5), (8.0, math.inf), (-math.inf, 2.0)])
+def test_truncated_rate_count_table_matches_quadrature(box):
+    # Counts from Poisson(lam), lam ~ Gamma(3, 2) truncated to the box.
+    from scipy import integrate, special
+
+    a, s = 3.0, 2.0
+    state = PosteriorState("poisson-rate", GammaParams(a, s), truncation={"lambda": box})
+    k, got = _table_pmf(_predictive_count_table(state))
+    lo, hi = max(box[0], 0.0), box[1]
+    mass = special.gammainc(a, hi / s) - special.gammainc(a, lo / s)
+    density = lambda lam, i: math.exp(sum(_poisson_log_terms(lam)(i)) + (a - 1) * math.log(lam)
+                                      - lam / s - math.lgamma(a) - a * math.log(s))
+    ref = np.array([integrate.quad(density, lo, hi, args=(int(i),), epsabs=0, epsrel=1e-12)[0]
+                    for i in k]) / mass
+    assert got.sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-15)
 
 
 CHUNK = 7  # below the losses of many years at a rate near 4
@@ -201,7 +293,8 @@ def test_conditional_kernel_exact_across_chunk_edges(sev, monkeypatch):
         return simulate_conditional_sample(PointParams(4.0, sev), 2500, rng, workers=2)
 
     expected = np.concatenate(
-        [_reference_batch(rng.substream("batch", b), n, 4.0, vars(sev)) for b, n in enumerate(batches)]
+        [_reference_batch(rng.substream("batch", b), n, _pmf(_poisson_log_terms(4.0)), vars(sev))
+         for b, n in enumerate(batches)]
     )
     default = simulate()
     chunked = _chunked(monkeypatch, simulate)
@@ -221,14 +314,7 @@ def test_conditional_kernel_exact_across_chunk_edges(sev, monkeypatch):
 def test_predictive_kernel_exact_across_chunk_edges(post_sev, monkeypatch):
     n, rng = 2000, RngStream(24)
     post_freq = PosteriorState("poisson-rate", GammaParams(40.0, 0.1))  # lambda around 4
-    stream = rng.substream("batch", 0)
-    lam = sample_posterior(post_freq, stream, size=n)
-    if post_sev.family == "lognormal":
-        mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
-        sev = {"mu": mu, "sigma_sq": sigma_sq}
-    else:
-        sev = {"xi": sample_posterior(post_sev, stream, size=n), "threshold_L": 1.0}
-    expected = _reference_batch(stream, n, lam, sev)
+    expected = _predictive_reference(rng.substream("batch", 0), n, post_freq, post_sev)
 
     def simulate():
         return simulate_predictive_sample(post_freq, post_sev, n, rng)
