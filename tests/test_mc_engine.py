@@ -181,7 +181,8 @@ NIX = NIXParams(dof_nu=17.0, scale_beta=68.0, loc_theta=1.0, prec_phi=20.0)
 )
 def test_conditional_kernel_matches_reference_loop(sev):
     n, rng = 3000, RngStream(21)
-    expected = _reference_batch(rng.substream("batch", 0), n, _pmf(_poisson_log_terms(0.4)), vars(sev))
+    pmf = _pmf(_poisson_log_terms(0.4))
+    expected = _reference_batch(rng.substream("batch", 0), n, pmf, vars(sev))
     assert np.count_nonzero(expected == 0) > n // 2
     sample = simulate_conditional_sample(PointParams(0.4, sev), n, rng)
     assert np.array_equal(sample.values, np.sort(expected))
@@ -219,20 +220,21 @@ EPS = np.finfo(float).eps
 
 
 @pytest.mark.parametrize(
-    "table, log_terms",
+    "make_table, log_terms",
     [
-        *[((0.0, lam), _poisson_log_terms(lam)) for lam in (1e-3, 0.4, 10.0, 1e3, 1e6)],
-        *[((rate.scale / (1 + rate.scale), (rate.shape - 1) * rate.scale / (1 + rate.scale)),
+        *[(lambda lam=lam: _count_table(0.0, lam), _poisson_log_terms(lam))
+          for lam in (1e-3, 0.4, 10.0, 1e3, 1e6)],
+        *[(lambda rate=rate: _predictive_count_table(PosteriorState("poisson-rate", rate)),
            _nb_log_terms(rate)) for rate in (GammaParams(3.0, 2.0), GammaParams(201.0, 0.05))],
     ],
     ids=["poisson-1e-3", "poisson-0.4", "poisson-10", "poisson-1e3", "poisson-1e6",
          "nb-gamma-3-2", "nb-gamma-201-0.05"],
 )
-def test_count_table_matches_closed_form(table, log_terms):
+def test_count_table_matches_closed_form(make_table, log_terms):
     # Each step of the table is the closed-form pmf within 1e-12 relative, plus
     # the reference's own rounding: at lam = 1e6 its lgamma terms reach 1e7, so
     # it is good to only about 4e-9 there.
-    k, got = _table_pmf(_count_table(*table))
+    k, got = _table_pmf(make_table())
     terms = [log_terms(int(i)) for i in k]
     ref = np.exp([sum(t) for t in terms])
     ref_err = 4 * EPS * np.array([sum(map(abs, t)) for t in terms])
