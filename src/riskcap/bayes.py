@@ -283,32 +283,34 @@ def sample_posterior(state: PosteriorState, rng: RngStream, size: int):
     p = state.params
     g = rng.generator
     if isinstance(p, GammaParams):
-        draw = lambda k: g.gamma(p.shape, p.scale, size=k)[:, None]
+        draw = lambda k: (g.gamma(p.shape, p.scale, size=k),)
     else:  # sigma_sq ~ InvChiSq(nu, beta), then mu | sigma_sq ~ N(theta, sigma_sq/phi)
         def draw(k):
             s2 = p.scale_beta / g.chisquare(p.dof_nu, size=k)
-            return np.column_stack([g.normal(p.loc_theta, np.sqrt(s2 / p.prec_phi), size=k), s2])
-    lo, hi = np.array([state.bounds(name) for name in state.param_names]).T
-    bounded = not np.all(np.isinf(lo) & np.isinf(hi))
-    out = _rejection_sample(draw, lo, hi, size) if bounded else draw(size)
-    return out[:, 0] if out.shape[1] == 1 else tuple(out.T)
+            return g.normal(p.loc_theta, np.sqrt(s2 / p.prec_phi), size=k), s2
+    bounds = [state.bounds(name) for name in state.param_names]
+    bounded = not all(math.isinf(a) and math.isinf(b) for a, b in bounds)
+    out = _rejection_sample(draw, bounds, size) if bounded else draw(size)
+    return out[0] if len(out) == 1 else out
 
 
-def _rejection_sample(draw, lo, hi, n):
-    """Accumulate n draws whose every column j lies in (lo[j], hi[j]).
-    ``PosteriorState`` refused the bounds if they hold too little mass, so
-    the loop ends."""
+def _rejection_sample(draw, bounds, n):
+    """Accumulate n draws whose every column lies in its open interval of ``bounds``.
+    ``draw(k)`` returns one array of k draws per column. ``PosteriorState``
+    refused the bounds if they hold too little mass, so the loop ends."""
     kept = []
     got = 0
-    while got < n:
-        v = draw(max(n - got, 1000))
-        ok = np.ones(len(v), dtype=bool)
-        for col, a, b in zip(v.T, lo, hi):
-            ok &= (col > a) & (col < b)
-        kept.append(v[ok])
-        got += kept[-1].shape[0]
-    out = np.concatenate(kept)
-    return out[:n]
+    while not kept or got < n:
+        cols = draw(max(n - got, 1000))
+        ok = np.ones(cols[0].size, dtype=bool)
+        for col, (a, b) in zip(cols, bounds):
+            ok &= col > a
+            ok &= col < b
+        kept.append([col[ok] for col in cols])
+        got += kept[-1][0].size
+    if len(kept) == 1:
+        return tuple(col[:n] for col in kept[0])
+    return tuple(np.concatenate(parts)[:n] for parts in zip(*kept))
 
 
 # The scipy.special expressions that scipy.stats evaluates for these
