@@ -130,13 +130,14 @@ class GammaParams:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def sample_severities(size: int, gen: np.random.Generator, *, mu=None, sigma=None,
+def sample_severities(size, gen: np.random.Generator, *, mu=None, sigma=None,
                       xi=None, threshold_L=None) -> np.ndarray:
-    """``size`` severities drawn from ``gen``: the one severity sampler.
+    """Severities drawn from ``gen``, an array of shape ``size``: the one severity sampler.
 
     Pass ``mu`` and ``sigma`` for exp(Z * sigma + mu), Z standard normal, or
     ``xi`` and ``threshold_L`` for threshold_L * (1 - U)^(-1/xi), U uniform
-    on [0, 1); each a scalar or one value per draw. ``sigma`` is the log-scale
+    on [0, 1); each a scalar or an array that broadcasts against ``size``, and
+    the draws fill the array in row-major order. ``sigma`` is the log-scale
     standard deviation, so callers take the square root of ``sigma_sq`` once
     per parameter value, not once per loss. A severity above the largest
     double, in either family, overflows to inf without a numpy warning;

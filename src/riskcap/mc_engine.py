@@ -37,8 +37,12 @@ MAX_SAMPLE_SIZE = 10**7
 #: is a chunk of its own), so its memory does not grow with the Poisson rate.
 CHUNK_LOSSES = 1 << 16
 
-#: The mass a count table may leave out past each end; no 53-bit uniform reaches it.
+#: The mass a count table may leave out past each end.
 COUNT_TAIL = 2.0**-60
+#: A severity matrix with at least this many rows is summed column by column, one
+#: with fewer (long rows, or a count's last few years) by an in-place cumsum along
+#: its rows. Both add each row from 0 in draw order, so the sums are the same.
+COLUMN_SUM_ROWS = 256
 
 #: The normal approximation behind the conservative CI is trusted when
 #: K * q * (1 - q) is at least this large.
@@ -100,7 +104,7 @@ def usable_cpus() -> int:
 
 
 def _count_table(alpha: float, beta: float, weight=np.ones_like, mass: float = 1.0):
-    """``(k0, cdf)``, read-only with ``cdf[-1] == 1.0``, of the count law with p(k)/p(k-1)
+    """``(k0, pmf)``, read-only and normalised, of the count law with p(k)/p(k-1)
     = alpha + beta/k (Panjer's (a, b, 0) class: Poisson(lam) is (0, lam), NB(a, q) is
     (q, (a-1)q)) times ``weight(k)``, whose sum is at least ``mass``. The log pmf is summed
     outward from the mode until the ratio bounds the rest past each end below that."""
@@ -116,10 +120,9 @@ def _count_table(alpha: float, beta: float, weight=np.ones_like, mass: float = 1
             break
         width *= 2
     pmf = np.exp(np.concatenate([-down[::-1], [0.0], up])) * weight(np.arange(lo, hi + 1))
-    cdf = np.cumsum(pmf)
-    cdf /= cdf[-1]
-    cdf.flags.writeable = False  # every batch's thread reads it
-    return lo, cdf
+    pmf /= pmf.sum()
+    pmf.flags.writeable = False  # every batch's thread reads it
+    return lo, pmf
 
 
 def _predictive_count_table(post_freq: PosteriorState):
@@ -134,27 +137,43 @@ def _predictive_count_table(post_freq: PosteriorState):
     return _count_table(q, (a - 1) * q, weight, MIN_TRUNCATION_ACCEPTANCE)  # the box's least mass
 
 
-def _compound_batch(gen: np.random.Generator, n: int, table: tuple, sev: dict) -> np.ndarray:
-    """n annual losses: the one compound-loss kernel of both paths.
+def _compound_batch(gen: np.random.Generator, n: int, table: tuple, sev) -> np.ndarray:
+    """n annual losses, in no particular order: the one compound-loss kernel of both paths.
 
-    ``table`` is a :func:`_count_table`, read with one uniform per year. Each severity
-    parameter in ``sev`` (keyword arguments of :func:`sample_severities`) is a scalar
-    shared by all n scenarios (conditional: the point estimate) or n per-scenario
-    posterior draws (predictive). Counts come first, then every severity in scenario
-    order, whole years at a time; a zero count gives a zero loss.
+    The batch first draws how many of its years have each count of ``table`` (a
+    :func:`_count_table`) with one multinomial. ``sev(m)`` then gives the keyword
+    arguments of :func:`sample_severities` for the m years that have a loss, each a
+    scalar shared by all of them (conditional: the point estimate) or m per-year
+    posterior draws (predictive). Those years come in ascending count; the years
+    with count k draw their severities as (b, k) matrices, one row per year and at
+    most ``CHUNK_LOSSES`` losses (a year with more is a matrix of its own), and each
+    row is summed from 0 in draw order. A zero count gives a zero loss.
     """
-    k0, cdf = table
-    counts = k0 + np.searchsorted(cdf, gen.random(n), "right")
-    ends = np.cumsum(counts)
-    out = np.empty(n)
+    k0, pmf = table
+    years = gen.multinomial(n, pmf)
+    if k0 == 0:
+        years[0] = 0  # the years without a loss are the zeros left in ``out``
+    out = np.zeros(n)
+    if not years.any():
+        return out
+    params = sev(int(years.sum()))
+    held = np.flatnonzero(years)
     i = 0
-    while i < n:
-        j = max(int(np.searchsorted(ends, ends[i] - counts[i] + CHUNK_LOSSES, "right")), i + 1)
-        owner = np.repeat(np.arange(j - i), counts[i:j])
-        per_loss = {k: v[i:j][owner] if np.ndim(v) else v for k, v in sev.items()}
-        x = sample_severities(owner.size, gen, **per_loss)
-        out[i:j] = np.bincount(owner, weights=x, minlength=j - i)
-        i = j
+    for k, m in zip((k0 + held).tolist(), years[held].tolist()):
+        b = max(CHUNK_LOSSES // k, 1)
+        for j in range(i, i + m, b):
+            e = min(j + b, i + m)
+            row_params = {name: v[j:e, None] if np.ndim(v) else v for name, v in params.items()}
+            x = sample_severities((e - j, k), gen, **row_params)
+            total = out[j:e]
+            if e - j < COLUMN_SUM_ROWS:
+                total[:] = np.cumsum(x, axis=1, out=x)[:, -1]
+            else:
+                total[:] = x[:, 0]
+                for c in range(1, k):
+                    total += x[:, c]
+            del x  # before the next matrix is drawn
+        i += m
     return out
 
 
@@ -192,7 +211,7 @@ def simulate_conditional_sample(
     """
     sev, table = point.sampler_args(), _count_table(0.0, point.lam)
     return _run_batches(
-        lambda n, st: _compound_batch(st.generator, n, table, sev), K, rng, workers
+        lambda n, st: _compound_batch(st.generator, n, table, lambda m: sev), K, rng, workers
     )
 
 
@@ -207,7 +226,8 @@ def simulate_predictive_sample(
 
     This realizes the parameter-uncertainty-averaged (predictive) annual loss
     distribution. Counts come from their negative-binomial marginal, so no rate is
-    drawn; each batch draws its severity parameters, then its losses, from one stream.
+    drawn; each batch draws its counts, then severity parameters for the years that
+    have a loss, then its losses, from one stream.
     """
     if post_freq.family != "poisson-rate":
         raise ValueError("frequency posterior must be a poisson-rate state")
@@ -219,12 +239,13 @@ def simulate_predictive_sample(
     table = _predictive_count_table(post_freq)
 
     def batch(n, stream):
-        if post_sev.family == "lognormal":
-            mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
-            sev = {"mu": mu, "sigma": np.sqrt(sigma_sq)}
-        else:
-            sev = {"xi": sample_posterior(post_sev, stream, size=n),
-                   "threshold_L": post_sev.threshold_L}
+        def sev(m):
+            if post_sev.family == "lognormal":
+                mu, sigma_sq = sample_posterior(post_sev, stream, size=m)
+                return {"mu": mu, "sigma": np.sqrt(sigma_sq)}
+            return {"xi": sample_posterior(post_sev, stream, size=m),
+                    "threshold_L": post_sev.threshold_L}
+
         return _compound_batch(stream.generator, n, table, sev)
 
     return _run_batches(batch, K, rng, workers)

@@ -34,19 +34,19 @@ PARETO = [
 ]
 
 DIGESTS = {
-    "capital": "fcee749f41767cff56275b6a0d2ec6f04ba229e7d0d57100ddfe15be1fc62899",
+    "capital": "88f7612ce12257c095d42bf9008ae7982b1b800598b971031917ed3ceaf8e929",
     "fit": "5b0378a2d6635d54e633e3046726ab4594b05a11a76f1e700b40eddc3ad3a6df",
-    "track-lognormal": "bd7274fe13a4760822519a5bd13b6adba73d12e72cfa3084ce38183daf23491e",
-    "track-pareto": "46f63669cd2e1be458bfc59387391d0d6518375b8f8030ce1f590c534256b929",
-    "bias-lognormal": "78e09e1450a7650c13f2f189ff848e1e800947a9fbdd1ebc0af98a908d0af75c",
-    "bias-pareto": "89085f12eef9c1ca4dd08e609323446a8d4bb734af80696a9867f00c4725ee4c",
+    "track-lognormal": "9610124b3931a135c0bcfae1d67119f8e14fd6d6bfb306610e8d2a0ca84feb1e",
+    "track-pareto": "fcb803ec390aaf6bdb0266aebb923eda796efbe6e97783715e399a48b9c3416d",
+    "bias-lognormal": "e189572a9031f506cebfc604d292712aeb77a0e68614ac388ab11cf4a9a7c24b",
+    "bias-pareto": "53855ba24b0a8aa15db5103e53882810f479e34612b6b90b6294414e75778e42",
     "simulate-lognormal-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
     "simulate-lognormal-events": "451b2a49297ec719fd74a2e08d9f1cf625f4e90bbab622e085ac18bcf96b54ba",
     "simulate-pareto-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
     "simulate-pareto-events": "17e14be1c89074184a5c8aff2256c6f1c6d17b8e3551bb694c8293bc293ee964",
-    "aggregate-conditional": "f38acc9b7cad1c475e33b13c4c317bf55530a501673cc9ab65f30c0c69d4942f",
-    "aggregate-predictive": "85c45bab8b9765dc5c2b5a756bd3c1ae7530fc4e255c43499bcba9dcbed8fd33",
-    "capital-informative": "61e9d3ab47ef9b4ecd567b6a4de8f9deee24b2528454cf722befde00fa3596d3",
+    "aggregate-conditional": "9ac6b5e33163e724f37631246565d09f5697dd6fcf557e18a77119be764b7d9a",
+    "aggregate-predictive": "8d79c5327013f9d83b63c893f06a91424d4b9655e044e0b377e1b1208019e072",
+    "capital-informative": "0b5d5dd2f97455d55a6efe95c75754517c6a417d4b2c054689bde9d10dff4508",
     "fit-informative": "4829ca9cf9ce2acd44aecf0f284e7df7781648106d9b3d7b2404349734f52f81",
 }
 

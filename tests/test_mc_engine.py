@@ -124,30 +124,20 @@ def _nb_log_terms(rate: GammaParams):
                       a * math.log1p(-q), k * math.log(q))
 
 
-def _pmf(log_terms):
-    """The closed-form pmf whose log is the sum of ``log_terms(k)``."""
-    return lambda k: math.exp(sum(log_terms(k)))
-
-
-def _inverse_count(pmf, u):
-    """The least k whose cdf exceeds u, summing the pmf from 0."""
-    k, cdf = 0, pmf(0)
-    while cdf <= u and k < 10_000:
-        k += 1
-        cdf += pmf(k)
-    return k
-
-
-def _reference_batch(stream, n, pmf, sev):
-    """The compound loss as a plain loop: all counts, each by sequential
-    inversion of ``pmf`` at one uniform, then each scenario's severities in
-    scenario order, each summed from 0 in draw order. A lognormal severity is
-    written out as exp(Z * sqrt(sigma_sq) + mu)."""
+def _reference_batch(stream, n, table, sev):
+    """The compound loss as a plain loop over the kernel's layout: the count
+    histogram as one multinomial over ``table``, then the severity parameters
+    ``sev(m)`` of the m years that have a loss, then each count in ascending
+    order and each of its years' severities, summed from 0 in draw order. A
+    lognormal severity is written out as exp(Z * sqrt(sigma_sq) + mu)."""
     gen = stream.generator
-    counts = [_inverse_count(pmf, u) for u in gen.random(n)]
+    k0, pmf = table
+    years = gen.multinomial(n, pmf)
+    counts = [k0 + c for c, m in enumerate(years) for _ in range(m) if k0 + c > 0]
+    params = sev(len(counts)) if counts else {}
     out = np.zeros(n)
     for i, count in enumerate(counts):
-        p = {k: v[i] if np.ndim(v) else v for k, v in sev.items()}
+        p = {k: v[i] if np.ndim(v) else v for k, v in params.items()}
         if "sigma_sq" in p:
             draws = np.exp(gen.standard_normal(count) * np.sqrt(p["sigma_sq"]) + p["mu"])
         else:
@@ -159,15 +149,21 @@ def _reference_batch(stream, n, pmf, sev):
     return out
 
 
+def _conditional_reference(stream, n, point):
+    return _reference_batch(stream, n, _count_table(0.0, point.lam), lambda m: vars(point.severity))
+
+
 def _predictive_reference(stream, n, post_freq, post_sev):
-    """A predictive batch: the severity parameters, then the reference loop
-    with counts from the negative-binomial marginal; no rate is drawn."""
-    if post_sev.family == "lognormal":
-        mu, sigma_sq = sample_posterior(post_sev, stream, size=n)
-        sev = {"mu": mu, "sigma_sq": sigma_sq}
-    else:
-        sev = {"xi": sample_posterior(post_sev, stream, size=n), "threshold_L": 1.0}
-    return _reference_batch(stream, n, _pmf(_nb_log_terms(post_freq.params)), sev)
+    """A predictive batch: the reference loop with counts from the negative-binomial
+    marginal, so no rate is drawn, and severity parameters drawn only for the years
+    that have a loss."""
+    def sev(m):
+        if post_sev.family == "lognormal":
+            mu, sigma_sq = sample_posterior(post_sev, stream, size=m)
+            return {"mu": mu, "sigma_sq": sigma_sq}
+        return {"xi": sample_posterior(post_sev, stream, size=m), "threshold_L": 1.0}
+
+    return _reference_batch(stream, n, _predictive_count_table(post_freq), sev)
 
 
 LOW_RATE = GammaParams(4.0, 0.1)  # lambda around 0.4: most years have no event
@@ -180,11 +176,10 @@ NIX = NIXParams(dof_nu=17.0, scale_beta=68.0, loc_theta=1.0, prec_phi=20.0)
     ids=["lognormal", "pareto"],
 )
 def test_conditional_kernel_matches_reference_loop(sev):
-    n, rng = 3000, RngStream(21)
-    pmf = _pmf(_poisson_log_terms(0.4))
-    expected = _reference_batch(rng.substream("batch", 0), n, pmf, vars(sev))
+    n, rng, point = 3000, RngStream(21), PointParams(0.4, sev)
+    expected = _conditional_reference(rng.substream("batch", 0), n, point)
     assert np.count_nonzero(expected == 0) > n // 2
-    sample = simulate_conditional_sample(PointParams(0.4, sev), n, rng)
+    sample = simulate_conditional_sample(point, n, rng)
     assert np.array_equal(sample.values, np.sort(expected))
 
 
@@ -211,9 +206,9 @@ def test_predictive_kernel_matches_reference_loop(post_sev):
 
 
 def _table_pmf(table):
-    k0, cdf = table
-    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
-    return np.arange(k0, k0 + cdf.size), np.diff(cdf, prepend=0.0)
+    k0, pmf = table
+    assert np.all(pmf >= 0) and abs(pmf.sum() - 1.0) <= 1e-14
+    return np.arange(k0, k0 + pmf.size), pmf
 
 
 EPS = np.finfo(float).eps
@@ -242,11 +237,11 @@ def test_count_table_matches_closed_form(make_table, log_terms):
 
 
 def test_count_table_reaches_only_where_the_mass_is():
-    k0, cdf = _count_table(0.0, 1e9)
-    assert cdf[-1] == 1.0
-    assert cdf.size <= 100 * math.sqrt(1e9)
+    k0, pmf = _count_table(0.0, 1e9)
+    assert abs(pmf.sum() - 1.0) <= 1e-14
+    assert pmf.size <= 100 * math.sqrt(1e9)
     assert k0 > 1e9 - 20 * math.sqrt(1e9)
-    assert not cdf.flags.writeable
+    assert not pmf.flags.writeable
 
 
 @pytest.mark.parametrize("box", [(1.0, 4.0), (3.2, 3.5), (8.0, math.inf), (-math.inf, 2.0)])
@@ -270,19 +265,27 @@ def test_truncated_rate_count_table_matches_quadrature(box):
 CHUNK = 7  # below the losses of many years at a rate near 4
 
 
-def _chunked(monkeypatch, simulate):
-    """``simulate()`` with the kernel's chunks cut to CHUNK losses."""
-    sizes = []
+def _recorded_shapes(monkeypatch, simulate):
+    """``simulate()`` and the (b, k) shape of every severity matrix it drew."""
+    shapes = []
 
     def recording(size, gen, **params):
-        sizes.append(size)
+        shapes.append(size)
         return sample_severities(size, gen, **params)
 
-    monkeypatch.setattr(mc_engine, "CHUNK_LOSSES", CHUNK)
     monkeypatch.setattr(mc_engine, "sample_severities", recording)
-    sample = simulate()
-    # Many chunks, one of them a single year with more losses than CHUNK.
-    assert len(sizes) > 100 and max(sizes) > CHUNK
+    return simulate(), shapes
+
+
+def _chunked(monkeypatch, simulate):
+    """``simulate()`` with the kernel's chunks cut to CHUNK losses."""
+    monkeypatch.setattr(mc_engine, "CHUNK_LOSSES", CHUNK)
+    sample, shapes = _recorded_shapes(monkeypatch, simulate)
+    # Many chunks, each within CHUNK losses or a single year, and some of them
+    # a single year with more losses than CHUNK.
+    assert len(shapes) > 100
+    assert all(b * k <= CHUNK or b == 1 for b, k in shapes)
+    assert any(b == 1 and k > CHUNK for b, k in shapes)
     return sample
 
 
@@ -295,7 +298,7 @@ def test_conditional_kernel_exact_across_chunk_edges(sev, monkeypatch):
         return simulate_conditional_sample(PointParams(4.0, sev), 2500, rng, workers=2)
 
     expected = np.concatenate(
-        [_reference_batch(rng.substream("batch", b), n, _pmf(_poisson_log_terms(4.0)), vars(sev))
+        [_conditional_reference(rng.substream("batch", b), n, PointParams(4.0, sev))
          for b, n in enumerate(batches)]
     )
     default = simulate()
@@ -325,6 +328,49 @@ def test_predictive_kernel_exact_across_chunk_edges(post_sev, monkeypatch):
     chunked = _chunked(monkeypatch, simulate)
     assert chunked.values.tobytes() == default.values.tobytes()
     assert np.array_equal(chunked.values, np.sort(expected))
+
+
+@pytest.mark.parametrize("lam, n", [(2.0, 3000), (300.0, 300)], ids=["columns", "cumsum"])
+@pytest.mark.parametrize(
+    "sev",
+    [LN12, PAR21, PosteriorState("lognormal", NIX),
+     PosteriorState("pareto-tail", GammaParams(21.0, 0.1), threshold_L=1.0)],
+    ids=["conditional-lognormal", "conditional-pareto", "predictive-lognormal",
+         "predictive-pareto"],
+)
+def test_kernel_row_sums_match_reference_loop(sev, lam, n, monkeypatch):
+    # At a rate near 2 the counts 2 to 4 fill matrices of at least
+    # COLUMN_SUM_ROWS rows, summed column by column; near 300 every matrix is
+    # shorter than that and its rows, most longer than it, go to the cumsum.
+    rng = RngStream(25)
+    if isinstance(sev, PosteriorState):
+        post_freq = PosteriorState("poisson-rate", GammaParams(10 * lam, 0.1))
+        expected = _predictive_reference(rng.substream("batch", 0), n, post_freq, sev)
+        simulate = lambda: simulate_predictive_sample(post_freq, sev, n, rng)
+    else:
+        expected = _conditional_reference(rng.substream("batch", 0), n, PointParams(lam, sev))
+        simulate = lambda: simulate_conditional_sample(PointParams(lam, sev), n, rng)
+    sample, shapes = _recorded_shapes(monkeypatch, simulate)
+    by_columns = [k for b, k in shapes if b >= mc_engine.COLUMN_SUM_ROWS]
+    if lam < 10:
+        assert max(by_columns) >= 3
+    else:
+        assert not by_columns and max(k for _, k in shapes) > mc_engine.COLUMN_SUM_ROWS
+    assert np.array_equal(sample.values, np.sort(expected))
+
+
+def test_batch_with_only_zero_counts_is_zeros():
+    def no_severities(m):
+        raise AssertionError("a batch without losses drew severity parameters")
+
+    gen = RngStream(26).generator
+    table = (0, np.array([1.0]))
+    assert mc_engine._compound_batch(gen, 5, table, no_severities).tolist() == [0.0] * 5
+    # Nor does a predictive run draw from a truncated posterior when no year has a loss.
+    post_freq = PosteriorState("poisson-rate", GammaParams(1.0, 1e-12))
+    post_sev = PosteriorState("lognormal", NIX, truncation={"sigma_sq": (0.0, 4.0)})
+    sample = simulate_predictive_sample(post_freq, post_sev, 1000, RngStream(27))
+    assert sample.values.tolist() == [0.0] * 1000
 
 
 @pytest.mark.parametrize(
