@@ -19,6 +19,7 @@ from .distributions import GammaParams, LognormalParams, ParetoParams, PointPara
 from .mc_engine import (
     QuantileEstimate,
     estimate_quantile,
+    quantile_tail,
     simulate_conditional_sample,
     simulate_predictive_sample,
 )
@@ -214,7 +215,8 @@ def conditional_capital(
     Parameter uncertainty is ignored on this path.
     """
     rng = RngStream(seed).substream("cell", model.cell_id, "conditional")
-    sample = simulate_conditional_sample(fit_mle(model, data), K, rng, workers=workers)
+    sample = simulate_conditional_sample(fit_mle(model, data), K, rng, workers=workers,
+                                         keep=quantile_tail(K, q, gamma))
     est = estimate_quantile(sample, q, gamma)
     return CapitalReport(model.cell_id, "conditional", est, tuple(_common_warnings(est)))
 
@@ -236,7 +238,8 @@ def predictive_capital(
     """
     post_freq, post_sev = fit_posteriors(model, data)
     rng = RngStream(seed).substream("cell", model.cell_id, "predictive")
-    sample = simulate_predictive_sample(post_freq, post_sev, K, rng, workers=workers)
+    sample = simulate_predictive_sample(post_freq, post_sev, K, rng, workers=workers,
+                                        keep=quantile_tail(K, q, gamma))
     est = estimate_quantile(sample, q, gamma)
 
     warnings = _common_warnings(est)

@@ -149,4 +149,8 @@ def sample_severities(size, gen: np.random.Generator, *, mu=None, sigma=None,
             x *= sigma
             x += mu
             return np.exp(x, out=x)
-        return threshold_L * np.power(1.0 - gen.random(size), -1.0 / xi)
+        x = gen.random(size)
+        np.subtract(1.0, x, out=x)
+        np.power(x, -1.0 / xi, out=x)
+        x *= threshold_L
+        return x

@@ -20,7 +20,8 @@ import numpy as np
 
 from .capital import CellModel, LossData, fit_mle, fit_posteriors, fit_summary
 from .distributions import ParetoParams, PointParams, RngStream, sample_severities
-from .mc_engine import empirical_quantile, simulate_conditional_sample, simulate_predictive_sample
+from .mc_engine import (empirical_quantile, quantile_tail, simulate_conditional_sample,
+                        simulate_predictive_sample)
 
 __all__ = [
     "BiasRecord",
@@ -91,8 +92,9 @@ def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream,
         model = CellModel(name, "lognormal")
     mle = fit_mle(model, data)
     posteriors = fit_posteriors(model, data)
-    cond = simulate_conditional_sample(mle, K_sims, stream.substream("cond"), workers=workers)
-    pred = simulate_predictive_sample(*posteriors, K_sims, stream.substream("pred"), workers=workers)
+    keep = quantile_tail(K_sims, q)
+    cond = simulate_conditional_sample(mle, K_sims, stream.substream("cond"), workers, keep)
+    pred = simulate_predictive_sample(*posteriors, K_sims, stream.substream("pred"), workers, keep)
     return empirical_quantile(cond, q), empirical_quantile(pred, q), mle, posteriors
 
 
@@ -137,7 +139,8 @@ def true_parameter_quantile(
     true_model: PointParams, q: float, K: int, rng: RngStream, workers: int = 1
 ) -> float:
     """Quantile of the annual loss at the true parameters (the bias reference)."""
-    return empirical_quantile(simulate_conditional_sample(true_model, K, rng, workers), q)
+    sample = simulate_conditional_sample(true_model, K, rng, workers, quantile_tail(K, q))
+    return empirical_quantile(sample, q)
 
 
 def bias_study(

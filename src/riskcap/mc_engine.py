@@ -3,7 +3,9 @@ and the conservative binomial/normal confidence interval.
 
 Simulation of K annual losses is partitioned into fixed-size batches; batch
 ``i`` consumes the substream derived from the caller's stream and ``i``, so
-the simulated loss multiset is bit-identical for any worker count.
+the simulated loss multiset is bit-identical for any worker count. A
+simulation may keep only its largest losses, the ones a quantile reads: each
+batch selects its own in its worker thread, so no K-sized array is built.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ __all__ = [
     "simulate_predictive_sample",
     "empirical_quantile",
     "estimate_quantile",
+    "quantile_tail",
     "usable_cpus",
 ]
 
 BATCH_SIZE = 100_000
-#: Beyond this many losses we refuse rather than silently subsample; exact
-#: order statistics require the full sample in memory.
+#: Beyond this many losses we refuse rather than silently subsample: a
+#: simulation that keeps all K losses (``keep=None``) holds them in memory.
 MAX_SAMPLE_SIZE = 10**7
 #: The kernel draws severities at most this many losses at a time (a year with more
 #: is a chunk of its own), so its memory does not grow with the Poisson rate.
@@ -51,27 +54,32 @@ CI_RELIABILITY_THRESHOLD = 50.0
 
 @dataclass(frozen=True)
 class LossSample:
-    """Ascending-sorted annual-loss realizations."""
+    """The largest ``values.size`` of K annual losses, sorted ascending.
+
+    K defaults to ``values.size``: the sample holds every loss. Order
+    statistic i (1-based, of K) is ``values[i - 1 - (K - values.size)]``.
+    """
 
     values: np.ndarray
+    K: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("loss sample must be a non-empty 1-D array")
+        if self.K is None:
+            object.__setattr__(self, "K", v.size)
+        if v.size > self.K:
+            raise ValueError(f"loss sample holds {v.size} values, more than its K = {self.K}")
         # The order check below cannot see nan (nan < x is False), so check first.
         bad = v.size - np.count_nonzero(np.isfinite(v))
         if bad:
-            raise ValueError(f"loss sample has {bad} non-finite values out of {v.size}")
+            raise ValueError(f"loss sample has {bad} non-finite values out of {self.K}")
         if np.any(v[1:] < v[:-1]):
             raise ValueError("loss sample must be sorted ascending")
         if v[0] < 0:
             raise ValueError("annual losses must be non-negative")
-
-    @property
-    def K(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -177,41 +185,66 @@ def _compound_batch(gen: np.random.Generator, n: int, table: tuple, sev) -> np.n
     return out
 
 
-def _run_batches(batch_fn, K: int, rng: RngStream, workers: int) -> LossSample:
+def _run_batches(batch_fn, K: int, rng: RngStream, workers: int, keep=None) -> LossSample:
+    """The largest ``keep`` (None: all) of K losses, drawn in batches on ``workers`` threads.
+
+    Each batch checks all its losses, then moves its largest ``keep`` to the end
+    of its array (``np.partition``) and copies them into its own slot of
+    ``tops``. The largest ``keep`` of ``tops`` are the largest of all K losses,
+    a multiset that does not depend on how the batches selected them.
+    """
     if K < 1:
         raise ValueError("K must be at least 1")
     if K > MAX_SAMPLE_SIZE:
-        raise ValueError(
-            f"K = {K} exceeds the in-memory sample cap of {MAX_SAMPLE_SIZE}; "
-            "exact order statistics require the full sample"
-        )
+        raise ValueError(f"K = {K} exceeds the in-memory sample cap of {MAX_SAMPLE_SIZE}")
+    if keep is None:
+        keep = K
+    if keep < 1:
+        raise ValueError(f"keep must be at least 1, got {keep}")
     n_batches = (K + BATCH_SIZE - 1) // BATCH_SIZE
-    values = np.empty(K)
+    sizes = [min(BATCH_SIZE, K - i * BATCH_SIZE) for i in range(n_batches)]
+    ends = np.cumsum([min(keep, n) for n in sizes]).tolist()
+    tops = np.empty(ends[-1])
 
     def one(i):
-        part = values[i * BATCH_SIZE:(i + 1) * BATCH_SIZE]
-        part[:] = batch_fn(part.size, rng.substream("batch", i))
+        n, m, end = sizes[i], min(keep, sizes[i]), ends[i]
+        out = batch_fn(n, rng.substream("batch", i))
+        checks = n - np.count_nonzero(np.isfinite(out)), out.min()
+        if m < n:
+            out.partition(n - m)
+        tops[end - m:end] = out[n - m:]
+        return checks
 
     if workers > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(n_batches)))
+            checks = list(pool.map(one, range(n_batches)))
     else:
-        list(map(one, range(n_batches)))
-    values.sort()
-    return LossSample(values=values)
+        checks = list(map(one, range(n_batches)))
+    bad = sum(b for b, _ in checks)
+    if bad:
+        raise ValueError(f"loss sample has {bad} non-finite values out of {K}")
+    if min(low for _, low in checks) < 0:
+        raise ValueError("annual losses must be non-negative")
+    if tops.size > keep:
+        tops.partition(tops.size - keep)
+        tops = tops[tops.size - keep:].copy()
+    tops.sort()
+    return LossSample(values=tops, K=K)
 
 
 def simulate_conditional_sample(
-    point: PointParams, K: int, rng: RngStream, workers: int = 1
+    point: PointParams, K: int, rng: RngStream, workers: int = 1, keep: int | None = None
 ) -> LossSample:
-    """K i.i.d. annual losses at one point of the cell model, sorted ascending.
+    """The largest ``keep`` (None: all) of K i.i.d. annual losses at one point of
+    the cell model, sorted ascending.
 
     This is the predictive computation with the posterior collapsed to a
     point mass: every scenario shares the same parameters.
     """
     sev, table = point.sampler_args(), _count_table(0.0, point.lam)
     return _run_batches(
-        lambda n, st: _compound_batch(st.generator, n, table, lambda m: sev), K, rng, workers
+        lambda n, st: _compound_batch(st.generator, n, table, lambda m: sev), K, rng, workers,
+        keep,
     )
 
 
@@ -221,8 +254,10 @@ def simulate_predictive_sample(
     K: int,
     rng: RngStream,
     workers: int = 1,
+    keep: int | None = None,
 ) -> LossSample:
-    """K annual losses, each under a fresh parameter draw from the posteriors.
+    """The largest ``keep`` (None: all) of K annual losses, each under a fresh
+    parameter draw from the posteriors, sorted ascending.
 
     This realizes the parameter-uncertainty-averaged (predictive) annual loss
     distribution. Counts come from their negative-binomial marginal, so no rate is
@@ -248,7 +283,7 @@ def simulate_predictive_sample(
 
         return _compound_batch(stream.generator, n, table, sev)
 
-    return _run_batches(batch, K, rng, workers)
+    return _run_batches(batch, K, rng, workers, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +295,19 @@ def _quantile_index(K: int, q: float) -> int:
     return min(int(math.floor(K * q)) + 1, K)
 
 
+def _order_statistic(sample: LossSample, i: int) -> float:
+    """The i-th smallest (1-based) of the sample's K losses."""
+    j = i - 1 - (sample.K - sample.values.size)
+    if j < 0:
+        raise ValueError(f"rank {i} of K = {sample.K} is not among the "
+                         f"{sample.values.size} largest losses the sample holds")
+    return float(sample.values[j])
+
+
 def empirical_quantile(sample: LossSample, q: float) -> float:
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0, 1), got {q}")
-    return float(sample.values[_quantile_index(sample.K, q) - 1])
+    return _order_statistic(sample, _quantile_index(sample.K, q))
 
 
 def _ci_indices(K: int, q: float, gamma: float) -> tuple[int, int, bool]:
@@ -294,9 +338,21 @@ def estimate_quantile(sample: LossSample, q: float, gamma: float) -> QuantileEst
     return QuantileEstimate(
         q=q,
         value=value,
-        ci_lower=float(sample.values[r - 1]),
-        ci_upper=float(sample.values[s - 1]),
+        ci_lower=_order_statistic(sample, r),
+        ci_upper=_order_statistic(sample, s),
         ci_level=gamma,
         K=sample.K,
         reliable_ci=reliable,
     )
+
+
+def quantile_tail(K: int, q: float, gamma: float | None = None) -> int:
+    """How many of K losses, the largest, ``estimate_quantile(q, gamma)`` reads, or
+    ``empirical_quantile(q)`` when ``gamma`` is None: the ``keep`` of a simulation
+    that only a quantile reads."""
+    if not 0 < q < 1:
+        raise ValueError(f"q must be in (0, 1), got {q}")
+    lowest = _quantile_index(K, q)
+    if gamma is not None:
+        lowest = min(lowest, _ci_indices(K, q, gamma)[0])
+    return K - lowest + 1

@@ -115,6 +115,18 @@ def test_pareto_forced_uniforms():
     assert x == pytest.approx([2.0, 1.0])
 
 
+def test_pareto_sampler_in_place_matches_expression():
+    # The sampler works in place on its uniforms; the losses must be the bits
+    # of threshold_L * (1 - U)^(-1/xi), for a scalar xi and one xi per row.
+    u = RngStream(12).generator.random((300, 4))
+    x = sample_severities((300, 4), RngStream(12).generator, xi=0.7, threshold_L=2.5)
+    assert x.tobytes() == (2.5 * np.power(1.0 - u, -1.0 / 0.7)).tobytes()
+
+    xi = 0.5 + RngStream(13).generator.gamma(2.0, size=(300, 1))
+    x = sample_severities((300, 4), RngStream(12).generator, xi=xi, threshold_L=2.5)
+    assert x.tobytes() == (2.5 * np.power(1.0 - u, -1.0 / xi)).tobytes()
+
+
 def test_pareto_mean():
     draws = sample_severities(N, RngStream(3).generator, xi=2.0, threshold_L=1.0)
     assert np.all(draws >= 1.0)

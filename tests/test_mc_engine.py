@@ -21,6 +21,7 @@ from riskcap.mc_engine import (
     _predictive_count_table,
     empirical_quantile,
     estimate_quantile,
+    quantile_tail,
     simulate_conditional_sample,
     simulate_predictive_sample,
 )
@@ -396,6 +397,104 @@ def test_kernel_memory_does_not_grow_with_rate(simulate, params):
 
 
 # ---------------------------------------------------------------------------
+# Kept tails
+
+TAIL_POSTERIORS = (PosteriorState("poisson-rate", GammaParams(20.0, 0.1)),
+                   PosteriorState("lognormal", NIX))
+
+
+def _simulate(mode, K, keep=None, workers=1, seed=28):
+    if mode == "conditional":
+        return simulate_conditional_sample(PointParams(2.0, LN12), K, RngStream(seed), workers, keep)
+    return simulate_predictive_sample(*TAIL_POSTERIORS, K, RngStream(seed), workers, keep)
+
+
+_FULL = {}
+
+
+def _full(mode, K):
+    if (mode, K) not in _FULL:
+        _FULL[mode, K] = _simulate(mode, K)
+    return _FULL[mode, K]
+
+
+@pytest.mark.parametrize("keep", [1, 1063, mc_engine.BATCH_SIZE + 1, None],
+                         ids=["1", "1063", "batch+1", "K"])
+@pytest.mark.parametrize("K", [1, 99_999, 250_001])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", ["conditional", "predictive"])
+def test_kept_tail_is_the_top_of_the_full_sample(mode, workers, K, keep):
+    # 99_999 and 250_001 end in a partial batch; a keep above a batch's size
+    # keeps the whole batch.
+    keep = K if keep is None else keep
+    tail = _simulate(mode, K, keep, workers)
+    full = _full(mode, K)
+    assert tail.K == K
+    assert tail.values.tobytes() == full.values[-min(keep, K):].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["conditional", "predictive"])
+def test_quantiles_of_the_kept_tail_equal_the_full_sample(mode):
+    K, q = 250_001, 0.999
+    full = _full(mode, K)
+    tail = _simulate(mode, K, quantile_tail(K, q, 0.95), workers=2)
+    assert estimate_quantile(tail, q, 0.95) == estimate_quantile(full, q, 0.95)
+    point = _simulate(mode, K, quantile_tail(K, q), workers=2)
+    assert empirical_quantile(point, q) == empirical_quantile(full, q)
+    # The point estimate alone does not hold the interval's lower rank.
+    with pytest.raises(ValueError, match=r"rank 249\d{3} of K = 250001"):
+        estimate_quantile(point, q, 0.95)
+
+
+def test_quantile_tail_counts_the_ranks_read():
+    assert quantile_tail(10**6, 0.999, 0.95) == 10**6 - _ci_indices(10**6, 0.999, 0.95)[0] + 1
+    assert quantile_tail(10**6, 0.999, 0.95) == 1063
+    assert quantile_tail(10**5, 0.999) == 100
+    assert quantile_tail(1, 0.999, 0.95) == 1
+    with pytest.raises(ValueError, match="q must be in"):
+        quantile_tail(100, 1.0)
+    with pytest.raises(ValueError, match="gamma must be in"):
+        quantile_tail(100, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "simulate, params",
+    [
+        (simulate_conditional_sample, (PointParams(2.0, ParetoParams(xi=0.005, threshold_L=1.0)),)),
+        (simulate_predictive_sample,
+         (PosteriorState("poisson-rate", GammaParams(20.0, 0.1)),
+          PosteriorState("pareto-tail", GammaParams(3.0, 0.002), threshold_L=1.0))),
+    ],
+    ids=["conditional", "predictive"],
+)
+def test_non_finite_losses_are_counted_over_all_K(simulate, params, workers):
+    # About 6% of these years overflow, far more than the 10 losses kept; the
+    # error still counts them over all K, as a run that keeps every loss does.
+    K = 250_001
+    with pytest.raises(ValueError, match=f"non-finite values out of {K}") as full:
+        simulate(*params, K, RngStream(29), workers)
+    with pytest.raises(ValueError) as kept:
+        simulate(*params, K, RngStream(29), workers, keep=10)
+    assert str(kept.value) == str(full.value)
+    assert int(str(full.value).split()[3]) > 10_000
+
+
+def test_capital_simulation_memory_does_not_grow_with_K():
+    # The K-sized array of a full sample alone is 7.6 MiB at K = 1e6.
+    K = 10**6
+    tracemalloc.start()
+    try:
+        sample = simulate_conditional_sample(PointParams(2.0, PAR21), K, RngStream(30), workers=2,
+                                             keep=quantile_tail(K, 0.999, 0.95))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.values.size == 1063
+    assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # Quantiles
 
 
@@ -472,6 +571,16 @@ def test_loss_sample_validation():
         LossSample(values=np.array([3.0, 1.0]))
     with pytest.raises(ValueError):
         LossSample(values=np.array([-1.0, 2.0]))
+    with pytest.raises(ValueError, match="holds 3 values, more than its K = 2"):
+        LossSample(values=np.array([1.0, 2.0, 3.0]), K=2)
+
+
+def test_loss_sample_tail_reads_ranks_from_the_top():
+    tail = LossSample(values=np.array([7.0, 8.0, 9.0]), K=10)  # ranks 8, 9 and 10
+    assert empirical_quantile(tail, 0.75) == 7.0  # rank floor(7.5) + 1 = 8
+    assert empirical_quantile(tail, 0.95) == 9.0
+    with pytest.raises(ValueError, match="rank 7 of K = 10"):
+        empirical_quantile(tail, 0.65)
 
 
 @pytest.mark.parametrize(
