@@ -28,7 +28,7 @@ from . import experiments as exp_mod
 from .bayes import InsufficientDataError, NIXParams
 from .capital import CellModel, LossData
 from .distributions import GammaParams, LognormalParams, ParetoParams, PointParams, RngStream
-from .mc_engine import MAX_SAMPLE_SIZE, usable_cpus
+from .mc_engine import usable_cpus
 
 __all__ = ["main"]
 
@@ -186,6 +186,11 @@ def load_config(path) -> dict:
         raise ValidationError(f"cannot read config {path}: {e}")
     if not isinstance(cfg, dict) or not isinstance(cfg.get("cells"), list) or not cfg["cells"]:
         raise ValidationError("config must define at least one cell")
+    first = {}  # by repr, as an id may be a list: a cell's random streams derive from its id
+    for pos, c in enumerate(cfg["cells"], start=1):
+        shown = repr(c.get("id", "cell")) if isinstance(c, dict) else None
+        if shown and first.setdefault(shown, pos) != pos:
+            raise ValidationError(f"{path}: cells {first[shown]} and {pos} share the id {shown}")
     return cfg
 
 
@@ -229,16 +234,14 @@ def cmd_simulate(args):
     return 0
 
 
-def _checked(name, value, whole=False, most=math.inf):
-    """``value`` if it is a probability in (0, 1), or with ``whole`` an integer in [1, most]."""
+def _checked(name, value, whole=False):
+    """``value`` if it is a probability in (0, 1), or with ``whole`` an integer >= 1."""
     real = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    if whole and real and value == int(value) and 1 <= value <= most:
+    if whole and real and value == int(value) and value >= 1:
         return int(value)
     if not whole and real and 0 < value < 1:
         return value
     what = "an integer >= 1" if whole else "in (0, 1)"
-    if whole and real and value > most:
-        what = f"at most {most}"
     raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
@@ -283,7 +286,7 @@ def cmd_capital(args):
     mode = args.mode if args.mode is not None else cfg.get("mode", "both")
     seed = _resolve_seed(args.seed, cfg.get("seed"))
     q, gamma = _checked("q", q), _checked("gamma", gamma)
-    K = _checked("K", K, whole=True, most=MAX_SAMPLE_SIZE)
+    K = _checked("K", K, whole=True)
     if mode not in ("conditional", "predictive", "both"):
         raise ValidationError(f"mode must be conditional, predictive, or both, got {mode!r}")
 
@@ -398,7 +401,7 @@ def cmd_experiment(args):
     except ValueError:
         raise ValidationError(f"--m-grid must be comma-separated integers, got {args.m_grid!r}")
     m_grid = [_checked("--m-grid year count", m, whole=True) for m in m_grid]
-    K = _checked("--K", 10**5 if args.K is None else args.K, whole=True, most=MAX_SAMPLE_SIZE)
+    K = _checked("--K", 10**5 if args.K is None else args.K, whole=True)
     _checked("--q", args.q)
 
     try:

@@ -93,8 +93,9 @@ def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream,
     mle = fit_mle(model, data)
     posteriors = fit_posteriors(model, data)
     keep = quantile_tail(K_sims, q)
-    cond = simulate_conditional_sample(mle, K_sims, stream.substream("cond"), workers, keep)
-    pred = simulate_predictive_sample(*posteriors, K_sims, stream.substream("pred"), workers, keep)
+    cond = simulate_conditional_sample(mle, K_sims, stream.substream("cond"), workers, keep=keep)
+    pred = simulate_predictive_sample(*posteriors, K_sims, stream.substream("pred"), workers,
+                                      keep=keep)
     return empirical_quantile(cond, q), empirical_quantile(pred, q), mle, posteriors
 
 
@@ -139,7 +140,7 @@ def true_parameter_quantile(
     true_model: PointParams, q: float, K: int, rng: RngStream, workers: int = 1
 ) -> float:
     """Quantile of the annual loss at the true parameters (the bias reference)."""
-    sample = simulate_conditional_sample(true_model, K, rng, workers, quantile_tail(K, q))
+    sample = simulate_conditional_sample(true_model, K, rng, workers, keep=quantile_tail(K, q))
     return empirical_quantile(sample, q)
 
 

@@ -3,9 +3,8 @@ and the conservative binomial/normal confidence interval.
 
 Simulation of K annual losses is partitioned into fixed-size batches; batch
 ``i`` consumes the substream derived from the caller's stream and ``i``, so
-the simulated loss multiset is bit-identical for any worker count. A
-simulation may keep only its largest losses, the ones a quantile reads: each
-batch selects its own in its worker thread, so no K-sized array is built.
+the simulated loss multiset is bit-identical for any worker count. Each thread
+folds its batches into their largest ``keep``, so memory is O(``keep`` x workers).
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ __all__ = [
 ]
 
 BATCH_SIZE = 100_000
-#: Beyond this many losses we refuse rather than silently subsample: a
-#: simulation that keeps all K losses (``keep=None``) holds them in memory.
-MAX_SAMPLE_SIZE = 10**7
 #: The kernel draws severities at most this many losses at a time (a year with more
 #: is a chunk of its own), so its memory does not grow with the Poisson rate.
 CHUNK_LOSSES = 1 << 16
@@ -56,20 +52,17 @@ CI_RELIABILITY_THRESHOLD = 50.0
 class LossSample:
     """The largest ``values.size`` of K annual losses, sorted ascending.
 
-    K defaults to ``values.size``: the sample holds every loss. Order
-    statistic i (1-based, of K) is ``values[i - 1 - (K - values.size)]``.
+    Order statistic i (1-based, of K) is ``values[i - 1 - (K - values.size)]``.
     """
 
     values: np.ndarray
-    K: int | None = None
+    K: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("loss sample must be a non-empty 1-D array")
-        if self.K is None:
-            object.__setattr__(self, "K", v.size)
         if v.size > self.K:
             raise ValueError(f"loss sample holds {v.size} values, more than its K = {self.K}")
         # The order check below cannot see nan (nan < x is False), so check first.
@@ -185,66 +178,67 @@ def _compound_batch(gen: np.random.Generator, n: int, table: tuple, sev) -> np.n
     return out
 
 
-def _run_batches(batch_fn, K: int, rng: RngStream, workers: int, keep=None) -> LossSample:
-    """The largest ``keep`` (None: all) of K losses, drawn in batches on ``workers`` threads.
+def _top(x: np.ndarray, keep: int) -> np.ndarray:
+    """The largest ``keep`` of ``x``, unordered: ``x`` itself, or a copy of them cut from
+    ``x`` partitioned in place, so ``x`` can be freed."""
+    if x.size <= keep:
+        return x
+    x.partition(x.size - keep)
+    return x[x.size - keep:].copy()
 
-    Each batch checks all its losses, then moves its largest ``keep`` to the end
-    of its array (``np.partition``) and copies them into its own slot of
-    ``tops``. The largest ``keep`` of ``tops`` are the largest of all K losses,
-    a multiset that does not depend on how the batches selected them.
+
+def _run_batches(batch_fn, K: int, rng: RngStream, workers: int, keep: int) -> LossSample:
+    """The largest ``keep`` of K losses, drawn in batches on ``workers`` threads.
+
+    Thread w draws batches w, w + threads, ... and folds each batch's top ``keep``
+    into its own; the main thread folds the threads' tops. The largest ``keep`` of
+    K losses are one multiset, so the sorted result does not depend on the threads.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if K > MAX_SAMPLE_SIZE:
-        raise ValueError(f"K = {K} exceeds the in-memory sample cap of {MAX_SAMPLE_SIZE}")
-    if keep is None:
-        keep = K
-    if keep < 1:
-        raise ValueError(f"keep must be at least 1, got {keep}")
+    if K < 1 or keep < 1:
+        raise ValueError(f"K and keep must be at least 1, got {K} and {keep}")
     n_batches = (K + BATCH_SIZE - 1) // BATCH_SIZE
-    sizes = [min(BATCH_SIZE, K - i * BATCH_SIZE) for i in range(n_batches)]
-    ends = np.cumsum([min(keep, n) for n in sizes]).tolist()
-    tops = np.empty(ends[-1])
+    threads = min(workers, n_batches)
 
-    def one(i):
-        n, m, end = sizes[i], min(keep, sizes[i]), ends[i]
+    def batch(i):
+        """Batch i's non-finite count, minimum and top ``keep``: only the top outlives it."""
+        n = min(BATCH_SIZE, K - i * BATCH_SIZE)
         out = batch_fn(n, rng.substream("batch", i))
-        checks = n - np.count_nonzero(np.isfinite(out)), out.min()
-        if m < n:
-            out.partition(n - m)
-        tops[end - m:end] = out[n - m:]
-        return checks
+        return n - np.count_nonzero(np.isfinite(out)), out.min(), _top(out, keep)
 
-    if workers > 1 and n_batches > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            checks = list(pool.map(one, range(n_batches)))
+    def stride(w):
+        bad, low, top = 0, math.inf, np.empty(0)
+        for i in range(w, n_batches, threads):
+            b, m, t = batch(i)
+            bad, low, top = bad + b, min(low, m), _top(np.concatenate([top, t]), keep)
+        return bad, low, top
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            strides = list(pool.map(stride, range(threads)))
     else:
-        checks = list(map(one, range(n_batches)))
-    bad = sum(b for b, _ in checks)
-    if bad:
-        raise ValueError(f"loss sample has {bad} non-finite values out of {K}")
-    if min(low for _, low in checks) < 0:
+        strides = [stride(0)]
+    bad, low, tops = zip(*strides)
+    if sum(bad):
+        raise ValueError(f"loss sample has {sum(bad)} non-finite values out of {K}")
+    if min(low) < 0:
         raise ValueError("annual losses must be non-negative")
-    if tops.size > keep:
-        tops.partition(tops.size - keep)
-        tops = tops[tops.size - keep:].copy()
-    tops.sort()
-    return LossSample(values=tops, K=K)
+    top = _top(np.concatenate(tops), keep)
+    top.sort()
+    return LossSample(values=top, K=K)
 
 
 def simulate_conditional_sample(
-    point: PointParams, K: int, rng: RngStream, workers: int = 1, keep: int | None = None
+    point: PointParams, K: int, rng: RngStream, workers: int = 1, *, keep: int
 ) -> LossSample:
-    """The largest ``keep`` (None: all) of K i.i.d. annual losses at one point of
-    the cell model, sorted ascending.
+    """The largest ``keep`` of K i.i.d. annual losses at one point of the cell
+    model, sorted ascending.
 
     This is the predictive computation with the posterior collapsed to a
     point mass: every scenario shares the same parameters.
     """
     sev, table = point.sampler_args(), _count_table(0.0, point.lam)
     return _run_batches(
-        lambda n, st: _compound_batch(st.generator, n, table, lambda m: sev), K, rng, workers,
-        keep,
+        lambda n, st: _compound_batch(st.generator, n, table, lambda m: sev), K, rng, workers, keep
     )
 
 
@@ -254,10 +248,11 @@ def simulate_predictive_sample(
     K: int,
     rng: RngStream,
     workers: int = 1,
-    keep: int | None = None,
+    *,
+    keep: int,
 ) -> LossSample:
-    """The largest ``keep`` (None: all) of K annual losses, each under a fresh
-    parameter draw from the posteriors, sorted ascending.
+    """The largest ``keep`` of K annual losses, each under a fresh parameter draw
+    from the posteriors, sorted ascending.
 
     This realizes the parameter-uncertainty-averaged (predictive) annual loss
     distribution. Counts come from their negative-binomial marginal, so no rate is

@@ -47,7 +47,7 @@ def _report(name, ok, detail):
 def test_criterion_1_true_parameter_quantile():
     t0 = time.time()
     sample = simulate_conditional_sample(
-        PointParams(10.0, LognormalParams(1.0, 4.0)), 10**6, RngStream(2024)
+        PointParams(10.0, LognormalParams(1.0, 4.0)), 10**6, RngStream(2024), keep=10**6
     )
     q = empirical_quantile(sample, 0.999)
     elapsed = time.time() - t0
@@ -178,7 +178,7 @@ def test_criterion_7_ci_arithmetic_and_coverage():
         draws = np.sort(
             sample_severities(10**5, RngStream(7000 + i).generator, mu=1.0, sigma=2.0)
         )
-        est = estimate_quantile(LossSample(values=draws), 0.999, 0.95)
+        est = estimate_quantile(LossSample(values=draws, K=draws.size), 0.999, 0.95)
         hits += est.ci_lower <= true_q <= est.ci_upper
     coverage = hits / 200
     ok = exact and coverage >= 0.90
@@ -274,7 +274,7 @@ def test_criterion_10_determinism(tmp_path):
     pf = PosteriorState("poisson-rate", bayes.poisson_posterior(None, data.annual_counts))
     ps = PosteriorState("lognormal", bayes.lognormal_posterior(None, np.log(data.severities)))
     samples = [
-        simulate_predictive_sample(pf, ps, 150_000, RngStream(11), workers=w)
+        simulate_predictive_sample(pf, ps, 150_000, RngStream(11), workers=w, keep=150_000)
         for w in (1, 2, 8)
     ]
     invariant = np.array_equal(samples[0].values, samples[1].values) and np.array_equal(

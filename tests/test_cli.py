@@ -682,16 +682,38 @@ def test_one_invalid_config_field_names_its_cell(tmp_path_factory, cell_id, fiel
         ([], {"gamma": "0.9"}, "got '0.9'"),
         ([], {"K": 0}, "K must be an integer >= 1, got 0"),
         ([], {"K": 10.5}, "got 10.5"),
-        (["--K", "20000000"], {}, "K must be at most 10000000, got 20000000"),
-        ([], {"K": 2e7}, "K must be at most 10000000, got 20000000.0"),
     ],
     ids=["q-flag", "q-zero", "gamma-flag", "K-flag", "q-config", "gamma-text", "K-config",
-         "K-fraction", "K-above-cap-flag", "K-above-cap-config"],
+         "K-fraction"],
 )
 def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, capsys):
     cfg = {**json.loads(open(config_file).read()), "K": 1000, **config}
     path = _write(tmp_path / "range.json", json.dumps(cfg))
     assert main(["capital", "--config", path] + argv) == EXIT_VALIDATION
+    assert shown in capsys.readouterr().err
+
+
+def test_capital_K_has_no_cap(tmp_path, config_file):
+    # A simulation keeps only the losses its quantile reads, so K is not capped.
+    # Conditional on purpose: cell-a's 5 events leave its posterior sigma_sq 2
+    # degrees of freedom, and predictive draws on it can overflow at any K.
+    out = tmp_path / "capital.csv"
+    argv = ["capital", "--config", config_file, "--mode", "conditional", "--K", "20000000"]
+    assert main(argv + ["--csv", str(out)]) == 0
+    assert [row["K"] for row in _capital_rows(out)] == [20_000_000]
+
+
+@pytest.mark.parametrize("ids, shown", [(("a", "b", "a"), "cells 1 and 3 share the id 'a'"),
+                                        ((None, None), "cells 1 and 2 share the id 'cell'")],
+                         ids=["repeated", "both-unnamed"])
+@pytest.mark.parametrize("command", ["fit", "capital"])
+def test_repeated_cell_id_exit_code(tmp_path, config_file, ids, shown, command, capsys):
+    # Two cells with one id would share one random stream and one CSV key.
+    cell = json.loads(open(config_file).read())["cells"][0]
+    del cell["id"]
+    cells = [cell if i is None else {**cell, "id": i} for i in ids]
+    path = _write(tmp_path / "twice.json", json.dumps({"cells": cells}))
+    assert main([command, "--config", path]) == EXIT_VALIDATION
     assert shown in capsys.readouterr().err
 
 
@@ -703,7 +725,6 @@ def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, cap
         (["experiment", "track", "--q", "1.0"], "--q must be in (0, 1), got 1.0"),
         (["experiment", "bias", "--R", "0"], "--R must be an integer >= 1, got 0"),
         (["experiment", "bias", "--K", "0"], "--K must be an integer >= 1, got 0"),
-        (["experiment", "bias", "--K", "20000000"], "--K must be at most 10000000, got 20000000"),
         (["experiment", "track", "--m-grid", "10,5"],
          "--m-grid must be ascending for track, got '10,5'"),
         (["experiment", "bias", "--sigma0", "0"], "sigma_sq must be positive"),
@@ -735,7 +756,7 @@ def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, cap
         (["experiment", "bias", "--lambda0", "0.5", "--R", "20"],
          "'synthetic 5-year history': at least two severities are required; raise --lambda0"),
     ],
-    ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "K-above-cap", "m-grid-descending", "sigma0",
+    ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "m-grid-descending", "sigma0",
          "track-R", "lambda0", "years", "lambda0-inf", "mu0-inf", "mu0-nan", "sigma0-inf",
          "sigma0-overflow", "xi0-inf", "experiment-mu0-inf", "mu0-overflow", "xi0-overflow",
          "experiment-mu0-overflow", "experiment-xi0-overflow", "experiment-thin-history"],

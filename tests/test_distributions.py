@@ -68,7 +68,7 @@ def test_poisson_moments():
     # Counts are drawn only inside the compound kernel; with every severity
     # exactly 1 (sigma_sq so small that exp rounds to 1), each annual loss is its count.
     unit = LognormalParams(mu=0.0, sigma_sq=1e-300)
-    draws = simulate_conditional_sample(PointParams(10.0, unit), N, RngStream(11)).values
+    draws = simulate_conditional_sample(PointParams(10.0, unit), N, RngStream(11), keep=N).values
     assert np.all(draws >= 0)
     assert np.all(draws == draws.astype(int))
     assert draws.mean() == pytest.approx(10.0, abs=3 * math.sqrt(10.0 / N))
@@ -82,7 +82,7 @@ def test_predictive_count_moments():
     rate = PosteriorState("poisson-rate", GammaParams(a, s))
     unit = PosteriorState("lognormal", NIXParams(dof_nu=10.0, scale_beta=1e-299,
                                                  loc_theta=0.0, prec_phi=1.0))
-    draws = simulate_predictive_sample(rate, unit, N, RngStream(11)).values
+    draws = simulate_predictive_sample(rate, unit, N, RngStream(11), keep=N).values
     assert np.all(draws == draws.astype(int))
     assert draws.mean() == pytest.approx(a * s, abs=3 * math.sqrt(a * s * (1 + s) / N))
     assert draws.var() == pytest.approx(a * s * (1 + s), rel=0.05)

@@ -165,8 +165,8 @@ def test_quantile_estimates_scale_linearly():
     rng = RngStream(15)
     values = np.sort(sample_severities(10_000, rng.generator, mu=1.0, sigma=2.0))
     c = 250.0
-    s1 = LossSample(values=values)
-    s2 = LossSample(values=values * c)
+    s1 = LossSample(values=values, K=values.size)
+    s2 = LossSample(values=values * c, K=values.size)
     for q in (0.5, 0.9, 0.999):
         assert empirical_quantile(s2, q) == pytest.approx(c * empirical_quantile(s1, q))
 

@@ -32,12 +32,12 @@ PAR21 = ParetoParams(xi=2.0, threshold_L=1.0)
 
 def test_annual_loss_zero_when_no_events():
     # lam small enough that N=0 happens quickly
-    sample = simulate_conditional_sample(PointParams(1e-9, LN12), 1, RngStream(1))
+    sample = simulate_conditional_sample(PointParams(1e-9, LN12), 1, RngStream(1), keep=1)
     assert sample.values.tolist() == [0.0]
 
 
 def test_compound_mean_lognormal():
-    sample = simulate_conditional_sample(PointParams(10.0, LN12), 10**5, RngStream(2))
+    sample = simulate_conditional_sample(PointParams(10.0, LN12), 10**5, RngStream(2), keep=10**5)
     # Wald: E[Z] = lam * exp(mu + sigma_sq/2)
     expected = 10.0 * math.exp(1.0 + 2.0)
     se = sample.values.std() / math.sqrt(sample.K)
@@ -45,15 +45,15 @@ def test_compound_mean_lognormal():
 
 
 def test_compound_mean_pareto():
-    sample = simulate_conditional_sample(PointParams(10.0, PAR21), 10**5, RngStream(3))
+    sample = simulate_conditional_sample(PointParams(10.0, PAR21), 10**5, RngStream(3), keep=10**5)
     assert sample.values.mean() == pytest.approx(20.0, rel=0.10)
 
 
 def test_conditional_sample_basic_contracts():
-    s1 = simulate_conditional_sample(PointParams(10.0, LN12), 1, RngStream(4))
+    s1 = simulate_conditional_sample(PointParams(10.0, LN12), 1, RngStream(4), keep=1)
     assert s1.K == 1
-    a = simulate_conditional_sample(PointParams(10.0, LN12), 5000, RngStream(5))
-    b = simulate_conditional_sample(PointParams(10.0, LN12), 5000, RngStream(5))
+    a = simulate_conditional_sample(PointParams(10.0, LN12), 5000, RngStream(5), keep=5000)
+    b = simulate_conditional_sample(PointParams(10.0, LN12), 5000, RngStream(5), keep=5000)
     assert np.array_equal(a.values, b.values)
     assert np.all(np.diff(a.values) >= 0)
     assert np.all(a.values >= 0)
@@ -62,7 +62,7 @@ def test_conditional_sample_basic_contracts():
 def test_parallelism_invariance():
     args = (PointParams(10.0, LN12), 250_000)
     samples = [
-        simulate_conditional_sample(*args, RngStream(6), workers=w)
+        simulate_conditional_sample(*args, RngStream(6), workers=w, keep=250_000)
         for w in (1, 2, 8)
     ]
     assert np.array_equal(samples[0].values, samples[1].values)
@@ -75,7 +75,7 @@ def test_predictive_parallelism_invariance():
         "lognormal", NIXParams(dof_nu=47.0, scale_beta=180.0, loc_theta=1.0, prec_phi=50.0)
     )
     samples = [
-        simulate_predictive_sample(pf, ps, 120_000, RngStream(7), workers=w)
+        simulate_predictive_sample(pf, ps, 120_000, RngStream(7), workers=w, keep=120_000)
         for w in (1, 2, 8)
     ]
     assert np.array_equal(samples[0].values, samples[1].values)
@@ -92,8 +92,8 @@ def test_predictive_point_mass_limit_matches_conditional():
         "lognormal",
         NIXParams(dof_nu=1e10, scale_beta=4e10, loc_theta=1.0, prec_phi=1e10),
     )
-    pred = simulate_predictive_sample(pf, ps, 10**5, RngStream(8))
-    cond = simulate_conditional_sample(PointParams(10.0, LN12), 10**5, RngStream(9))
+    pred = simulate_predictive_sample(pf, ps, 10**5, RngStream(8), keep=10**5)
+    cond = simulate_conditional_sample(PointParams(10.0, LN12), 10**5, RngStream(9), keep=10**5)
     q_pred = empirical_quantile(pred, 0.99)
     q_cond = empirical_quantile(cond, 0.99)
     assert q_pred == pytest.approx(q_cond, rel=0.1)
@@ -102,7 +102,7 @@ def test_predictive_point_mass_limit_matches_conditional():
 def test_predictive_pareto_runs():
     pf = PosteriorState("poisson-rate", GammaParams(51.0, 0.2))
     ps = PosteriorState("pareto-tail", GammaParams(51.0, 1.0 / 25.0), threshold_L=1.0)
-    sample = simulate_predictive_sample(pf, ps, 50_000, RngStream(10))
+    sample = simulate_predictive_sample(pf, ps, 50_000, RngStream(10), keep=50_000)
     assert sample.K == 50_000
     assert np.all(sample.values >= 0)
 
@@ -111,7 +111,7 @@ def test_predictive_pareto_requires_threshold():
     pf = PosteriorState("poisson-rate", GammaParams(51.0, 0.2))
     ps = PosteriorState("pareto-tail", GammaParams(51.0, 1.0 / 25.0))
     with pytest.raises(ValueError, match="threshold_L"):
-        simulate_predictive_sample(pf, ps, 100, RngStream(11))
+        simulate_predictive_sample(pf, ps, 100, RngStream(11), keep=100)
 
 
 def _poisson_log_terms(lam):
@@ -180,7 +180,7 @@ def test_conditional_kernel_matches_reference_loop(sev):
     n, rng, point = 3000, RngStream(21), PointParams(0.4, sev)
     expected = _conditional_reference(rng.substream("batch", 0), n, point)
     assert np.count_nonzero(expected == 0) > n // 2
-    sample = simulate_conditional_sample(point, n, rng)
+    sample = simulate_conditional_sample(point, n, rng, keep=n)
     assert np.array_equal(sample.values, np.sort(expected))
 
 
@@ -198,7 +198,7 @@ def test_predictive_kernel_matches_reference_loop(post_sev):
     post_freq = PosteriorState("poisson-rate", LOW_RATE)
     expected = _predictive_reference(rng.substream("batch", 0), n, post_freq, post_sev)
     assert np.count_nonzero(expected == 0) > n // 2
-    sample = simulate_predictive_sample(post_freq, post_sev, n, rng)
+    sample = simulate_predictive_sample(post_freq, post_sev, n, rng, keep=n)
     assert np.array_equal(sample.values, np.sort(expected))
 
 
@@ -296,7 +296,7 @@ def test_conditional_kernel_exact_across_chunk_edges(sev, monkeypatch):
     monkeypatch.setattr(mc_engine, "BATCH_SIZE", 1000)
 
     def simulate():
-        return simulate_conditional_sample(PointParams(4.0, sev), 2500, rng, workers=2)
+        return simulate_conditional_sample(PointParams(4.0, sev), 2500, rng, workers=2, keep=2500)
 
     expected = np.concatenate(
         [_conditional_reference(rng.substream("batch", b), n, PointParams(4.0, sev))
@@ -323,7 +323,7 @@ def test_predictive_kernel_exact_across_chunk_edges(post_sev, monkeypatch):
     expected = _predictive_reference(rng.substream("batch", 0), n, post_freq, post_sev)
 
     def simulate():
-        return simulate_predictive_sample(post_freq, post_sev, n, rng)
+        return simulate_predictive_sample(post_freq, post_sev, n, rng, keep=n)
 
     default = simulate()
     chunked = _chunked(monkeypatch, simulate)
@@ -347,10 +347,10 @@ def test_kernel_row_sums_match_reference_loop(sev, lam, n, monkeypatch):
     if isinstance(sev, PosteriorState):
         post_freq = PosteriorState("poisson-rate", GammaParams(10 * lam, 0.1))
         expected = _predictive_reference(rng.substream("batch", 0), n, post_freq, sev)
-        simulate = lambda: simulate_predictive_sample(post_freq, sev, n, rng)
+        simulate = lambda: simulate_predictive_sample(post_freq, sev, n, rng, keep=n)
     else:
         expected = _conditional_reference(rng.substream("batch", 0), n, PointParams(lam, sev))
-        simulate = lambda: simulate_conditional_sample(PointParams(lam, sev), n, rng)
+        simulate = lambda: simulate_conditional_sample(PointParams(lam, sev), n, rng, keep=n)
     sample, shapes = _recorded_shapes(monkeypatch, simulate)
     by_columns = [k for b, k in shapes if b >= mc_engine.COLUMN_SUM_ROWS]
     if lam < 10:
@@ -370,7 +370,7 @@ def test_batch_with_only_zero_counts_is_zeros():
     # Nor does a predictive run draw from a truncated posterior when no year has a loss.
     post_freq = PosteriorState("poisson-rate", GammaParams(1.0, 1e-12))
     post_sev = PosteriorState("lognormal", NIX, truncation={"sigma_sq": (0.0, 4.0)})
-    sample = simulate_predictive_sample(post_freq, post_sev, 1000, RngStream(27))
+    sample = simulate_predictive_sample(post_freq, post_sev, 1000, RngStream(27), keep=1000)
     assert sample.values.tolist() == [0.0] * 1000
 
 
@@ -388,7 +388,7 @@ def test_kernel_memory_does_not_grow_with_rate(simulate, params):
     # when a batch's severities are drawn at once, 2 and 4 MiB in chunks.
     tracemalloc.start()
     try:
-        sample = simulate(*params, 20_000, RngStream(3), workers=1)
+        sample = simulate(*params, 20_000, RngStream(3), workers=1, keep=20_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -403,10 +403,11 @@ TAIL_POSTERIORS = (PosteriorState("poisson-rate", GammaParams(20.0, 0.1)),
                    PosteriorState("lognormal", NIX))
 
 
-def _simulate(mode, K, keep=None, workers=1, seed=28):
+def _simulate(mode, K, keep, workers=1, seed=28):
     if mode == "conditional":
-        return simulate_conditional_sample(PointParams(2.0, LN12), K, RngStream(seed), workers, keep)
-    return simulate_predictive_sample(*TAIL_POSTERIORS, K, RngStream(seed), workers, keep)
+        return simulate_conditional_sample(PointParams(2.0, LN12), K, RngStream(seed), workers,
+                                           keep=keep)
+    return simulate_predictive_sample(*TAIL_POSTERIORS, K, RngStream(seed), workers, keep=keep)
 
 
 _FULL = {}
@@ -414,19 +415,20 @@ _FULL = {}
 
 def _full(mode, K):
     if (mode, K) not in _FULL:
-        _FULL[mode, K] = _simulate(mode, K)
+        _FULL[mode, K] = _simulate(mode, K, K)
     return _FULL[mode, K]
 
 
-@pytest.mark.parametrize("keep", [1, 1063, mc_engine.BATCH_SIZE + 1, None],
+@pytest.mark.parametrize("keep", [1, 1063, mc_engine.BATCH_SIZE + 1, "K"],
                          ids=["1", "1063", "batch+1", "K"])
 @pytest.mark.parametrize("K", [1, 99_999, 250_001])
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
 @pytest.mark.parametrize("mode", ["conditional", "predictive"])
 def test_kept_tail_is_the_top_of_the_full_sample(mode, workers, K, keep):
     # 99_999 and 250_001 end in a partial batch; a keep above a batch's size
-    # keeps the whole batch.
-    keep = K if keep is None else keep
+    # keeps the whole batch. At K = 250_001 the 3 batches are not a multiple
+    # of 2 threads, and 4 workers start only 3 threads.
+    keep = K if keep == "K" else keep
     tail = _simulate(mode, K, keep, workers)
     full = _full(mode, K)
     assert tail.K == K
@@ -473,16 +475,15 @@ def test_non_finite_losses_are_counted_over_all_K(simulate, params, workers):
     # error still counts them over all K, as a run that keeps every loss does.
     K = 250_001
     with pytest.raises(ValueError, match=f"non-finite values out of {K}") as full:
-        simulate(*params, K, RngStream(29), workers)
+        simulate(*params, K, RngStream(29), workers, keep=K)
     with pytest.raises(ValueError) as kept:
         simulate(*params, K, RngStream(29), workers, keep=10)
     assert str(kept.value) == str(full.value)
     assert int(str(full.value).split()[3]) > 10_000
 
 
-def test_capital_simulation_memory_does_not_grow_with_K():
-    # The K-sized array of a full sample alone is 7.6 MiB at K = 1e6.
-    K = 10**6
+def _traced_peak(K):
+    """The traced peak of a K-year Pareto capital simulation on 2 workers."""
     tracemalloc.start()
     try:
         sample = simulate_conditional_sample(PointParams(2.0, PAR21), K, RngStream(30), workers=2,
@@ -490,8 +491,16 @@ def test_capital_simulation_memory_does_not_grow_with_K():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sample.values.size == 1063
+    assert sample.values.size == quantile_tail(K, 0.999, 0.95)
+    return peak
+
+
+def test_capital_simulation_memory_does_not_grow_with_K():
+    # The K-sized array of a full sample alone is 7.6 MiB at K = 1e6 and
+    # 153 MiB at K = 2e7; each thread holds one batch and its top keep.
+    peak = _traced_peak(10**6)
     assert peak < 4 * 2**20
+    assert _traced_peak(2 * 10**7) < 2 * peak
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +509,13 @@ def test_capital_simulation_memory_does_not_grow_with_K():
 
 def test_empirical_quantile_index_rule():
     values = np.arange(10.0, 10010.0, 10.0)  # 10, 20, ..., 10000 (K=1000)
-    sample = LossSample(values=values)
+    sample = LossSample(values=values, K=values.size)
     assert empirical_quantile(sample, 0.999) == 10000.0
 
-    s10 = LossSample(values=np.arange(1.0, 11.0))
+    s10 = LossSample(values=np.arange(1.0, 11.0), K=10)
     assert empirical_quantile(s10, 0.5) == 6.0
 
-    s1 = LossSample(values=np.array([7.0]))
+    s1 = LossSample(values=np.array([7.0]), K=1)
     assert empirical_quantile(s1, 0.9) == 7.0
 
     with pytest.raises(ValueError):
@@ -515,7 +524,7 @@ def test_empirical_quantile_index_rule():
 
 def test_quantile_monotone_in_q():
     rng = RngStream(12)
-    sample = simulate_conditional_sample(PointParams(10.0, LN12), 10_000, rng)
+    sample = simulate_conditional_sample(PointParams(10.0, LN12), 10_000, rng, keep=10_000)
     qs = [0.5, 0.9, 0.99, 0.999]
     vals = [empirical_quantile(sample, q) for q in qs]
     assert vals == sorted(vals)
@@ -555,22 +564,22 @@ def test_ci_reliability_flag():
 
 
 def test_ci_brackets_point_estimate():
-    sample = simulate_conditional_sample(PointParams(10.0, LN12), 10**5, RngStream(13))
+    sample = simulate_conditional_sample(PointParams(10.0, LN12), 10**5, RngStream(13), keep=10**5)
     est = estimate_quantile(sample, 0.999, 0.95)
     assert est.ci_lower <= est.value == empirical_quantile(sample, 0.999) <= est.ci_upper
 
 
 def test_ci_validation():
-    sample = LossSample(values=np.arange(1.0, 11.0))
+    sample = LossSample(values=np.arange(1.0, 11.0), K=10)
     with pytest.raises(ValueError):
         estimate_quantile(sample, 0.999, 0.0)
 
 
 def test_loss_sample_validation():
     with pytest.raises(ValueError):
-        LossSample(values=np.array([3.0, 1.0]))
+        LossSample(values=np.array([3.0, 1.0]), K=2)
     with pytest.raises(ValueError):
-        LossSample(values=np.array([-1.0, 2.0]))
+        LossSample(values=np.array([-1.0, 2.0]), K=2)
     with pytest.raises(ValueError, match="holds 3 values, more than its K = 2"):
         LossSample(values=np.array([1.0, 2.0, 3.0]), K=2)
 
@@ -590,7 +599,7 @@ def test_loss_sample_tail_reads_ranks_from_the_top():
 def test_loss_sample_rejects_non_finite(values, bad):
     # nan < x is False, so the order check alone cannot catch these.
     with pytest.raises(ValueError, match=f"{bad} non-finite values out of {len(values)}"):
-        LossSample(values=np.array(values))
+        LossSample(values=np.array(values), K=len(values))
 
 
 def test_coverage_of_conservative_interval():
@@ -602,7 +611,7 @@ def test_coverage_of_conservative_interval():
     reps = 200
     for i in range(reps):
         draws = sample_severities(10**5, RngStream(1000 + i).generator, mu=1.0, sigma=2.0)
-        est = estimate_quantile(LossSample(values=np.sort(draws)), 0.999, 0.95)
+        est = estimate_quantile(LossSample(values=np.sort(draws), K=draws.size), 0.999, 0.95)
         assert est.reliable_ci
         if est.ci_lower <= true_q <= est.ci_upper:
             hits += 1
