@@ -41,6 +41,8 @@ DEFAULT_Q = 0.999
 DEFAULT_K = 10**6
 DEFAULT_GAMMA = 0.95
 DEFAULT_M_GRID = (5, 10, 15, 20, 40, 60, 80, 100, 200, 400)
+#: The horizon over which ``experiment`` refuses a true point whose losses may overflow.
+EXPERIMENT_OVERFLOW_YEARS = 10**6
 
 CAPITAL_COLUMNS = ["cell_id", "mode", "q", "K", "value", "ci_lower", "ci_upper", "warnings"]
 CAPITAL_TYPES = (str, str, float, int, float, float, float, str)
@@ -395,7 +397,7 @@ def _true_model_from_args(args, family: str, years: int) -> PointParams:
 
 def cmd_experiment(args):
     seed = _resolve_seed(args.seed)
-    model = _true_model_from_args(args, args.severity, exp_mod.REFERENCE_YEARS)
+    model = _true_model_from_args(args, args.severity, EXPERIMENT_OVERFLOW_YEARS)
     try:
         m_grid = [int(m) for m in args.m_grid.split(",")] if args.m_grid else DEFAULT_M_GRID
     except ValueError:

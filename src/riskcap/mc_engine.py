@@ -1,5 +1,6 @@
 """Monte Carlo core: compound-loss simulation, order-statistic quantiles,
-and the conservative binomial/normal confidence interval.
+the conservative binomial/normal confidence interval, and a conditional Monte
+Carlo quantile for a point of the cell model.
 
 Simulation of K annual losses is partitioned into fixed-size batches; batch
 ``i`` consumes the substream derived from the caller's stream and ``i``, so
@@ -28,6 +29,7 @@ __all__ = [
     "empirical_quantile",
     "estimate_quantile",
     "quantile_tail",
+    "ak_quantile",
     "usable_cpus",
 ]
 
@@ -46,6 +48,9 @@ COLUMN_SUM_ROWS = 256
 #: The normal approximation behind the conservative CI is trusted when
 #: K * q * (1 - q) is at least this large.
 CI_RELIABILITY_THRESHOLD = 50.0
+
+#: :func:`ak_quantile` stops once its bracket on ln x is this narrow.
+AK_LOG_TOLERANCE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -351,3 +356,94 @@ def quantile_tail(K: int, q: float, gamma: float | None = None) -> int:
     if gamma is not None:
         lowest = min(lowest, _ci_indices(K, q, gamma)[0])
     return K - lowest + 1
+
+
+# ---------------------------------------------------------------------------
+# Conditional Monte Carlo quantile
+
+
+def ak_quantile(point: PointParams, K: int, rng: RngStream, q: float) -> float:
+    """The q quantile of the annual loss at ``point``, from K years of Asmussen and
+    Kroese's (2006) conditional Monte Carlo estimator, drawn on the calling thread.
+
+    The years come in the kernel's layout: one multinomial count histogram over the
+    Poisson table, then the years with count k >= 2 as (b, k - 1) severity matrices of
+    at most ``CHUNK_LOSSES`` losses. A year's last loss is never drawn: with S the sum
+    and M the largest of the other k - 1, k * Fbar(max(M, x - S)) is the chance that
+    the year exceeds x with its largest loss last, times the k places that loss may
+    take. Their mean over the K years, P(x), is an unbiased estimate of P(Z > x) that
+    does not increase with x. The quantile is where P(x) falls to 1 - q, found from
+    the single-loss approximation by widening a bracket and then by Illinois regula
+    falsi on (ln x, ln P(x)). It is 0.0 when no x > 0 has P(x) > 1 - q, as it is
+    exactly when a year has a loss with chance 1 - exp(-lam) <= 1 - q.
+    """
+    if not 0 < q < 1:
+        raise ValueError(f"q must be in (0, 1), got {q}")
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
+    target = 1.0 - q
+    if -math.expm1(-point.lam) <= target:
+        return 0.0
+    gen, sev = rng.generator, point.sampler_args()
+    k0, pmf = _count_table(0.0, point.lam)
+    years = gen.multinomial(K, pmf)
+    # One entry per year with a loss: its count, and the sum and largest of all its
+    # losses but the last. The one-loss years share the last entry, (m_1, 0, 0).
+    counts, sums, peaks, ones = [], [], [], 0
+    for k, m in zip(range(k0, k0 + years.size), years.tolist()):
+        if k == 1:
+            ones = m
+        if k < 2 or m == 0:
+            continue
+        b = max(CHUNK_LOSSES // (k - 1), 1)
+        for j in range(0, m, b):
+            x = sample_severities((min(b, m - j), k - 1), gen, **sev)
+            sums.append(x.sum(axis=1))
+            peaks.append(x.max(axis=1))
+        counts.append(np.full(m, float(k)))
+    counts = np.concatenate([*counts, [ones]])
+    sums, peaks = np.concatenate([*sums, [0.0]]), np.concatenate([*peaks, [0.0]])
+
+    if "xi" in sev:
+        xi, L = sev["xi"], sev["threshold_L"]
+        tail = lambda y: (np.maximum(y, L) / L) ** -xi
+        u = math.log(L) - math.log(min(target / point.lam, 0.5)) / xi
+    else:
+        mu, scale = sev["mu"], sev["sigma"] * math.sqrt(2.0)
+
+        def tail(y):  # 0.5 * erfc((ln y - mu) / (sigma * sqrt 2)); ln 0 = -inf gives 1
+            with np.errstate(divide="ignore"):
+                t = ((np.log(y) - mu) / scale).tolist()
+            return 0.5 * np.fromiter(map(math.erfc, t), float, len(t))
+
+        u = mu - sev["sigma"] * statistics.NormalDist().inv_cdf(min(target / point.lam, 0.5))
+
+    def excess(u):
+        """ln P(e^u) - ln(1 - q), which has the sign of P(e^u) - (1 - q)."""
+        p = float(counts @ tail(np.maximum(peaks, math.exp(u) - sums))) / K
+        return math.log(p / target) if p > 0 else -math.inf
+
+    if excess(-math.inf) <= 0:
+        return 0.0
+    # Widen from the single-loss approximation by factors of 2 until P(e^a) > 1 - q >= P(e^b).
+    a = b = u
+    fa = fb = excess(u)
+    while fa <= 0:
+        b, fb, a = a, fa, a - math.log(2.0)
+        fa = excess(a)
+    while fb > 0:
+        a, fa, b = b, fb, b + math.log(2.0)
+        fb = excess(b)
+    side = 0  # Illinois: halve the end that stayed put twice in a row
+    while fb < 0 and b - a > AK_LOG_TOLERANCE:  # fb == 0 puts the root at b
+        c = (a + b) / 2 if fb == -math.inf else (a * fb - b * fa) / (fb - fa)
+        fc = excess(c)
+        if fc > 0:
+            a, fa = c, fc
+            fb = fb / 2 if side > 0 else fb
+            side = 1
+        else:
+            b, fb = c, fc
+            fa = fa / 2 if side < 0 else fa
+            side = -1
+    return math.exp(b)

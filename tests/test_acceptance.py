@@ -95,7 +95,7 @@ def test_criterion_3_small_sample_inflation():
 
 
 def test_criterion_4_bias_magnitude_desk_scale():
-    curve = bias_study(LN_TRUE, [40], R=20, q=0.999, K_sims=10**5, seed=404, K_reference=10**6)
+    curve = bias_study(LN_TRUE, [40], R=20, q=0.999, K_sims=10**5, seed=404)
     bias = curve.points[0][1]
     ok = 0.03 <= bias <= 0.20
     _report(

@@ -378,10 +378,11 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
 
 
 def test_scipy_loads_only_for_special_functions(tmp_path, config_file):
-    # Capital on an untruncated lognormal cell and the bias study evaluate no
-    # special function, so they never load scipy; a truncated Pareto cell's
-    # predictive run needs scipy.special (its truncation mass and tail-index
-    # probability) and nothing more.
+    # Capital on an untruncated lognormal cell and the bias study of either family
+    # (its reference takes the lognormal tail from math.erfc) evaluate no special
+    # function, so they never load scipy, which would add about 25 MiB to their
+    # peak memory; a truncated Pareto cell's predictive run needs scipy.special
+    # (its truncation mass and tail-index probability) and nothing more.
     counts = _write(tmp_path / "pc.csv", "year,count\n1,2\n2,3\n")
     events = _write(tmp_path / "pe.csv", "year,amount\n1,2.0\n1,3.0\n2,5.0\n2,1.5\n2,4.0\n")
     cell = {"id": "p", "severity_family": "pareto", "threshold_L": 1.0,
@@ -393,8 +394,9 @@ def test_scipy_loads_only_for_special_functions(tmp_path, config_file):
         "cfg, pareto, out = sys.argv[1:]\n"
         "scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "assert main(['capital', '--config', cfg, '--K', '2000', '--mode', 'both']) == 0\n"
-        "assert main(['experiment', 'bias', '--m-grid', '5,10', '--K', '2000', '--R', '2',\n"
-        "             '--seed', '1', '--out', out]) == 0\n"
+        "for family in ('lognormal', 'pareto'):\n"
+        "    assert main(['experiment', 'bias', '--severity', family, '--m-grid', '5,10',\n"
+        "                 '--K', '2000', '--R', '2', '--seed', '1', '--out', out]) == 0\n"
         "print('after-lognormal', scipy())\n"
         "assert main(['capital', '--config', pareto, '--K', '2000', '--mode', 'predictive']) == 0\n"
         "print('after-pareto', *(m in sys.modules for m in\n"

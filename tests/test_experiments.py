@@ -9,13 +9,14 @@ from riskcap.distributions import (
     sample_severities,
 )
 from riskcap.experiments import (
+    REFERENCE_YEARS,
     BiasCurve,
     _fit_and_quantiles,
     bias_study,
     generate_synthetic,
     single_realization_track,
-    true_parameter_quantile,
 )
+from riskcap.mc_engine import ak_quantile
 
 LN_MODEL = PointParams(lam=10.0, severity=LognormalParams(mu=1.0, sigma_sq=4.0))
 PARETO_MODEL = PointParams(lam=10.0, severity=ParetoParams(xi=2.0, threshold_L=1.0))
@@ -112,8 +113,8 @@ def test_bias_study_deterministic():
 
 @pytest.mark.parametrize("workers", [2, 8])
 def test_bias_study_independent_of_workers(workers):
-    # K_reference spans three engine batches, so the reference run is threaded too.
-    kw = dict(R=3, q=0.99, K_sims=5000, seed=15, K_reference=250_000)
+    # The (M, r) tasks run on the pool; the reference is drawn on the calling thread.
+    kw = dict(R=3, q=0.99, K_sims=5000, seed=15)
     serial = bias_study(LN_MODEL, [5, 10], workers=1, **kw)
     assert bias_study(LN_MODEL, [5, 10], workers=workers, **kw) == serial
 
@@ -122,7 +123,7 @@ def test_bias_study_matches_serial_loop():
     # Reference: the nested loop over year counts and realizations, one mean per M.
     M_grid, R, q, K_sims, seed = [5, 10], 3, 0.99, 5000, 17
     rng = RngStream(seed)
-    q0 = true_parameter_quantile(LN_MODEL, q, 20_000, rng.substream("reference"))
+    q0 = ak_quantile(LN_MODEL, 20_000, rng.substream("reference"), q)
     expected = []
     for M in M_grid:
         gaps = np.empty(R)
@@ -172,5 +173,12 @@ def test_quantile_estimates_scale_linearly():
 
 
 def test_true_parameter_quantile_reasonable():
-    q0 = true_parameter_quantile(LN_MODEL, 0.999, 10**5, RngStream(16))
-    assert q0 == pytest.approx(4900.0, rel=0.15)
+    q0 = ak_quantile(LN_MODEL, REFERENCE_YEARS, RngStream(16), 0.999)
+    assert q0 == pytest.approx(4900.0, rel=0.03)
+
+
+def test_bias_study_refuses_a_zero_reference_quantile():
+    # A year has a loss with chance 1 - exp(-0.001) < 1 - q, so Q0 is 0.
+    rare = PointParams(lam=1e-3, severity=LN_MODEL.severity)
+    with pytest.raises(ValueError, match="reference quantile must be positive"):
+        bias_study(rare, [20_000], R=1, q=0.999, K_sims=1000, seed=18)

@@ -38,8 +38,8 @@ DIGESTS = {
     "fit": "5b0378a2d6635d54e633e3046726ab4594b05a11a76f1e700b40eddc3ad3a6df",
     "track-lognormal": "9610124b3931a135c0bcfae1d67119f8e14fd6d6bfb306610e8d2a0ca84feb1e",
     "track-pareto": "fcb803ec390aaf6bdb0266aebb923eda796efbe6e97783715e399a48b9c3416d",
-    "bias-lognormal": "e189572a9031f506cebfc604d292712aeb77a0e68614ac388ab11cf4a9a7c24b",
-    "bias-pareto": "53855ba24b0a8aa15db5103e53882810f479e34612b6b90b6294414e75778e42",
+    "bias-lognormal": "9ca7304d68f0ccc53c2e7bbbcd0076ad40d3d6b40619476206c345f64d2ca7af",
+    "bias-pareto": "cb2aeea6d13e096e22b0a31b2db17e3fd81fbdff470ad38bc96599252a5ff262",
     "simulate-lognormal-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
     "simulate-lognormal-events": "451b2a49297ec719fd74a2e08d9f1cf625f4e90bbab622e085ac18bcf96b54ba",
     "simulate-pareto-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
