@@ -28,7 +28,7 @@ from . import experiments as exp_mod
 from .bayes import InsufficientDataError, NIXParams
 from .capital import CellModel, LossData
 from .distributions import GammaParams, LognormalParams, ParetoParams, PointParams, RngStream
-from .mc_engine import usable_cpus
+from .mc_engine import NonFiniteLossError, usable_cpus
 
 __all__ = ["main"]
 
@@ -395,6 +395,10 @@ def _true_model_from_args(args, family: str, years: int) -> PointParams:
     return point
 
 
+#: What ``experiment`` suggests when a synthetic history is too short to fit or simulate.
+MORE_DATA = "raise --lambda0 or the smallest --m-grid year count"
+
+
 def cmd_experiment(args):
     seed = _resolve_seed(args.seed)
     model = _true_model_from_args(args, args.severity, EXPERIMENT_OVERFLOW_YEARS)
@@ -432,7 +436,9 @@ def cmd_experiment(args):
             print(f"# seed={seed}")
             print(f"wrote {len(curve.points)} rows to {args.out} (R={R}, K={K})")
     except InsufficientDataError as e:  # a synthetic history too thin to fit
-        raise ValidationError(f"{e}; raise --lambda0 or the smallest --m-grid year count")
+        raise ValidationError(f"{e}; {MORE_DATA}")
+    except NonFiniteLossError as e:  # a fit so loose that its simulated losses overflow
+        raise NonFiniteLossError(f"{e}; {MORE_DATA}") from e
     return 0
 
 

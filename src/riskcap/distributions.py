@@ -20,6 +20,8 @@ __all__ = [
     "ParetoParams",
     "GammaParams",
     "sample_severities",
+    "severity_variates",
+    "to_severities",
 ]
 
 
@@ -130,27 +132,46 @@ class GammaParams:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def severity_variates(size, gen: np.random.Generator, lognormal: bool) -> np.ndarray:
+    """The base draws of :func:`sample_severities`, an array of shape ``size`` from
+    ``gen``: standard normals for a lognormal severity, uniforms on [0, 1) for a
+    Pareto one. Variates drawn once can go through :func:`to_severities` under
+    several parameters."""
+    return gen.standard_normal(size) if lognormal else gen.random(size)
+
+
+def to_severities(z: np.ndarray, out=None, *, mu=None, sigma=None, xi=None,
+                  threshold_L=None) -> np.ndarray:
+    """Severities from the base draws ``z`` of :func:`severity_variates`, written
+    to ``out`` (``z`` itself transforms in place) or to a new array when it is None.
+
+    Pass ``mu`` and ``sigma`` for exp(Z * sigma + mu), or ``xi`` and
+    ``threshold_L`` for threshold_L * (1 - U)^(-1/xi); each a scalar or an
+    array that broadcasts against ``z``. ``sigma`` is the log-scale standard
+    deviation, so callers take the square root of ``sigma_sq`` once per
+    parameter value, not once per loss. A severity above the largest double,
+    in either family, overflows to inf, which LossSample rejects; numpy warns
+    of it unless the caller runs under ``np.errstate(over="ignore")``, as
+    :func:`sample_severities` and the simulation kernel do, once per call.
+    """
+    if xi is None:
+        x = np.multiply(z, sigma, out=out)
+        x += mu
+        return np.exp(x, out=x)
+    x = np.subtract(1.0, z, out=out)
+    np.power(x, -1.0 / xi, out=x)
+    x *= threshold_L
+    return x
+
+
 def sample_severities(size, gen: np.random.Generator, *, mu=None, sigma=None,
                       xi=None, threshold_L=None) -> np.ndarray:
-    """Severities drawn from ``gen``, an array of shape ``size``: the one severity sampler.
-
-    Pass ``mu`` and ``sigma`` for exp(Z * sigma + mu), Z standard normal, or
-    ``xi`` and ``threshold_L`` for threshold_L * (1 - U)^(-1/xi), U uniform
-    on [0, 1); each a scalar or an array that broadcasts against ``size``, and
-    the draws fill the array in row-major order. ``sigma`` is the log-scale
-    standard deviation, so callers take the square root of ``sigma_sq`` once
-    per parameter value, not once per loss. A severity above the largest
-    double, in either family, overflows to inf without a numpy warning;
-    LossSample rejects it.
+    """Severities drawn from ``gen``, an array of shape ``size``: the base draws of
+    :func:`severity_variates` through :func:`to_severities` in place, which
+    fill the array in row-major order. Its keyword arguments are those of
+    :func:`to_severities`. A severity above the largest double overflows to
+    inf without a numpy warning.
     """
+    z = severity_variates(size, gen, lognormal=xi is None)
     with np.errstate(over="ignore"):
-        if xi is None:
-            x = gen.standard_normal(size)
-            x *= sigma
-            x += mu
-            return np.exp(x, out=x)
-        x = gen.random(size)
-        np.subtract(1.0, x, out=x)
-        np.power(x, -1.0 / xi, out=x)
-        x *= threshold_L
-        return x
+        return to_severities(z, z, mu=mu, sigma=sigma, xi=xi, threshold_L=threshold_L)

@@ -22,8 +22,10 @@ import numpy as np
 
 from .capital import CellModel, LossData, fit_mle, fit_posteriors, fit_summary
 from .distributions import ParetoParams, PointParams, RngStream, sample_severities
-from .mc_engine import (ak_quantile, empirical_quantile, quantile_tail,
-                        simulate_conditional_sample, simulate_predictive_sample)
+from .mc_engine import (NonFiniteLossError, ak_quantile, empirical_quantile, quantile_tail,
+                        simulate_pair)
+# Unused here: perfbench's tracer patches these names on this module.
+from .mc_engine import simulate_conditional_sample, simulate_predictive_sample  # noqa: F401
 
 __all__ = [
     "BiasRecord",
@@ -84,10 +86,15 @@ def generate_synthetic(true_model: PointParams, M: int, rng: RngStream) -> LossD
     return LossData(annual_counts=counts, severities=severities)
 
 
-def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream, workers: int = 1):
+def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream, workers: int = 1,
+                       realization: int | None = None):
     """MLE fit, non-informative posteriors, and both quantiles for one dataset.
 
-    Returns ``(q_conditional, q_predictive, mle, (post_freq, post_sev))``.
+    Both quantiles come from one :func:`simulate_pair` of K_sims years a mode on
+    ``stream``, which shares their severity draws. Non-finite losses
+    raise :class:`NonFiniteLossError` naming the history, the ``realization`` when
+    given, and the mode. Returns ``(q_conditional, q_predictive, mle, (post_freq,
+    post_sev))``.
     """
     name = f"synthetic {data.years}-year history"
     if isinstance(true_model.severity, ParetoParams):
@@ -97,9 +104,12 @@ def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream,
     mle = fit_mle(model, data)
     posteriors = fit_posteriors(model, data)
     keep = quantile_tail(K_sims, q)
-    cond = simulate_conditional_sample(mle, K_sims, stream.substream("cond"), workers, keep=keep)
-    pred = simulate_predictive_sample(*posteriors, K_sims, stream.substream("pred"), workers,
-                                      keep=keep)
+    try:
+        cond, pred = simulate_pair(mle, *posteriors, K_sims, stream.substream("pair"), workers,
+                                   keep=keep)
+    except NonFiniteLossError as e:
+        where = f"cell {name!r}" + ("" if realization is None else f", realization {realization}")
+        raise NonFiniteLossError(f"{where}: {e}") from e
     return empirical_quantile(cond, q), empirical_quantile(pred, q), mle, posteriors
 
 
@@ -115,7 +125,8 @@ def single_realization_track(
 
     The dataset at a larger M extends the dataset at a smaller M as a prefix,
     so each row shows how the same history resolves parameter uncertainty.
-    Each row's simulations run on ``workers`` threads; the records do not
+    A row's two quantiles share their severity draws (:func:`simulate_pair`).
+    Each row's simulation runs on ``workers`` threads; the records do not
     depend on it.
     """
     M_grid = list(M_grid)
@@ -154,7 +165,9 @@ def bias_study(
 
     Each (realization, M) pair uses an independent derived stream, so the
     pairs run concurrently on ``workers`` threads, each simulating on one
-    thread, and the curve does not depend on the worker count. The reference
+    thread, and the curve does not depend on the worker count. Each task's two
+    quantiles come from one :func:`simulate_pair`, so its gap has far less
+    Monte Carlo noise than two independent simulations give it. The reference
     Q0 comes first, on the calling thread: :func:`ak_quantile` over
     ``K_reference`` years at the true point.
     """
@@ -172,7 +185,8 @@ def bias_study(
         M, r = task
         stream = rng.substream("bias", r, M)
         data = generate_synthetic(true_model, M, stream.substream("data"))
-        q_cond, q_pred, _, _ = _fit_and_quantiles(true_model, data, q, K_sims, stream)
+        q_cond, q_pred, _, _ = _fit_and_quantiles(true_model, data, q, K_sims, stream,
+                                                  realization=r)
         return q_pred - q_cond
 
     tasks = [(M, r) for M in M_grid for r in range(R)]

@@ -19,13 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import MIN_TRUNCATION_ACCEPTANCE, PosteriorState, sample_posterior
-from .distributions import PointParams, RngStream, sample_severities
+from .distributions import (ParetoParams, PointParams, RngStream, sample_severities,
+                            severity_variates, to_severities)
 
 __all__ = [
     "LossSample",
     "QuantileEstimate",
+    "NonFiniteLossError",
     "simulate_conditional_sample",
     "simulate_predictive_sample",
+    "simulate_pair",
     "empirical_quantile",
     "estimate_quantile",
     "quantile_tail",
@@ -51,6 +54,10 @@ CI_RELIABILITY_THRESHOLD = 50.0
 
 #: :func:`ak_quantile` stops once its bracket on ln x is this narrow.
 AK_LOG_TOLERANCE = 1e-7
+
+
+class NonFiniteLossError(ValueError):
+    """A simulation drew annual losses that are inf or nan."""
 
 
 @dataclass(frozen=True)
@@ -143,44 +150,75 @@ def _predictive_count_table(post_freq: PosteriorState):
     return _count_table(q, (a - 1) * q, weight, MIN_TRUNCATION_ACCEPTANCE)  # the box's least mass
 
 
-def _compound_batch(gen: np.random.Generator, n: int, table: tuple, sev) -> np.ndarray:
-    """n annual losses, in no particular order: the one compound-loss kernel of both paths.
+def _compound_batch(gen: np.random.Generator, n: int, sides: tuple) -> list:
+    """n annual losses per side, each in no particular order: the one compound-loss
+    kernel of every path.
 
-    The batch first draws how many of its years have each count of ``table`` (a
-    :func:`_count_table`) with one multinomial. ``sev(m)`` then gives the keyword
-    arguments of :func:`sample_severities` for the m years that have a loss, each a
-    scalar shared by all of them (conditional: the point estimate) or m per-year
-    posterior draws (predictive). Those years come in ascending count; the years
-    with count k draw their severities as (b, k) matrices, one row per year and at
-    most ``CHUNK_LOSSES`` losses (a year with more is a matrix of its own), and each
-    row is summed from 0 in draw order. A zero count gives a zero loss.
+    A side is a ``(table, sev)`` pair. The batch first draws, side by side, how
+    many of its years have each count of the side's ``table`` (a
+    :func:`_count_table`) with one multinomial. Each side's ``sev(m)`` then gives
+    the keyword arguments of :func:`to_severities` for its m years that have a
+    loss, each a scalar shared by all of them (conditional: the point estimate)
+    or m per-year posterior draws (predictive). A side's years come in ascending
+    count. For each count k that some side holds, the batch draws as many years
+    as the side with the most of them, as (b, k) matrices of
+    :func:`severity_variates`: one row per year and at most ``CHUNK_LOSSES``
+    losses (a year with more is a matrix of its own). Each side takes its first
+    rows of each matrix, transforms them to severities (a copy, or in place for
+    the last side) and sums each row from 0 in draw order. A zero count gives a
+    zero loss.
+
+    With one side these are :func:`sample_severities`' draws. With several, the
+    sides share their variates: each side's losses keep their own law, and the
+    sides' differences lose most of their noise (common random numbers). The
+    sides must share a severity family.
     """
-    k0, pmf = table
-    years = gen.multinomial(n, pmf)
-    if k0 == 0:
-        years[0] = 0  # the years without a loss are the zeros left in ``out``
-    out = np.zeros(n)
-    if not years.any():
-        return out
-    params = sev(int(years.sum()))
-    held = np.flatnonzero(years)
-    i = 0
-    for k, m in zip((k0 + held).tolist(), years[held].tolist()):
-        b = max(CHUNK_LOSSES // k, 1)
-        for j in range(i, i + m, b):
-            e = min(j + b, i + m)
-            row_params = {name: v[j:e, None] if np.ndim(v) else v for name, v in params.items()}
-            x = sample_severities((e - j, k), gen, **row_params)
-            total = out[j:e]
-            if e - j < COLUMN_SUM_ROWS:
-                total[:] = np.cumsum(x, axis=1, out=x)[:, -1]
-            else:
-                total[:] = x[:, 0]
-                for c in range(1, k):
-                    total += x[:, c]
-            del x  # before the next matrix is drawn
-        i += m
-    return out
+    hists = []
+    for (k0, pmf), _ in sides:
+        years = gen.multinomial(n, pmf)
+        if k0 == 0:
+            years[0] = 0  # the years without a loss are the zeros left in each output
+        hists.append((k0, years))
+    outs = [np.zeros(n) for _ in sides]
+    params = [sev(int(years.sum())) if years.any() else None
+              for (_, sev), (_, years) in zip(sides, hists)]
+    drawn = [p for p in params if p is not None]
+    if not drawn:
+        return outs
+    lognormal = "xi" not in drawn[0]
+    # Each count any side holds, with (years, first year in the output) per side.
+    groups = {}
+    for s, (k0, years) in enumerate(hists):
+        held, i = np.flatnonzero(years), 0
+        for k, m in zip((k0 + held).tolist(), years[held].tolist()):
+            groups.setdefault(k, [(0, 0)] * len(sides))[s] = (m, i)
+            i += m
+    last = len(sides) - 1
+    with np.errstate(over="ignore"):  # an overflow is inf, which the caller counts
+        for k in sorted(groups):
+            b, most = max(CHUNK_LOSSES // k, 1), max(groups[k])[0]
+            for j in range(0, most, b):
+                height = min(b, most - j)
+                z = severity_variates((height, k), gen, lognormal)
+                for s, (m, i) in enumerate(groups[k]):
+                    rows = min(m - j, height)
+                    if rows <= 0:
+                        continue
+                    r0, r1 = i + j, i + j + rows
+                    row_params = {name: v[r0:r1, None] if np.ndim(v) else v
+                                  for name, v in params[s].items()}
+                    x = z if rows == height else z[:rows]
+                    x = to_severities(x, x if s == last else None, **row_params)
+                    total = outs[s][r0:r1]
+                    if rows < COLUMN_SUM_ROWS:
+                        total[:] = np.cumsum(x, axis=1, out=x)[:, -1]
+                    else:
+                        total[:] = x[:, 0]
+                        for col in range(1, k):
+                            total += x[:, col]
+                    del x  # before the next side's copy
+                del z  # before the next matrix is drawn
+    return outs
 
 
 def _top(x: np.ndarray, keep: int) -> np.ndarray:
@@ -192,12 +230,17 @@ def _top(x: np.ndarray, keep: int) -> np.ndarray:
     return x[x.size - keep:].copy()
 
 
-def _run_batches(batch_fn, K: int, rng: RngStream, workers: int, keep: int) -> LossSample:
-    """The largest ``keep`` of K losses, drawn in batches on ``workers`` threads.
+def _run_batches(batch_fn, K: int, rng: RngStream, workers: int, keep: int,
+                 modes: tuple = (None,)) -> list:
+    """The largest ``keep`` of K losses of each side, drawn in batches on ``workers``
+    threads: one :class:`LossSample` per name in ``modes``.
 
-    Thread w draws batches w, w + threads, ... and folds each batch's top ``keep``
+    ``batch_fn(n, stream)`` gives each side's n losses of one batch. Thread w draws
+    batches w, w + threads, ... and folds each side's top ``keep`` of each batch
     into its own; the main thread folds the threads' tops. The largest ``keep`` of
     K losses are one multiset, so the sorted result does not depend on the threads.
+    A side with non-finite losses raises :class:`NonFiniteLossError`, which names
+    its mode when there are several.
     """
     if K < 1 or keep < 1:
         raise ValueError(f"K and keep must be at least 1, got {K} and {keep}")
@@ -205,31 +248,68 @@ def _run_batches(batch_fn, K: int, rng: RngStream, workers: int, keep: int) -> L
     threads = min(workers, n_batches)
 
     def batch(i):
-        """Batch i's non-finite count, minimum and top ``keep``: only the top outlives it."""
+        """Batch i's non-finite count, minimum and top ``keep`` per side: only the
+        tops outlive it."""
         n = min(BATCH_SIZE, K - i * BATCH_SIZE)
-        out = batch_fn(n, rng.substream("batch", i))
-        return n - np.count_nonzero(np.isfinite(out)), out.min(), _top(out, keep)
+        return [(n - np.count_nonzero(np.isfinite(out)), out.min(), _top(out, keep))
+                for out in batch_fn(n, rng.substream("batch", i))]
 
     def stride(w):
-        bad, low, top = 0, math.inf, np.empty(0)
+        folds = [(0, math.inf, np.empty(0)) for _ in modes]
         for i in range(w, n_batches, threads):
-            b, m, t = batch(i)
-            bad, low, top = bad + b, min(low, m), _top(np.concatenate([top, t]), keep)
-        return bad, low, top
+            folds = [(bad + b, min(low, m), _top(np.concatenate([top, t]), keep))
+                     for (bad, low, top), (b, m, t) in zip(folds, batch(i))]
+        return folds
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             strides = list(pool.map(stride, range(threads)))
     else:
         strides = [stride(0)]
-    bad, low, tops = zip(*strides)
-    if sum(bad):
-        raise ValueError(f"loss sample has {sum(bad)} non-finite values out of {K}")
-    if min(low) < 0:
-        raise ValueError("annual losses must be non-negative")
-    top = _top(np.concatenate(tops), keep)
-    top.sort()
-    return LossSample(values=top, K=K)
+    samples = []
+    for mode, folds in zip(modes, zip(*strides)):
+        bad, low, tops = zip(*folds)
+        if sum(bad):
+            named = f"{mode} " if len(modes) > 1 else ""
+            raise NonFiniteLossError(f"{named}loss sample has {sum(bad)} non-finite values "
+                                     f"out of {K}")
+        if min(low) < 0:
+            raise ValueError("annual losses must be non-negative")
+        top = _top(np.concatenate(tops), keep)
+        top.sort()
+        samples.append(LossSample(values=top, K=K))
+    return samples
+
+
+def _conditional_side(point: PointParams) -> tuple:
+    """The kernel side of a point: its Poisson table, and its severity for every year."""
+    sev = point.sampler_args()
+    return _count_table(0.0, point.lam), lambda m: sev
+
+
+def _predictive_side(post_freq: PosteriorState, post_sev: PosteriorState):
+    """The kernel side of the posteriors for the batch drawn from a given stream: the
+    negative-binomial count table, so no rate is drawn, and severity parameters
+    drawn from that stream for each year that has a loss."""
+    if post_freq.family != "poisson-rate":
+        raise ValueError("frequency posterior must be a poisson-rate state")
+    if post_sev.family == "pareto-tail" and post_sev.threshold_L is None:
+        raise ValueError("pareto-tail posterior needs threshold_L for loss simulation")
+    if post_sev.family not in ("lognormal", "pareto-tail"):
+        raise ValueError(f"unsupported severity posterior family: {post_sev.family}")
+    table = _predictive_count_table(post_freq)
+
+    def side(stream: RngStream) -> tuple:
+        def sev(m):
+            if post_sev.family == "lognormal":
+                mu, sigma_sq = sample_posterior(post_sev, stream, size=m)
+                return {"mu": mu, "sigma": np.sqrt(sigma_sq)}
+            return {"xi": sample_posterior(post_sev, stream, size=m),
+                    "threshold_L": post_sev.threshold_L}
+
+        return table, sev
+
+    return side
 
 
 def simulate_conditional_sample(
@@ -241,10 +321,9 @@ def simulate_conditional_sample(
     This is the predictive computation with the posterior collapsed to a
     point mass: every scenario shares the same parameters.
     """
-    sev, table = point.sampler_args(), _count_table(0.0, point.lam)
-    return _run_batches(
-        lambda n, st: _compound_batch(st.generator, n, table, lambda m: sev), K, rng, workers, keep
-    )
+    side = _conditional_side(point)
+    return _run_batches(lambda n, st: _compound_batch(st.generator, n, (side,)),
+                        K, rng, workers, keep)[0]
 
 
 def simulate_predictive_sample(
@@ -264,26 +343,37 @@ def simulate_predictive_sample(
     drawn; each batch draws its counts, then severity parameters for the years that
     have a loss, then its losses, from one stream.
     """
-    if post_freq.family != "poisson-rate":
-        raise ValueError("frequency posterior must be a poisson-rate state")
-    if post_sev.family == "pareto-tail" and post_sev.threshold_L is None:
-        raise ValueError("pareto-tail posterior needs threshold_L for loss simulation")
-    if post_sev.family not in ("lognormal", "pareto-tail"):
-        raise ValueError(f"unsupported severity posterior family: {post_sev.family}")
+    side = _predictive_side(post_freq, post_sev)
+    return _run_batches(lambda n, st: _compound_batch(st.generator, n, (side(st),)),
+                        K, rng, workers, keep)[0]
 
-    table = _predictive_count_table(post_freq)
 
-    def batch(n, stream):
-        def sev(m):
-            if post_sev.family == "lognormal":
-                mu, sigma_sq = sample_posterior(post_sev, stream, size=m)
-                return {"mu": mu, "sigma": np.sqrt(sigma_sq)}
-            return {"xi": sample_posterior(post_sev, stream, size=m),
-                    "threshold_L": post_sev.threshold_L}
+def simulate_pair(
+    point: PointParams,
+    post_freq: PosteriorState,
+    post_sev: PosteriorState,
+    K: int,
+    rng: RngStream,
+    workers: int = 1,
+    *,
+    keep: int,
+) -> tuple[LossSample, LossSample]:
+    """``(conditional, predictive)``: the largest ``keep`` of K annual losses at
+    ``point`` and of K under the posteriors, each sorted ascending, drawn in one pass.
 
-        return _compound_batch(stream.generator, n, table, sev)
-
-    return _run_batches(batch, K, rng, workers, keep)
+    Each batch draws both count histograms, then the predictive severity
+    parameters, then one set of severity variates that both modes transform
+    (:func:`_compound_batch`). Each sample has the law of its one-mode function,
+    and the predictive-minus-conditional gap of a quantile has far less noise than
+    from two independent simulations. ``point`` and ``post_sev`` must share a
+    severity family. Non-finite losses raise :class:`NonFiniteLossError`, which
+    names the mode.
+    """
+    cond, pred = _conditional_side(point), _predictive_side(post_freq, post_sev)
+    if isinstance(point.severity, ParetoParams) != (post_sev.family == "pareto-tail"):
+        raise ValueError("point and post_sev must share a severity family")
+    return tuple(_run_batches(lambda n, st: _compound_batch(st.generator, n, (cond, pred(st))),
+                              K, rng, workers, keep, ("conditional", "predictive")))
 
 
 # ---------------------------------------------------------------------------

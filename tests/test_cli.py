@@ -363,6 +363,24 @@ def test_capital_lognormal_overflow_exit_code(tmp_path, capsys):
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+@pytest.mark.parametrize(
+    "which, seed, where",
+    [("bias", 3, "cell 'synthetic 3-year history', realization 4: "),
+     ("track", 7, "cell 'synthetic 3-year history': ")],
+)
+def test_experiment_non_finite_losses_name_their_realization(tmp_path, capsys, which, seed,
+                                                              where):
+    # Three years at a rate of 2 leave the sigma_sq posterior so wide that some
+    # predictive severities overflow.
+    argv = ["experiment", which, "--lambda0", "2", "--m-grid", "3", "--seed", str(seed),
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv + (["--R", "20"] if which == "bias" else [])) == EXIT_COMPUTATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}predictive loss sample has ")
+    assert err.rstrip().endswith("non-finite values out of 100000; "
+                                 "raise --lambda0 or the smallest --m-grid year count")
+
+
 def _fresh_python(code, *args):
     """stdout of ``code`` run in a fresh interpreter that imports this riskcap."""
     src = str(Path(riskcap.__file__).resolve().parents[1])

@@ -36,10 +36,10 @@ PARETO = [
 DIGESTS = {
     "capital": "88f7612ce12257c095d42bf9008ae7982b1b800598b971031917ed3ceaf8e929",
     "fit": "5b0378a2d6635d54e633e3046726ab4594b05a11a76f1e700b40eddc3ad3a6df",
-    "track-lognormal": "9610124b3931a135c0bcfae1d67119f8e14fd6d6bfb306610e8d2a0ca84feb1e",
-    "track-pareto": "fcb803ec390aaf6bdb0266aebb923eda796efbe6e97783715e399a48b9c3416d",
-    "bias-lognormal": "9ca7304d68f0ccc53c2e7bbbcd0076ad40d3d6b40619476206c345f64d2ca7af",
-    "bias-pareto": "cb2aeea6d13e096e22b0a31b2db17e3fd81fbdff470ad38bc96599252a5ff262",
+    "track-lognormal": "e94519be4c83d527b1caad44a2ec99592513ae178e4c32c3e3f2f65a17e90b3e",
+    "track-pareto": "7bfae7e4530a1a6a3432524901eeb2ed7e0a9db892bd9563033e103f12fa1556",
+    "bias-lognormal": "a612b1d036fa0b0140aff537aa239de7e25960731eea8679179a239aec10cd4b",
+    "bias-pareto": "f17d1518ca17c43ce7e738ae3ded134467a6445a6951dd44fd427264d8ed09cd",
     "simulate-lognormal-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
     "simulate-lognormal-events": "451b2a49297ec719fd74a2e08d9f1cf625f4e90bbab622e085ac18bcf96b54ba",
     "simulate-pareto-counts": "0bb8df46ba8fd288352041373260a6a20a14f3f558ca4522d4ff2faa12e54820",
