@@ -176,6 +176,8 @@ def bias_study(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     M_grid = list(M_grid)
+    if not M_grid:
+        raise ValueError("M_grid must be non-empty")
     rng = RngStream(seed)
     q0 = ak_quantile(true_model, K_reference, rng.substream("reference"), q)
     if not q0 > 0:  # refused before the realizations are simulated

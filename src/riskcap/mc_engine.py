@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import MIN_TRUNCATION_ACCEPTANCE, PosteriorState, sample_posterior
-from .distributions import (ParetoParams, PointParams, RngStream, sample_severities,
-                            severity_variates, to_severities)
+from .distributions import (ParetoParams, PointParams, RngStream, severity_variates,
+                            to_severities)
 
 __all__ = [
     "LossSample",
@@ -150,74 +150,82 @@ def _predictive_count_table(post_freq: PosteriorState):
     return _count_table(q, (a - 1) * q, weight, MIN_TRUNCATION_ACCEPTANCE)  # the box's least mass
 
 
-def _compound_batch(gen: np.random.Generator, n: int, sides: tuple) -> list:
-    """n annual losses per side, each in no particular order: the one compound-loss
-    kernel of every path.
+def _layout(gen: np.random.Generator, n: int, sides: tuple) -> tuple:
+    """``(params, groups)``, the layout of n years per side that every estimator walks.
 
-    A side is a ``(table, sev)`` pair. The batch first draws, side by side, how
-    many of its years have each count of the side's ``table`` (a
-    :func:`_count_table`) with one multinomial. Each side's ``sev(m)`` then gives
-    the keyword arguments of :func:`to_severities` for its m years that have a
-    loss, each a scalar shared by all of them (conditional: the point estimate)
-    or m per-year posterior draws (predictive). A side's years come in ascending
-    count. For each count k that some side holds, the batch draws as many years
-    as the side with the most of them, as (b, k) matrices of
-    :func:`severity_variates`: one row per year and at most ``CHUNK_LOSSES``
-    losses (a year with more is a matrix of its own). Each side takes its first
-    rows of each matrix, transforms them to severities (a copy, or in place for
-    the last side) and sums each row from 0 in draw order. A zero count gives a
-    zero loss.
-
-    With one side these are :func:`sample_severities`' draws. With several, the
-    sides share their variates: each side's losses keep their own law, and the
-    sides' differences lose most of their noise (common random numbers). The
-    sides must share a severity family.
-    """
+    A side is a ``(table, sev)`` pair. First, side by side, one multinomial draws how
+    many years have each count of the side's ``table`` (a :func:`_count_table`). Then
+    each side's ``sev(m)`` gives its ``params`` (None when m is 0), the keyword
+    arguments of :func:`to_severities` for its m years with a loss: scalars shared by
+    all (conditional: the point estimate) or m per-year posterior draws (predictive).
+    Years come in ascending count: ``groups`` maps each count k >= 1 some side holds
+    to (years, first year) per side."""
     hists = []
     for (k0, pmf), _ in sides:
         years = gen.multinomial(n, pmf)
         if k0 == 0:
             years[0] = 0  # the years without a loss are the zeros left in each output
         hists.append((k0, years))
-    outs = [np.zeros(n) for _ in sides]
     params = [sev(int(years.sum())) if years.any() else None
               for (_, sev), (_, years) in zip(sides, hists)]
-    drawn = [p for p in params if p is not None]
-    if not drawn:
-        return outs
-    lognormal = "xi" not in drawn[0]
-    # Each count any side holds, with (years, first year in the output) per side.
     groups = {}
     for s, (k0, years) in enumerate(hists):
         held, i = np.flatnonzero(years), 0
         for k, m in zip((k0 + held).tolist(), years[held].tolist()):
             groups.setdefault(k, [(0, 0)] * len(sides))[s] = (m, i)
             i += m
-    last = len(sides) - 1
+    return params, groups
+
+
+def _matrices(gen: np.random.Generator, groups: dict, lognormal: bool, drop: int = 0):
+    """``(k, j, z)`` for each count k > ``drop`` of ``groups`` in ascending order: z holds
+    the :func:`severity_variates` of years j, j + 1, ... of count k (as many as the side
+    with the most), a row of k - ``drop`` per year and at most ``CHUNK_LOSSES`` in all
+    (a year with more is a matrix of its own). No z is held here across its ``yield``,
+    so a caller that drops each before the next holds one at a time."""
+    for k in sorted(k for k in groups if k > drop):
+        b, most = max(CHUNK_LOSSES // (k - drop), 1), max(groups[k])[0]
+        for j in range(0, most, b):
+            yield k, j, severity_variates((min(b, most - j), k - drop), gen, lognormal)
+
+
+def _compound_batch(gen: np.random.Generator, n: int, sides: tuple) -> list:
+    """n annual losses per side, each in no particular order: the one compound-loss
+    kernel of every path.
+
+    Each side takes its first rows of each :func:`_matrices` matrix of its
+    :func:`_layout`, transforms them to severities (a copy, or in place for the last
+    side) and sums each row from 0 in draw order. A zero count gives a zero loss.
+
+    With one side these are :func:`sample_severities`' draws. With several, the
+    sides share their variates: each side's losses keep their own law, and the
+    sides' differences lose most of their noise (common random numbers). The
+    sides must share a severity family.
+    """
+    params, groups = _layout(gen, n, sides)
+    outs, last = [np.zeros(n) for _ in sides], len(sides) - 1
+    lognormal = all("xi" not in p for p in params if p is not None)
     with np.errstate(over="ignore"):  # an overflow is inf, which the caller counts
-        for k in sorted(groups):
-            b, most = max(CHUNK_LOSSES // k, 1), max(groups[k])[0]
-            for j in range(0, most, b):
-                height = min(b, most - j)
-                z = severity_variates((height, k), gen, lognormal)
-                for s, (m, i) in enumerate(groups[k]):
-                    rows = min(m - j, height)
-                    if rows <= 0:
-                        continue
-                    r0, r1 = i + j, i + j + rows
-                    row_params = {name: v[r0:r1, None] if np.ndim(v) else v
-                                  for name, v in params[s].items()}
-                    x = z if rows == height else z[:rows]
-                    x = to_severities(x, x if s == last else None, **row_params)
-                    total = outs[s][r0:r1]
-                    if rows < COLUMN_SUM_ROWS:
-                        total[:] = np.cumsum(x, axis=1, out=x)[:, -1]
-                    else:
-                        total[:] = x[:, 0]
-                        for col in range(1, k):
-                            total += x[:, col]
-                    del x  # before the next side's copy
-                del z  # before the next matrix is drawn
+        for k, j, z in _matrices(gen, groups, lognormal):
+            height = z.shape[0]
+            for s, (m, i) in enumerate(groups[k]):
+                rows = min(m - j, height)
+                if rows <= 0:
+                    continue
+                r0, r1 = i + j, i + j + rows
+                row_params = {name: v[r0:r1, None] if np.ndim(v) else v
+                              for name, v in params[s].items()}
+                x = z if rows == height else z[:rows]
+                x = to_severities(x, x if s == last else None, **row_params)
+                total = outs[s][r0:r1]
+                if rows < COLUMN_SUM_ROWS:
+                    total[:] = np.cumsum(x, axis=1, out=x)[:, -1]
+                else:
+                    total[:] = x[:, 0]
+                    for col in range(1, k):
+                        total += x[:, col]
+                del x  # before the next side's copy
+            del z  # before the next matrix is drawn
     return outs
 
 
@@ -230,29 +238,32 @@ def _top(x: np.ndarray, keep: int) -> np.ndarray:
     return x[x.size - keep:].copy()
 
 
-def _run_batches(batch_fn, K: int, rng: RngStream, workers: int, keep: int,
+def _run_batches(sides: tuple, K: int, rng: RngStream, workers: int, keep: int,
                  modes: tuple = (None,)) -> list:
     """The largest ``keep`` of K losses of each side, drawn in batches on ``workers``
     threads: one :class:`LossSample` per name in ``modes``.
 
-    ``batch_fn(n, stream)`` gives each side's n losses of one batch. Thread w draws
-    batches w, w + threads, ... and folds each side's top ``keep`` of each batch
-    into its own; the main thread folds the threads' tops. The largest ``keep`` of
-    K losses are one multiset, so the sorted result does not depend on the threads.
+    ``sides[s](stream)`` is side s of the batch drawn from ``stream`` (see
+    :func:`_compound_batch`). Thread w draws batches w, w + threads, ... and folds
+    each side's top ``keep`` of each batch into its own; the main thread folds the
+    threads' tops. The largest ``keep`` of K losses are one multiset, so the sorted
+    result does not depend on the threads.
     A side with non-finite losses raises :class:`NonFiniteLossError`, which names
     its mode when there are several.
     """
     if K < 1 or keep < 1:
         raise ValueError(f"K and keep must be at least 1, got {K} and {keep}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     n_batches = (K + BATCH_SIZE - 1) // BATCH_SIZE
     threads = min(workers, n_batches)
 
     def batch(i):
         """Batch i's non-finite count, minimum and top ``keep`` per side: only the
         tops outlive it."""
-        n = min(BATCH_SIZE, K - i * BATCH_SIZE)
+        n, stream = min(BATCH_SIZE, K - i * BATCH_SIZE), rng.substream("batch", i)
         return [(n - np.count_nonzero(np.isfinite(out)), out.min(), _top(out, keep))
-                for out in batch_fn(n, rng.substream("batch", i))]
+                for out in _compound_batch(stream.generator, n, tuple(s(stream) for s in sides))]
 
     def stride(w):
         folds = [(0, math.inf, np.empty(0)) for _ in modes]
@@ -281,10 +292,10 @@ def _run_batches(batch_fn, K: int, rng: RngStream, workers: int, keep: int,
     return samples
 
 
-def _conditional_side(point: PointParams) -> tuple:
-    """The kernel side of a point: its Poisson table, and its severity for every year."""
-    sev = point.sampler_args()
-    return _count_table(0.0, point.lam), lambda m: sev
+def _conditional_side(point: PointParams):
+    """The kernel side of a point, for a batch from any stream: its Poisson table and severity."""
+    table, sev = _count_table(0.0, point.lam), point.sampler_args()
+    return lambda stream: (table, lambda m: sev)
 
 
 def _predictive_side(post_freq: PosteriorState, post_sev: PosteriorState):
@@ -321,9 +332,7 @@ def simulate_conditional_sample(
     This is the predictive computation with the posterior collapsed to a
     point mass: every scenario shares the same parameters.
     """
-    side = _conditional_side(point)
-    return _run_batches(lambda n, st: _compound_batch(st.generator, n, (side,)),
-                        K, rng, workers, keep)[0]
+    return _run_batches((_conditional_side(point),), K, rng, workers, keep)[0]
 
 
 def simulate_predictive_sample(
@@ -343,9 +352,7 @@ def simulate_predictive_sample(
     drawn; each batch draws its counts, then severity parameters for the years that
     have a loss, then its losses, from one stream.
     """
-    side = _predictive_side(post_freq, post_sev)
-    return _run_batches(lambda n, st: _compound_batch(st.generator, n, (side(st),)),
-                        K, rng, workers, keep)[0]
+    return _run_batches((_predictive_side(post_freq, post_sev),), K, rng, workers, keep)[0]
 
 
 def simulate_pair(
@@ -372,8 +379,7 @@ def simulate_pair(
     cond, pred = _conditional_side(point), _predictive_side(post_freq, post_sev)
     if isinstance(point.severity, ParetoParams) != (post_sev.family == "pareto-tail"):
         raise ValueError("point and post_sev must share a severity family")
-    return tuple(_run_batches(lambda n, st: _compound_batch(st.generator, n, (cond, pred(st))),
-                              K, rng, workers, keep, ("conditional", "predictive")))
+    return tuple(_run_batches((cond, pred), K, rng, workers, keep, ("conditional", "predictive")))
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +462,8 @@ def ak_quantile(point: PointParams, K: int, rng: RngStream, q: float) -> float:
     """The q quantile of the annual loss at ``point``, from K years of Asmussen and
     Kroese's (2006) conditional Monte Carlo estimator, drawn on the calling thread.
 
-    The years come in the kernel's layout: one multinomial count histogram over the
-    Poisson table, then the years with count k >= 2 as (b, k - 1) severity matrices of
-    at most ``CHUNK_LOSSES`` losses. A year's last loss is never drawn: with S the sum
+    The years come in the kernel's layout (:func:`_layout`, :func:`_matrices`), but no
+    year's last loss is drawn, so years with k <= 1 losses draw none: with S the sum
     and M the largest of the other k - 1, k * Fbar(max(M, x - S)) is the chance that
     the year exceeds x with its largest loss last, times the k places that loss may
     take. Their mean over the K years, P(x), is an unbiased estimate of P(Z > x) that
@@ -475,23 +480,17 @@ def ak_quantile(point: PointParams, K: int, rng: RngStream, q: float) -> float:
     if -math.expm1(-point.lam) <= target:
         return 0.0
     gen, sev = rng.generator, point.sampler_args()
-    k0, pmf = _count_table(0.0, point.lam)
-    years = gen.multinomial(K, pmf)
+    _, groups = _layout(gen, K, (_conditional_side(point)(rng),))
     # One entry per year with a loss: its count, and the sum and largest of all its
     # losses but the last. The one-loss years share the last entry, (m_1, 0, 0).
-    counts, sums, peaks, ones = [], [], [], 0
-    for k, m in zip(range(k0, k0 + years.size), years.tolist()):
-        if k == 1:
-            ones = m
-        if k < 2 or m == 0:
-            continue
-        b = max(CHUNK_LOSSES // (k - 1), 1)
-        for j in range(0, m, b):
-            x = sample_severities((min(b, m - j), k - 1), gen, **sev)
+    counts, sums, peaks = [], [], []
+    with np.errstate(over="ignore"):  # a severity past the largest double is inf
+        for k, _, x in _matrices(gen, groups, "xi" not in sev, drop=1):
+            x = to_severities(x, x, **sev)
+            counts.append(np.full(x.shape[0], float(k)))
             sums.append(x.sum(axis=1))
             peaks.append(x.max(axis=1))
-        counts.append(np.full(m, float(k)))
-    counts = np.concatenate([*counts, [ones]])
+    counts = np.concatenate([*counts, [groups[1][0][0] if 1 in groups else 0]])
     sums, peaks = np.concatenate([*sums, [0.0]]), np.concatenate([*peaks, [0.0]])
 
     if "xi" in sev:

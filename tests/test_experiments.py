@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskcap import experiments
 from riskcap.distributions import (
     LognormalParams,
     ParetoParams,
@@ -142,6 +143,20 @@ def test_bias_study_matches_serial_loop():
 def test_bias_study_rejects_zero_workers():
     with pytest.raises(ValueError, match="workers"):
         bias_study(LN_MODEL, [5], R=1, K_sims=1000, K_reference=1000, workers=0)
+
+
+def test_bias_study_rejects_an_empty_grid(monkeypatch):
+    # Refused before the reference quantile is drawn, as the track refuses it.
+    monkeypatch.setattr(experiments, "ak_quantile",
+                        lambda *args: pytest.fail("drew Q0 for an empty grid"))
+    with pytest.raises(ValueError, match="M_grid must be non-empty"):
+        bias_study(LN_MODEL, [])
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_single_realization_track_rejects_workers_below_1(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        single_realization_track(LN_MODEL, [5], K_sims=1000, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [2, 8])

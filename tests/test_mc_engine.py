@@ -270,20 +270,15 @@ CHUNK = 7  # below the losses of many years at a rate near 4
 
 
 def _recorded_shapes(monkeypatch, simulate):
-    """``simulate()`` and the (b, k) shape of every severity matrix it drew: the
-    kernel draws its matrices with ``severity_variates``, ``ak_quantile`` with
-    ``sample_severities``."""
+    """``simulate()`` and the (b, columns) shape of every severity matrix it drew:
+    the kernel and ``ak_quantile`` both draw theirs with ``severity_variates``."""
     shapes = []
 
-    def recording(draw):
-        def recorded(size, *args, **params):
-            shapes.append(size)
-            return draw(size, *args, **params)
+    def recorded(size, *args):
+        shapes.append(size)
+        return severity_variates(size, *args)
 
-        return recorded
-
-    for draw in (sample_severities, severity_variates):
-        monkeypatch.setattr(mc_engine, draw.__name__, recording(draw))
+    monkeypatch.setattr(mc_engine, "severity_variates", recorded)
     return simulate(), shapes
 
 
@@ -495,6 +490,25 @@ def test_pair_sides_do_not_depend_on_workers(family):
         assert cond.values.tobytes() == runs[0][0].values.tobytes()
         assert pred.values.tobytes() == runs[0][1].values.tobytes()
     assert all(s.K == K and s.values.size == keep for run in runs for s in run)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_1_are_refused(workers):
+    from riskcap.capital import CellModel, LossData, conditional_capital
+
+    point, post_freq = PointParams(2.0, LN12), PosteriorState("poisson-rate", LOW_RATE)
+    post_sev = PosteriorState("lognormal", NIX)
+    data = LossData(annual_counts=[2, 1, 1], severities=[1.0, 2.0, 3.0, 4.0])
+    calls = [
+        lambda: simulate_conditional_sample(point, 100, RngStream(1), workers, keep=10),
+        lambda: simulate_predictive_sample(post_freq, post_sev, 100, RngStream(1), workers,
+                                           keep=10),
+        lambda: simulate_pair(point, post_freq, post_sev, 100, RngStream(1), workers, keep=10),
+        lambda: conditional_capital(CellModel("c", "lognormal"), data, K=100, workers=workers),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            call()
 
 
 def test_pair_refuses_mixed_families():
@@ -821,8 +835,30 @@ def test_ak_quantile_exact_across_chunk_edges(cell, monkeypatch):
     # Chunks hold whole rows, and numpy fills one draw of a + b as a draw of a then b.
     point = AK_CELLS[cell][0]
     whole = ak_quantile(point, 3000, RngStream(9), 0.999)
-    monkeypatch.setattr(mc_engine, "CHUNK_LOSSES", 7)
-    assert ak_quantile(point, 3000, RngStream(9), 0.999) == whole
+    monkeypatch.setattr(mc_engine, "CHUNK_LOSSES", CHUNK)
+    chunked, shapes = _recorded_shapes(
+        monkeypatch, lambda: ak_quantile(point, 3000, RngStream(9), 0.999))
+    assert chunked == whole
+    # Each matrix drops its years' last loss, so years with one loss draw none; the
+    # counts come in ascending order, each chunk within CHUNK losses or a single year.
+    columns = [k for _, k in shapes]
+    assert len(shapes) > 10 and min(columns) >= 1 and columns == sorted(columns)
+    assert all(b * k <= CHUNK or b == 1 for b, k in shapes)
+
+
+@pytest.mark.parametrize("cell", AK_CELLS)
+def test_ak_quantile_walks_the_kernel_layout(cell, monkeypatch):
+    # With one matrix per count, AK draws (m_k, k - 1) wherever the kernel, on the
+    # same stream, draws (m_k, k): the same histogram, each year's last column dropped.
+    point = AK_CELLS[cell][0]
+    monkeypatch.setattr(mc_engine, "CHUNK_LOSSES", 10**9)
+    for seed in range(3):
+        _, ak = _recorded_shapes(monkeypatch, lambda: ak_quantile(point, 3000, RngStream(seed),
+                                                                  0.999))
+        side = mc_engine._conditional_side(point)(None)
+        _, kernel = _recorded_shapes(monkeypatch, lambda: mc_engine._compound_batch(
+            RngStream(seed).generator, 3000, (side,)))
+        assert ak and ak == [(m, k - 1) for m, k in kernel if k >= 2]
 
 
 def test_ak_quantile_validates():

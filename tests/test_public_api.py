@@ -67,3 +67,15 @@ def test_one_csv_reader_and_one_csv_writer():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and isinstance(node.func.value, ast.Name) and node.func.value.id == "csv"]
     assert sorted(calls) == ["cli: csv.reader", "cli: csv.writer"]
+
+
+def test_one_batch_layout():
+    # Every estimator walks mc_engine's one batch layout (_layout and _matrices),
+    # which owns the count histogram draw and the chunk rule.
+    nodes = [(name, node) for name, tree in _trees().items() for node in ast.walk(tree)]
+    draws = [name for name, node in nodes if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "multinomial"]
+    chunks = [name for name, node in nodes if isinstance(node, ast.BinOp)
+              and isinstance(node.op, ast.FloorDiv) and isinstance(node.left, ast.Name)
+              and node.left.id == "CHUNK_LOSSES"]
+    assert draws == ["mc_engine"] and chunks == ["mc_engine"]
