@@ -19,7 +19,6 @@ import os
 import re
 import sys
 import time
-from statistics import NormalDist
 
 import numpy as np
 
@@ -27,7 +26,8 @@ from . import capital as capital_mod
 from . import experiments as exp_mod
 from .bayes import InsufficientDataError, NIXParams
 from .capital import CellModel, LossData
-from .distributions import GammaParams, LognormalParams, ParetoParams, PointParams, RngStream
+from .distributions import (GammaParams, LognormalParams, ParetoParams, PointParams, RngStream,
+                            severity_tail)
 from .mc_engine import NonFiniteLossError, usable_cpus
 
 __all__ = ["main"]
@@ -55,8 +55,8 @@ class ValidationError(Exception):
 # ---------------------------------------------------------------------------
 # CSV I/O
 
-#: The spelling of a number field: ASCII only, where ``int`` and ``float`` also
-#: take spaces, a "+", digit underscores and non-ASCII digits.
+#: The spelling of a number in a CSV field, a command-line flag or a seed: ASCII only,
+#: where ``int`` and ``float`` also take spaces, a "+", digit underscores and non-ASCII digits.
 _NUMBER = {int: re.compile(r"-?[0-9]+"),
            float: re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)")}
 
@@ -203,6 +203,8 @@ def _resolve_seed(flag_seed, config_seed=None):
         if value is None:
             continue
         try:
+            if isinstance(value, str) and not _NUMBER[int].fullmatch(value):
+                raise ValueError  # int() would take "1_0", "+3", " 7" and full-width digits
             seed = int(value)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{source} must be an unsigned decimal, got {value!r}")
@@ -380,12 +382,8 @@ def _true_model_from_args(args, family: str, years: int) -> PointParams:
         point = PointParams(lam=args.lambda0, severity=sev)
     except ValueError as e:
         raise ValidationError(f"invalid true model: --lambda0: {e}")
-    top = sys.float_info.max
-    if family == "lognormal":  # P(ln X > ln top) as P(-ln X < -ln top), which keeps its digits
-        p = NormalDist(-sev.mu, math.sqrt(sev.sigma_sq)).cdf(-math.log(top))
-        flags = "--mu0, --sigma0"
-    else:
-        p, flags = (sev.threshold_L / top) ** sev.xi, "--xi0, --threshold-L"
+    p = severity_tail(np.array([sys.float_info.max]), **point.sampler_args())[0]
+    flags = "--mu0, --sigma0" if family == "lognormal" else "--xi0, --threshold-L"
     expected = point.lam * years * p  # losses above the largest double over the run
     if expected > 1e-6:
         raise ValidationError(
@@ -402,11 +400,10 @@ MORE_DATA = "raise --lambda0 or the smallest --m-grid year count"
 def cmd_experiment(args):
     seed = _resolve_seed(args.seed)
     model = _true_model_from_args(args, args.severity, EXPERIMENT_OVERFLOW_YEARS)
-    try:
-        m_grid = [int(m) for m in args.m_grid.split(",")] if args.m_grid else DEFAULT_M_GRID
-    except ValueError:
+    items = args.m_grid.split(",") if args.m_grid else []
+    if not all(_NUMBER[int].fullmatch(m) for m in items):
         raise ValidationError(f"--m-grid must be comma-separated integers, got {args.m_grid!r}")
-    m_grid = [_checked("--m-grid year count", m, whole=True) for m in m_grid]
+    m_grid = [_checked("--m-grid year count", int(m), whole=True) for m in items] or DEFAULT_M_GRID
     K = _checked("--K", 10**5 if args.K is None else args.K, whole=True)
     _checked("--q", args.q)
 
@@ -446,11 +443,24 @@ def cmd_experiment(args):
 # Parser / entry point
 
 
+def _number(flag, kind):
+    """The argparse ``type`` of a number flag: ``kind`` (int or float) of a value spelt
+    as ``_NUMBER`` has it. Any other spelling raises ValidationError, which argparse
+    lets through, so ``main`` exits 2 naming the flag."""
+    def parse(text):
+        if not _NUMBER[kind].fullmatch(text):
+            noun = "integer" if kind is int else "number"
+            raise ValidationError(
+                f"{flag} must be a decimal {noun} in ASCII, without '+', '_' or spaces, "
+                f"got {text!r}")
+        return kind(text)
+    return parse
+
+
 def _worker_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
+    if not _NUMBER[int].fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
@@ -458,9 +468,10 @@ def _worker_count(text: str) -> int:
 
 def _add_true_point_flags(parser, lambda0):
     """The true point's flags; ``--lambda0`` is required when its default is None."""
-    parser.add_argument("--lambda0", type=float, required=lambda0 is None, default=lambda0)
+    parser.add_argument("--lambda0", type=_number("--lambda0", float), required=lambda0 is None,
+                        default=lambda0)
     for flag, default in ("--mu0", 1.0), ("--sigma0", 2.0), ("--xi0", 2.0), ("--threshold-L", 1.0):
-        parser.add_argument(flag, type=float, default=default)
+        parser.add_argument(flag, type=_number(flag, float), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="write synthetic loss files")
     sim.add_argument("--family", choices=["lognormal", "pareto"], required=True)
     _add_true_point_flags(sim, lambda0=None)
-    sim.add_argument("--years", type=int, required=True)
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--years", type=_number("--years", int), required=True)
+    sim.add_argument("--seed")
     sim.add_argument("--counts-out", required=True)
     sim.add_argument("--events-out", required=True)
     sim.set_defaults(func=cmd_simulate)
@@ -483,11 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cap = sub.add_parser("capital", help="conditional and/or predictive capital")
     cap.add_argument("--config", required=True)
-    cap.add_argument("--q", type=float)
-    cap.add_argument("--K", type=int)
-    cap.add_argument("--gamma", type=float)
+    cap.add_argument("--q", type=_number("--q", float))
+    cap.add_argument("--K", type=_number("--K", int))
+    cap.add_argument("--gamma", type=_number("--gamma", float))
     cap.add_argument("--mode", choices=["conditional", "predictive", "both"])
-    cap.add_argument("--seed", type=int)
+    cap.add_argument("--seed")
     cap.add_argument(
         "--workers", type=_worker_count, default=usable_cpus(),
         help="threads to simulate on (default: the usable CPUs); outputs do not depend on it",
@@ -500,10 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--severity", choices=["lognormal", "pareto"], default="lognormal")
     _add_true_point_flags(exp, lambda0=10.0)
     exp.add_argument("--m-grid", help="comma-separated year counts")
-    exp.add_argument("--q", type=float, default=DEFAULT_Q)
-    exp.add_argument("--K", type=int, help="simulations per quantile (default 1e5)")
-    exp.add_argument("--R", type=int, help="realizations, bias only (default 20)")
-    exp.add_argument("--seed", type=int)
+    exp.add_argument("--q", type=_number("--q", float), default=DEFAULT_Q)
+    exp.add_argument("--K", type=_number("--K", int), help="simulations per quantile (default 1e5)")
+    exp.add_argument("--R", type=_number("--R", int), help="realizations, bias only (default 20)")
+    exp.add_argument("--seed")
     exp.add_argument("--out", required=True)
     exp.set_defaults(func=cmd_experiment)
 
@@ -515,8 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, InsufficientDataError) as e:
         print(f"error: {e}", file=sys.stderr)

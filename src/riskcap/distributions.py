@@ -22,6 +22,7 @@ __all__ = [
     "sample_severities",
     "severity_variates",
     "to_severities",
+    "severity_tail",
 ]
 
 
@@ -112,7 +113,7 @@ class PointParams:
             raise TypeError(f"unsupported severity family: {type(self.severity).__name__}")
 
     def sampler_args(self) -> dict:
-        """Keyword arguments of :func:`sample_severities` for this point's severity."""
+        """Keyword arguments of :func:`sample_severities` and :func:`severity_tail` here."""
         sev = self.severity
         if isinstance(sev, LognormalParams):
             return {"mu": sev.mu, "sigma": math.sqrt(sev.sigma_sq)}
@@ -175,3 +176,14 @@ def sample_severities(size, gen: np.random.Generator, *, mu=None, sigma=None,
     z = severity_variates(size, gen, lognormal=xi is None)
     with np.errstate(over="ignore"):
         return to_severities(z, z, mu=mu, sigma=sigma, xi=xi, threshold_L=threshold_L)
+
+
+def severity_tail(x, *, mu=None, sigma=None, xi=None, threshold_L=None) -> np.ndarray:
+    """P(X > x) for each x >= 0 of a 1-D array, under :func:`to_severities`' keyword
+    arguments: 0.5 * erfc((ln x - mu) / (sigma * sqrt 2)) by ``math.erfc``, 1 at x = 0,
+    or (threshold_L / max(x, threshold_L))^xi, positive up to the largest double."""
+    if xi is not None:
+        return (threshold_L / np.maximum(x, threshold_L)) ** xi
+    with np.errstate(divide="ignore"):  # ln 0 = -inf
+        t = ((np.log(x) - mu) / (sigma * math.sqrt(2.0))).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, t), float, len(t))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import MIN_TRUNCATION_ACCEPTANCE, PosteriorState, sample_posterior
-from .distributions import (ParetoParams, PointParams, RngStream, severity_variates,
-                            to_severities)
+from .distributions import (ParetoParams, PointParams, RngStream, severity_tail,
+                            severity_variates, to_severities)
 
 __all__ = [
     "LossSample",
@@ -470,7 +470,8 @@ def ak_quantile(point: PointParams, K: int, rng: RngStream, q: float) -> float:
     does not increase with x. The quantile is where P(x) falls to 1 - q, found from
     the single-loss approximation by widening a bracket and then by Illinois regula
     falsi on (ln x, ln P(x)). It is 0.0 when no x > 0 has P(x) > 1 - q, as it is
-    exactly when a year has a loss with chance 1 - exp(-lam) <= 1 - q.
+    exactly when a year has a loss with chance 1 - exp(-lam) <= 1 - q, and a ValueError
+    when P(x) > 1 - q at the largest double x.
     """
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0, 1), got {q}")
@@ -493,35 +494,29 @@ def ak_quantile(point: PointParams, K: int, rng: RngStream, q: float) -> float:
     counts = np.concatenate([*counts, [groups[1][0][0] if 1 in groups else 0]])
     sums, peaks = np.concatenate([*sums, [0.0]]), np.concatenate([*peaks, [0.0]])
 
-    if "xi" in sev:
-        xi, L = sev["xi"], sev["threshold_L"]
-        tail = lambda y: (np.maximum(y, L) / L) ** -xi
-        u = math.log(L) - math.log(min(target / point.lam, 0.5)) / xi
-    else:
-        mu, scale = sev["mu"], sev["sigma"] * math.sqrt(2.0)
-
-        def tail(y):  # 0.5 * erfc((ln y - mu) / (sigma * sqrt 2)); ln 0 = -inf gives 1
-            with np.errstate(divide="ignore"):
-                t = ((np.log(y) - mu) / scale).tolist()
-            return 0.5 * np.fromiter(map(math.erfc, t), float, len(t))
-
-        u = mu - sev["sigma"] * statistics.NormalDist().inv_cdf(min(target / point.lam, 0.5))
+    single = min(target / point.lam, 0.5)  # the single-loss approximation's severity tail
+    u = (math.log(sev["threshold_L"]) - math.log(single) / sev["xi"] if "xi" in sev
+         else sev["mu"] - sev["sigma"] * statistics.NormalDist().inv_cdf(single))
 
     def excess(u):
         """ln P(e^u) - ln(1 - q), which has the sign of P(e^u) - (1 - q)."""
-        p = float(counts @ tail(np.maximum(peaks, math.exp(u) - sums))) / K
+        p = float(counts @ severity_tail(np.maximum(peaks, math.exp(u) - sums), **sev)) / K
         return math.log(p / target) if p > 0 else -math.inf
 
     if excess(-math.inf) <= 0:
         return 0.0
-    # Widen from the single-loss approximation by factors of 2 until P(e^a) > 1 - q >= P(e^b).
-    a = b = u
-    fa = fb = excess(u)
+    # Widen from the single-loss approximation by factors of 2 until P(e^a) > 1 - q >= P(e^b),
+    # with b at most ln of the largest double, so that math.exp(b) stays finite.
+    top = math.log(np.finfo(float).max)
+    a = b = min(u, top)
+    fa = fb = excess(a)
     while fa <= 0:
         b, fb, a = a, fa, a - math.log(2.0)
         fa = excess(a)
     while fb > 0:
-        a, fa, b = b, fb, b + math.log(2.0)
+        if b == top:
+            raise ValueError(f"the {q} quantile of the annual loss lies above the largest double")
+        a, fa, b = b, fb, min(b + math.log(2.0), top)
         fb = excess(b)
     side = 0  # Illinois: halve the end that stayed put twice in a row
     while fb < 0 and b - a > AK_LOG_TOLERANCE:  # fb == 0 puts the root at b

@@ -216,14 +216,19 @@ def test_negative_seed_exit_code(tmp_path, config_file, monkeypatch, capsys):
     argv = ["experiment", "bias", "--m-grid", "5", "--R", "1", "--K", "1000", "--out", out]
     assert main(argv + ["--seed", "-1"]) == EXIT_VALIDATION
     assert "--seed" in capsys.readouterr().err
+    # int() takes each of these; the CSV number grammar does not.
+    for seed in ("+3", " 7", "1_0", "\uff15"):
+        assert main(argv + ["--seed", seed]) == EXIT_VALIDATION
+        assert f"--seed must be an unsigned decimal, got {seed!r}" in capsys.readouterr().err
 
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "-5")
-    assert main(argv) == EXIT_VALIDATION
-    assert cli.SEED_ENV_VAR in capsys.readouterr().err
+    for seed in ("-5", "\uff15"):  # a full-width 5
+        monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+        assert main(argv) == EXIT_VALIDATION
+        assert cli.SEED_ENV_VAR in capsys.readouterr().err
     monkeypatch.delenv(cli.SEED_ENV_VAR)
 
     cfg = json.loads(open(config_file).read())
-    for seed in (-3, 3.7, True):
+    for seed in (-3, 3.7, True, "+3", "1_0"):
         cfg["seed"] = seed
         bad = _write(tmp_path / "bad-seed.json", json.dumps(cfg))
         assert main(["capital", "--config", bad, "--K", "1000"]) == EXIT_VALIDATION
@@ -702,9 +707,14 @@ def test_one_invalid_config_field_names_its_cell(tmp_path_factory, cell_id, fiel
         ([], {"gamma": "0.9"}, "got '0.9'"),
         ([], {"K": 0}, "K must be an integer >= 1, got 0"),
         ([], {"K": 10.5}, "got 10.5"),
+        # Each flag takes only the CSV number grammar, which int() and float() exceed.
+        (["--K", "1_000"], {}, "--K must be a decimal integer in ASCII"),
+        (["--q", "\u0660.\u0669"], {}, "--q must be a decimal number in ASCII"),  # Arabic-Indic
+        (["--gamma", " 0.9"], {}, "--gamma must be a decimal number in ASCII"),
+        (["--seed", "1_0"], {}, "--seed must be an unsigned decimal, got '1_0'"),
     ],
     ids=["q-flag", "q-zero", "gamma-flag", "K-flag", "q-config", "gamma-text", "K-config",
-         "K-fraction"],
+         "K-fraction", "K-underscore", "q-arabic-indic", "gamma-space", "seed-underscore"],
 )
 def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, capsys):
     cfg = {**json.loads(open(config_file).read()), "K": 1000, **config}
@@ -772,14 +782,26 @@ def test_repeated_cell_id_exit_code(tmp_path, config_file, ids, shown, command, 
          "--xi0, --threshold-L put a loss above the largest double with chance 0.000827"),
         (["experiment", "bias", "--mu0", "800"], "over 1e+06 simulated years"),
         (["experiment", "track", "--severity", "pareto", "--xi0", "0.01"], "--xi0, --threshold-L"),
+        # Below L = 1, (x / L)^-xi overflows at the largest double; this tail must not.
+        (["experiment", "bias", "--severity", "pareto", "--xi0", "0.01", "--threshold-L", "0.5"],
+         "--xi0, --threshold-L put a loss above the largest double with chance 0.000821"),
         # A synthetic history too thin to fit names its length and the flags.
         (["experiment", "bias", "--lambda0", "0.5", "--R", "20"],
          "'synthetic 5-year history': at least two severities are required; raise --lambda0"),
+        # Number flags and --m-grid items take only the CSV number grammar.
+        (["experiment", "bias", "--m-grid", "5, 1_0"], "got '5, 1_0'"),
+        (["experiment", "bias", "--R", "+2"], "--R must be a decimal integer in ASCII"),
+        (["simulate", "--family", "pareto", "--lambda0", "2", "--years", "1_0"],
+         "--years must be a decimal integer in ASCII"),
+        (["simulate", "--family", "pareto", "--lambda0", "\uff12", "--years", "5"],
+         "--lambda0 must be a decimal number in ASCII"),
     ],
     ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "m-grid-descending", "sigma0",
          "track-R", "lambda0", "years", "lambda0-inf", "mu0-inf", "mu0-nan", "sigma0-inf",
          "sigma0-overflow", "xi0-inf", "experiment-mu0-inf", "mu0-overflow", "xi0-overflow",
-         "experiment-mu0-overflow", "experiment-xi0-overflow", "experiment-thin-history"],
+         "experiment-mu0-overflow", "experiment-xi0-overflow", "experiment-xi0-overflow-L-half",
+         "experiment-thin-history", "m-grid-underscore", "R-plus", "years-underscore",
+         "lambda0-full-width"],
 )
 def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
     # The flags under test come last, so they override these.

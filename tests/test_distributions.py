@@ -1,9 +1,12 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from riskcap.bayes import NIXParams, PosteriorState, sample_posterior
 from riskcap.distributions import (
@@ -13,6 +16,7 @@ from riskcap.distributions import (
     PointParams,
     RngStream,
     sample_severities,
+    severity_tail,
 )
 from riskcap.mc_engine import simulate_conditional_sample, simulate_predictive_sample
 
@@ -167,6 +171,35 @@ def test_pareto_inverse_cdf_roundtrip(u, xi, L):
     x = sample_severities(1, FixedUniforms([u]), xi=xi, threshold_L=L)[0]
     recovered = 1.0 - (x / L) ** (-xi)
     assert abs(recovered - u) < 1e-12
+
+
+TOP = sys.float_info.max
+
+
+@pytest.mark.parametrize("args", [{"mu": 1.0, "sigma": 2.0}, {"mu": 1.0, "sigma": 20.0},
+                                  {"xi": 2.0, "threshold_L": 1.0},
+                                  {"xi": 0.01, "threshold_L": 0.5}],
+                         ids=["lognormal", "lognormal-wide", "pareto", "pareto-heavy"])
+def test_severity_tail_matches_scipy(args):
+    # x = 0, below and at the median, the far tail and the largest double; for a
+    # Pareto also below and at L.
+    if "xi" in args:
+        xi, L = args["xi"], args["threshold_L"]
+        x = np.array([0.0, L / 2, L, L * 2 ** (1 / xi), 1e100, TOP])
+        # pareto(scale=L).sf(x) overflows in x / L at the largest double when L < 1,
+        # so that point's reference is L^xi * x^-xi, both factors finite.
+        want = np.append(stats.pareto(b=xi, scale=L).sf(x[:-1]),
+                         L**xi * stats.pareto(b=xi).sf(TOP))
+    else:
+        median = math.exp(args["mu"])
+        x = np.array([0.0, median / 10, median, 1e10, TOP])
+        want = stats.lognorm(s=args["sigma"], scale=median).sf(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = severity_tail(x, **args)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+    assert got[0] == 1.0
+    assert (got[-1] > 0) == (want[-1] > 0)  # no tail underflows to 0 early
 
 
 def test_stream_reproducibility():

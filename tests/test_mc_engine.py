@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -859,6 +860,17 @@ def test_ak_quantile_walks_the_kernel_layout(cell, monkeypatch):
         _, kernel = _recorded_shapes(monkeypatch, lambda: mc_engine._compound_batch(
             RngStream(seed).generator, 3000, (side,)))
         assert ak and ak == [(m, k - 1) for m, k in kernel if k >= 2]
+
+
+def test_ak_quantile_stops_at_the_largest_double():
+    # With xi = 0.01, P(Z > the largest double) is about 2 * 8.2e-4. At q = 0.99836 the
+    # single-loss start lies above ln of the largest double, and the quantile just below
+    # it; at q = 0.999 no double is the quantile, which is a ValueError, not the
+    # OverflowError of exponentiating past the largest double.
+    point = PointParams(2.0, ParetoParams(xi=0.01, threshold_L=1.0))
+    assert 1e307 < ak_quantile(point, 10**4, RngStream(1), 0.99836) < sys.float_info.max
+    with pytest.raises(ValueError, match="the 0.999 quantile .* above the largest double"):
+        ak_quantile(point, 1000, RngStream(1), 0.999)
 
 
 def test_ak_quantile_validates():

@@ -79,3 +79,17 @@ def test_one_batch_layout():
               and isinstance(node.op, ast.FloorDiv) and isinstance(node.left, ast.Name)
               and node.left.id == "CHUNK_LOSSES"]
     assert draws == ["mc_engine"] and chunks == ["mc_engine"]
+
+
+def test_one_severity_tail():
+    # Every severity tail is distributions.severity_tail: no other module refers to
+    # erfc or takes a tail from NormalDist(...).cdf.
+    nodes = [(name, node) for name, tree in _trees().items() for node in ast.walk(tree)]
+    erfc = {name for name, node in nodes
+            if getattr(node, "id", None) == "erfc" or getattr(node, "attr", None) == "erfc"}
+    cdf = {name for name, node in nodes
+           if isinstance(node, ast.Attribute) and node.attr == "cdf"
+           and isinstance(node.value, ast.Call)
+           and "NormalDist" in (getattr(node.value.func, "id", None),
+                                getattr(node.value.func, "attr", None))}
+    assert erfc == {"distributions"} and cdf <= {"distributions"}
