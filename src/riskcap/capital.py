@@ -214,11 +214,8 @@ def conditional_capital(
 
     Parameter uncertainty is ignored on this path.
     """
-    rng = RngStream(seed).substream("cell", model.cell_id, "conditional")
-    sample = simulate_conditional_sample(fit_mle(model, data), K, rng, workers=workers,
-                                         keep=quantile_tail(K, q, gamma))
-    est = estimate_quantile(sample, q, gamma)
-    return CapitalReport(model.cell_id, "conditional", est, tuple(_common_warnings(est)))
+    return _report(model, "conditional", q, K, gamma, seed, workers,
+                   simulate_conditional_sample, fit_mle(model, data))
 
 
 def predictive_capital(
@@ -237,28 +234,27 @@ def predictive_capital(
     fitted, so informative priors carry a cell too thin for the MLE.
     """
     post_freq, post_sev = fit_posteriors(model, data)
-    rng = RngStream(seed).substream("cell", model.cell_id, "predictive")
-    sample = simulate_predictive_sample(post_freq, post_sev, K, rng, workers=workers,
-                                        keep=quantile_tail(K, q, gamma))
-    est = estimate_quantile(sample, q, gamma)
-
-    warnings = _common_warnings(est)
+    warnings = ()
     if post_sev.family == "pareto-tail":
         p_heavy = bayes.prob_tail_index_below(post_sev, 1.0)
         if p_heavy > INFINITE_MEAN_PROB_THRESHOLD:
-            warnings.append(
-                f"predictive loss has infinite mean: Pr[xi <= 1] = {p_heavy:.3g} "
-                "under the posterior; consider enforce_finite_mean"
-            )
-
-    return CapitalReport(model.cell_id, "predictive", est, tuple(warnings))
+            warnings = (f"predictive loss has infinite mean: Pr[xi <= 1] = {p_heavy:.3g} "
+                        "under the posterior; consider enforce_finite_mean",)
+    return _report(model, "predictive", q, K, gamma, seed, workers,
+                   simulate_predictive_sample, post_freq, post_sev, warnings=warnings)
 
 
-def _common_warnings(est: QuantileEstimate) -> list:
-    warnings = []
-    if not est.reliable_ci:
-        warnings.append(
-            "quantile CI is unreliable: K*q*(1-q) < 50, the normal approximation "
-            "to the binomial order-statistic count is poor"
-        )
-    return warnings
+def _report(model, mode, q, K, gamma, seed, workers, simulate, *params, warnings=()):
+    """The report of ``simulate(*params, K, ...)``'s q-quantile on the cell's stream for
+    ``mode``, its CI warning ahead of ``warnings``.
+
+    The callers pass their ``simulate`` and this reads ``estimate_quantile`` as module
+    globals at call time, where perfbench's tracer patches them.
+    """
+    rng = RngStream(seed).substream("cell", model.cell_id, mode)
+    sample = simulate(*params, K, rng, workers=workers, keep=quantile_tail(K, q, gamma))
+    est = estimate_quantile(sample, q, gamma)
+    unreliable = () if est.reliable_ci else (
+        "quantile CI is unreliable: K*q*(1-q) < 50, the normal approximation "
+        "to the binomial order-statistic count is poor",)
+    return CapitalReport(model.cell_id, mode, est, unreliable + warnings)

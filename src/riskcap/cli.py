@@ -156,20 +156,29 @@ def _load_cell(c) -> tuple[CellModel, LossData]:
             if key not in c:
                 raise ValidationError(f"cell {name!r}: missing {key}")
         family = c["severity_family"]
+
+        def number(field, value, default=None):  # ``default`` stands for null
+            if isinstance(value, bool):  # Python would take JSON's true as the number 1
+                raise TypeError(f"{field} must be a number, got {json.dumps(value)}")
+            return default if value is None else value
+
+        def prior(kind, key):
+            return kind(**{k: number(f"{key} {k}", v) for k, v in c[key].items()})
+
         # Read by presence: a prior given as {} is refused, not taken as flat.
         freq_prior = sev_prior = truncation = None
         if c.get("freq_prior") is not None:
-            freq_prior = GammaParams(**c["freq_prior"])
+            freq_prior = prior(GammaParams, "freq_prior")
         if c.get("sev_prior") is not None:
-            sev_prior = (NIXParams if family == "lognormal" else GammaParams)(**c["sev_prior"])
+            sev_prior = prior(NIXParams if family == "lognormal" else GammaParams, "sev_prior")
         if c.get("truncation") is not None:
-            inf = math.inf
-            truncation = {p: (-inf if lo is None else float(lo), inf if hi is None else float(hi))
+            truncation = {p: (float(number(f"truncation of {p}", lo, -math.inf)),
+                              float(number(f"truncation of {p}", hi, math.inf)))
                           for p, (lo, hi) in c["truncation"].items()}
         model = CellModel(
             cell_id=name,
             severity_family=family,
-            threshold_L=c.get("threshold_L"),
+            threshold_L=number("threshold_L", c.get("threshold_L")),
             freq_prior=freq_prior,
             sev_prior=sev_prior,
             truncation=truncation,
@@ -291,6 +300,7 @@ def cmd_capital(args):
     seed = _resolve_seed(args.seed, cfg.get("seed"))
     q, gamma = _checked("q", q), _checked("gamma", gamma)
     K = _checked("K", K, whole=True)
+    workers = _checked("--workers", args.workers, whole=True)
     if mode not in ("conditional", "predictive", "both"):
         raise ValidationError(f"mode must be conditional, predictive, or both, got {mode!r}")
 
@@ -301,7 +311,7 @@ def cmd_capital(args):
                        ("predictive", capital_mod.predictive_capital)):
             try:
                 if mode in (m, "both"):
-                    reports.append(run(model, data, q, K, gamma, seed, workers=args.workers))
+                    reports.append(run(model, data, q, K, gamma, seed, workers=workers))
             except InsufficientDataError:  # names its cell already, and exits 2
                 raise
             except ValueError as e:  # a computation failure, such as non-finite losses
@@ -400,21 +410,18 @@ MORE_DATA = "raise --lambda0 or the smallest --m-grid year count"
 def cmd_experiment(args):
     seed = _resolve_seed(args.seed)
     model = _true_model_from_args(args, args.severity, EXPERIMENT_OVERFLOW_YEARS)
-    items = args.m_grid.split(",") if args.m_grid else []
-    if not all(_NUMBER[int].fullmatch(m) for m in items):
-        raise ValidationError(f"--m-grid must be comma-separated integers, got {args.m_grid!r}")
-    m_grid = [_checked("--m-grid year count", int(m), whole=True) for m in items] or DEFAULT_M_GRID
     K = _checked("--K", 10**5 if args.K is None else args.K, whole=True)
     _checked("--q", args.q)
 
     try:
         if args.which == "track":
-            if m_grid != sorted(m_grid):
-                raise ValidationError(f"--m-grid must be ascending for track, got {args.m_grid!r}")
+            if args.m_grid != sorted(args.m_grid):
+                shown = ",".join(map(str, args.m_grid))
+                raise ValidationError(f"--m-grid must be ascending for track, got {shown!r}")
             if args.R is not None:
                 raise ValidationError(
                     "--R applies to experiment bias only; track runs one realization")
-            records = exp_mod.single_realization_track(model, m_grid, args.q, K, seed,
+            records = exp_mod.single_realization_track(model, args.m_grid, args.q, K, seed,
                                                        usable_cpus())
             params = ("mu", "sigma", "lambda") if args.severity == "lognormal" else ("xi", "lambda")
             header = (["M", "K"] + [f"{p}_{end}" for p in params for end in ("hat", "lo", "hi")]
@@ -426,7 +433,8 @@ def cmd_experiment(args):
             print(f"wrote {len(records)} rows to {args.out} (quantiles in thousands)")
         else:
             R = _checked("--R", 20 if args.R is None else args.R, whole=True)
-            curve = exp_mod.bias_study(model, m_grid, R, args.q, K, seed, workers=usable_cpus())
+            curve = exp_mod.bias_study(model, args.m_grid, R, args.q, K, seed,
+                                       workers=usable_cpus())
             comments = [f"seed={seed}", f"realizations={curve.realizations}",
                         f"reference_quantile={curve.reference_quantile!r}"]
             _write_csv(args.out, ["M", "relative_bias"], curve.points, comments)
@@ -457,13 +465,18 @@ def _number(flag, kind):
     return parse
 
 
-def _worker_count(text: str) -> int:
-    if not _NUMBER[int].fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _year_grid(text):
+    """The argparse ``type`` of ``--m-grid``: comma-separated year counts, each spelt as
+    ``_NUMBER`` has it, at least 1 and not repeated. Any other grid raises ValidationError,
+    as ``_number``'s does."""
+    items = text.split(",")
+    if not all(_NUMBER[int].fullmatch(m) for m in items):
+        raise ValidationError(f"--m-grid must be comma-separated integers, got {text!r}")
+    grid = [_checked("--m-grid year count", int(m), whole=True) for m in items]
+    repeated = [m for i, m in enumerate(grid) if m in grid[:i]]
+    if repeated:  # its rows would come from one stream, each a copy of the first
+        raise ValidationError(f"--m-grid repeats the year count {repeated[0]}, got {text!r}")
+    return grid
 
 
 def _add_true_point_flags(parser, lambda0):
@@ -500,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--mode", choices=["conditional", "predictive", "both"])
     cap.add_argument("--seed")
     cap.add_argument(
-        "--workers", type=_worker_count, default=usable_cpus(),
+        "--workers", type=_number("--workers", int), default=usable_cpus(),
         help="threads to simulate on (default: the usable CPUs); outputs do not depend on it",
     )
     cap.add_argument("--csv")
@@ -510,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("which", choices=["track", "bias"])
     exp.add_argument("--severity", choices=["lognormal", "pareto"], default="lognormal")
     _add_true_point_flags(exp, lambda0=10.0)
-    exp.add_argument("--m-grid", help="comma-separated year counts")
+    # A list, as _year_grid gives, so that track's sorted() check holds for it.
+    exp.add_argument("--m-grid", type=_year_grid, default=list(DEFAULT_M_GRID),
+                     help="comma-separated year counts")
     exp.add_argument("--q", type=_number("--q", float), default=DEFAULT_Q)
     exp.add_argument("--K", type=_number("--K", int), help="simulations per quantile (default 1e5)")
     exp.add_argument("--R", type=_number("--R", int), help="realizations, bias only (default 20)")

@@ -130,8 +130,8 @@ def single_realization_track(
     depend on it.
     """
     M_grid = list(M_grid)
-    if not M_grid or sorted(M_grid) != M_grid:
-        raise ValueError("M_grid must be non-empty and ascending")
+    if not M_grid or any(a >= b for a, b in zip(M_grid, M_grid[1:])):
+        raise ValueError(f"M_grid must be non-empty and strictly ascending, got {M_grid}")
     rng = RngStream(seed)
     records = []
     for M in M_grid:
@@ -176,8 +176,8 @@ def bias_study(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     M_grid = list(M_grid)
-    if not M_grid:
-        raise ValueError("M_grid must be non-empty")
+    if not M_grid or len(set(M_grid)) < len(M_grid):  # a repeat would copy its first row
+        raise ValueError(f"M_grid must be non-empty, without a repeated year count, got {M_grid}")
     rng = RngStream(seed)
     q0 = ak_quantile(true_model, K_reference, rng.substream("reference"), q)
     if not q0 > 0:  # refused before the realizations are simulated

@@ -5,9 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from riskcap import bayes, capital
 from riskcap.bayes import InsufficientDataError, credible_interval
 from riskcap.capital import (
     AGGREGATION_NOTE,
+    INFINITE_MEAN_PROB_THRESHOLD,
     CapitalReport,
     CellModel,
     LossData,
@@ -134,6 +136,43 @@ def test_predictive_pareto_infinite_mean_warning():
     safe = dataclasses.replace(cell, enforce_finite_mean=True)
     rep2 = predictive_capital(safe, data, K=5000, seed=3)
     assert not any("infinite mean" in w for w in rep2.warnings)
+
+
+def test_predictive_report_puts_the_ci_warning_before_the_infinite_mean_warning():
+    cell = CellModel(cell_id="p", severity_family="pareto", threshold_L=1.0)
+    data = LossData(annual_counts=[2, 1], severities=[3.0, 8.0, 2.0])
+    K, q = 1000, 0.999  # K*q*(1-q) = 1 < 50
+    p_heavy = bayes.prob_tail_index_below(fit_posteriors(cell, data)[1], 1.0)
+    assert p_heavy > INFINITE_MEAN_PROB_THRESHOLD
+    rep = predictive_capital(cell, data, q=q, K=K, seed=3)
+    assert len(rep.warnings) == 2
+    assert rep.warnings[0].startswith("quantile CI is unreliable")
+    assert rep.warnings[1].startswith(f"predictive loss has infinite mean: Pr[xi <= 1] = "
+                                      f"{p_heavy:.3g}")
+
+
+def test_both_modes_look_up_the_simulators_when_called(monkeypatch):
+    # perfbench's tracer patches these names on riskcap.capital; a mode that bound them
+    # when it was defined would run past the tracer.
+    called = []
+
+    def recorder(name):
+        real = getattr(capital, name)
+
+        def record(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+        return record
+
+    for name in ("simulate_conditional_sample", "simulate_predictive_sample",
+                 "estimate_quantile"):
+        monkeypatch.setattr(capital, name, recorder(name))
+    data = _data(20)
+    conditional_capital(_ln_cell(), data, K=1000, seed=1)
+    assert called == ["simulate_conditional_sample", "estimate_quantile"]
+    called.clear()
+    predictive_capital(_ln_cell(), data, K=1000, seed=1)
+    assert called == ["simulate_predictive_sample", "estimate_quantile"]
 
 
 def test_predictive_exceeds_conditional_small_sample():

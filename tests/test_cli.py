@@ -244,12 +244,16 @@ def test_non_finite_amount_exit_code(tmp_path, config_file, loss_files, amount, 
     assert f"{events}:5:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_workers_below_one_exit_code(config_file, workers, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["capital", "--config", config_file, "--K", "1000", "--workers", workers])
-    assert exc.value.code == EXIT_VALIDATION
-    assert "--workers" in capsys.readouterr().err
+@pytest.mark.parametrize("workers, shown", [
+    ("0", "--workers must be an integer >= 1, got 0"),
+    ("-2", "--workers must be an integer >= 1, got -2"),
+    ("1_0", "--workers must be a decimal integer in ASCII, without '+', '_' or spaces, "
+            "got '1_0'"),
+], ids=["0", "-2", "1_0"])
+def test_workers_below_one_exit_code(config_file, workers, shown, capsys):
+    assert main(["capital", "--config", config_file, "--K", "1000",
+                 "--workers", workers]) == EXIT_VALIDATION
+    assert shown in capsys.readouterr().err
 
 
 def test_simulate_round_trip(tmp_path):
@@ -629,12 +633,16 @@ def test_row_numbers_count_comment_lines(config_file, loss_files, capsys):
         {"freq_prior": {"shape": math.inf, "scale": 1.0}},
         {"sev_prior": {"dof_nu": 2.0, "scale_beta": math.inf, "loc_theta": 0.0, "prec_phi": 1.0}},
         {"threshold_L": 1.0},
+        # JSON's true is no number, though Python reads it as 1.
+        {"severity_family": "pareto", "threshold_L": True},
+        {"freq_prior": {"shape": True, "scale": 1.0}},
+        {"severity_family": "pareto", "threshold_L": 1.0, "truncation": {"xi": [True, None]}},
     ],
     ids=["no-counts", "no-events", "no-family", "freq-prior", "sev-prior", "short-bound",
          "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range",
          "finite-mean-text", "finite-mean-lognormal", "freq-prior-empty", "sev-prior-empty",
          "sev-prior-list", "improper-posterior", "freq-prior-infinite", "sev-prior-infinite",
-         "threshold-lognormal"],
+         "threshold-lognormal", "threshold-true", "freq-prior-true", "truncation-true"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command, capsys):
@@ -651,21 +659,36 @@ def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command,
     assert "cell 'cell-a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, shown", [
+    ({"severity_family": "pareto", "threshold_L": True}, "threshold_L must be a number, got true"),
+    ({"sev_prior": {"dof_nu": 2.0, "scale_beta": 1.0, "loc_theta": False, "prec_phi": 1.0}},
+     "sev_prior loc_theta must be a number, got false"),
+    ({"truncation": {"mu": [None, True]}}, "truncation of mu must be a number, got true"),
+], ids=["threshold", "prior", "truncation"])
+def test_config_boolean_names_its_field(tmp_path, config_file, change, shown, capsys):
+    cfg = json.loads(open(config_file).read())
+    cfg["cells"][0].update(change)
+    assert main(["fit", "--config", _write(tmp_path / "bad.json", json.dumps(cfg))]) \
+        == EXIT_VALIDATION
+    assert f"cell 'cell-a': invalid config: {shown}" in capsys.readouterr().err
+
+
 def _one_field_spoiled(valid: dict, bad):
     """``valid`` with one of its fields, drawn, set to a value drawn from ``bad``."""
     return st.sampled_from(sorted(valid)).flatmap(lambda k: bad.map(lambda v: {**valid, k: v}))
 
 
-_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+#: A prior field that is no positive finite number; JSON's booleans would read as 0 and 1.
+_NOT_A_NUMBER = st.one_of(st.sampled_from([math.inf, -math.inf, math.nan]), st.booleans())
 _GAMMA = {"shape": 2.0, "scale": 1.0}
 _NIX = {"dof_nu": 2.0, "scale_beta": 1.0, "loc_theta": 0.0, "prec_phi": 1.0}
 _BOUND = st.floats(-1e6, 1e6)
 #: One field of a valid lognormal config cell and an invalid value for it.
 _BAD_CELL_FIELD = st.one_of(
     st.tuples(st.just("freq_prior"), st.one_of(
-        st.just({}), _one_field_spoiled(_GAMMA, _NON_FINITE))),
+        st.just({}), _one_field_spoiled(_GAMMA, _NOT_A_NUMBER))),
     st.tuples(st.just("sev_prior"), st.one_of(
-        st.just({}), st.just(_GAMMA), _one_field_spoiled(_NIX, _NON_FINITE))),
+        st.just({}), st.just(_GAMMA), _one_field_spoiled(_NIX, _NOT_A_NUMBER))),
     st.tuples(st.just("enforce_finite_mean"),
               st.one_of(st.just(True), st.integers(), st.floats(), st.text())),
     st.tuples(st.just("truncation"), st.one_of(
@@ -795,13 +818,17 @@ def test_repeated_cell_id_exit_code(tmp_path, config_file, ids, shown, command, 
          "--years must be a decimal integer in ASCII"),
         (["simulate", "--family", "pareto", "--lambda0", "\uff12", "--years", "5"],
          "--lambda0 must be a decimal number in ASCII"),
+        # An empty grid is no grid, and a repeated count would only copy its first row.
+        (["experiment", "bias", "--m-grid", ""], "--m-grid must be comma-separated integers, got ''"),
+        (["experiment", "bias", "--m-grid", "5,5"], "--m-grid repeats the year count 5, got '5,5'"),
+        (["experiment", "track", "--m-grid", "5,10,5"], "--m-grid repeats the year count 5"),
     ],
     ids=["m-grid-text", "m-grid-zero", "q", "R", "K", "m-grid-descending", "sigma0",
          "track-R", "lambda0", "years", "lambda0-inf", "mu0-inf", "mu0-nan", "sigma0-inf",
          "sigma0-overflow", "xi0-inf", "experiment-mu0-inf", "mu0-overflow", "xi0-overflow",
          "experiment-mu0-overflow", "experiment-xi0-overflow", "experiment-xi0-overflow-L-half",
          "experiment-thin-history", "m-grid-underscore", "R-plus", "years-underscore",
-         "lambda0-full-width"],
+         "lambda0-full-width", "m-grid-empty", "m-grid-repeat", "track-m-grid-repeat"],
 )
 def test_command_line_range_exit_code(tmp_path, argv, shown, capsys):
     # The flags under test come last, so they override these.
@@ -974,3 +1001,11 @@ def test_experiment_track(tmp_path):
     lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
     assert lines[0].startswith("M,K,mu_hat")
     assert len(lines) == 3
+
+
+def test_experiment_track_runs_the_default_grid(tmp_path):
+    # Without --m-grid, track walks the whole default grid, which is ascending.
+    out = str(tmp_path / "track.csv")
+    assert main(["experiment", "track", "--K", "1000", "--seed", "1", "--out", out]) == 0
+    rows = [l for l in open(out).read().splitlines() if not l.startswith("#")][1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(cli.DEFAULT_M_GRID)

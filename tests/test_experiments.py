@@ -153,6 +153,20 @@ def test_bias_study_rejects_an_empty_grid(monkeypatch):
         bias_study(LN_MODEL, [])
 
 
+def test_bias_study_rejects_a_repeated_year_count(monkeypatch):
+    # Both rows of M = 5 would come from one stream, the second a copy of the first.
+    monkeypatch.setattr(experiments, "ak_quantile",
+                        lambda *args: pytest.fail("drew Q0 for a grid with a repeat"))
+    with pytest.raises(ValueError, match="without a repeated year count, got \\[5, 10, 5\\]"):
+        bias_study(LN_MODEL, [5, 10, 5], R=2)
+
+
+@pytest.mark.parametrize("grid", [[], [5, 5], [10, 5]])
+def test_single_realization_track_needs_a_strictly_ascending_grid(grid):
+    with pytest.raises(ValueError, match="M_grid must be non-empty and strictly ascending"):
+        single_realization_track(LN_MODEL, grid, K_sims=1000)
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_single_realization_track_rejects_workers_below_1(workers):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):

@@ -93,3 +93,14 @@ def test_one_severity_tail():
            and "NormalDist" in (getattr(node.value.func, "id", None),
                                 getattr(node.value.func, "attr", None))}
     assert erfc == {"distributions"} and cdf <= {"distributions"}
+
+
+def test_one_capital_report_path():
+    # Both capital modes derive the cell's stream and size the kept tail in one place
+    # (capital._report), so the two modes cannot drift apart.
+    calls = [(getattr(node.func, "attr", getattr(node.func, "id", None)), node.args)
+             for node in ast.walk(_trees()["capital"]) if isinstance(node, ast.Call)]
+    cell_streams = [f for f, args in calls
+                    if f == "substream" and args and getattr(args[0], "value", None) == "cell"]
+    tails = [f for f, _ in calls if f == "quantile_tail"]
+    assert len(cell_streams) == len(tails) == 1
