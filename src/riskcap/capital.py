@@ -69,6 +69,8 @@ class CellModel:
     enforce_finite_mean: bool = False
 
     def __post_init__(self):
+        if isinstance(self.threshold_L, (bool, np.bool_)):  # Python would take True as 1
+            raise TypeError(f"threshold_L must be a number, got {self.threshold_L!r}")
         if self.severity_family not in ("lognormal", "pareto"):
             raise ValueError(f"unknown severity family: {self.severity_family}")
         if self.severity_family == "pareto":
@@ -85,6 +87,8 @@ class CellModel:
                 raise TypeError("lognormal severity prior must be NIXParams")
             names = ("lambda", "mu", "sigma_sq")
         for name, (lo, hi) in (self.truncation or {}).items():
+            if any(isinstance(b, (bool, np.bool_)) for b in (lo, hi)):
+                raise TypeError(f"truncation of {name!r} must be numbers, got ({lo!r}, {hi!r})")
             if name not in names or not lo < hi:
                 raise ValueError(f"truncation of {name!r} must bound one of {names} by lo < hi")
         if not isinstance(self.enforce_finite_mean, bool):

@@ -155,12 +155,19 @@ def _load_cell(c) -> tuple[CellModel, LossData]:
         for key in ("severity_family", "counts_file", "events_file"):
             if key not in c:
                 raise ValidationError(f"cell {name!r}: missing {key}")
+        for key in ("counts_file", "events_file"):  # open() would take 0 as stdin
+            if not isinstance(c[key], str):
+                raise TypeError(f"{key} must be a file path string, got {json.dumps(c[key])}")
         family = c["severity_family"]
 
         def number(field, value, default=None):  # ``default`` stands for null
-            if isinstance(value, bool):  # Python would take JSON's true as the number 1
-                raise TypeError(f"{field} must be a number, got {json.dumps(value)}")
-            return default if value is None else value
+            if value is None:
+                return default
+            # Not a bool, which Python takes as 0 or 1, nor an int too large for a double.
+            if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                            and abs(value) <= sys.float_info.max):
+                return float(value)
+            raise TypeError(f"{field} must be a number, got {json.dumps(value)}")
 
         def prior(kind, key):
             return kind(**{k: number(f"{key} {k}", v) for k, v in c[key].items()})
@@ -172,8 +179,8 @@ def _load_cell(c) -> tuple[CellModel, LossData]:
         if c.get("sev_prior") is not None:
             sev_prior = prior(NIXParams if family == "lognormal" else GammaParams, "sev_prior")
         if c.get("truncation") is not None:
-            truncation = {p: (float(number(f"truncation of {p}", lo, -math.inf)),
-                              float(number(f"truncation of {p}", hi, math.inf)))
+            truncation = {p: (number(f"truncation of {p}", lo, -math.inf),
+                              number(f"truncation of {p}", hi, math.inf))
                           for p, (lo, hi) in c["truncation"].items()}
         model = CellModel(
             cell_id=name,
@@ -249,7 +256,9 @@ def cmd_simulate(args):
 
 def _checked(name, value, whole=False):
     """``value`` if it is a probability in (0, 1), or with ``whole`` an integer >= 1."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # abs(value) <= max is exact for an int, and false for one too large for a double.
+    real = (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
     if whole and real and value == int(value) and value >= 1:
         return int(value)
     if not whole and real and 0 < value < 1:

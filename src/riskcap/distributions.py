@@ -68,6 +68,13 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
 
+def _refuse_bools(params):
+    """Refuse a bool field of a parameter type, which Python would take as 0 or 1."""
+    for name, value in vars(params).items():
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LognormalParams:
     """Severity on log scale: ln(X) ~ Normal(mu, sigma_sq)."""
@@ -76,6 +83,7 @@ class LognormalParams:
     sigma_sq: float
 
     def __post_init__(self):
+        _refuse_bools(self)
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not 0 < self.sigma_sq < math.inf:
@@ -90,6 +98,7 @@ class ParetoParams:
     threshold_L: float
 
     def __post_init__(self):
+        _refuse_bools(self)
         for name, value in vars(self).items():
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -107,6 +116,7 @@ class PointParams:
     severity: LognormalParams | ParetoParams
 
     def __post_init__(self):
+        _refuse_bools(self)
         if not 0 < self.lam < math.inf:
             raise ValueError(f"Poisson rate lam must be positive and finite, got {self.lam}")
         if not isinstance(self.severity, (LognormalParams, ParetoParams)):
@@ -128,6 +138,7 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
+        _refuse_bools(self)
         for name, value in vars(self).items():
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -86,16 +86,17 @@ def generate_synthetic(true_model: PointParams, M: int, rng: RngStream) -> LossD
     return LossData(annual_counts=counts, severities=severities)
 
 
-def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream, workers: int = 1,
+def _fit_and_quantiles(true_model, M: int, data_stream: RngStream, stream: RngStream, q, K_sims,
                        realization: int | None = None):
-    """MLE fit, non-informative posteriors, and both quantiles for one dataset.
+    """One realization: an M-year history from ``data_stream``, its fits and both quantiles.
 
     Both quantiles come from one :func:`simulate_pair` of K_sims years a mode on
-    ``stream``, which shares their severity draws. Non-finite losses
-    raise :class:`NonFiniteLossError` naming the history, the ``realization`` when
-    given, and the mode. Returns ``(q_conditional, q_predictive, mle, (post_freq,
-    post_sev))``.
+    ``stream``, run on the calling thread, which shares their severity draws. Non-finite
+    losses raise :class:`NonFiniteLossError` naming the history, the ``realization``
+    when given, and the mode. Returns ``(data, q_conditional, q_predictive, mle,
+    (post_freq, post_sev))``.
     """
+    data = generate_synthetic(true_model, M, data_stream)
     name = f"synthetic {data.years}-year history"
     if isinstance(true_model.severity, ParetoParams):
         model = CellModel(name, "pareto", threshold_L=true_model.severity.threshold_L)
@@ -105,12 +106,11 @@ def _fit_and_quantiles(true_model, data: LossData, q, K_sims, stream: RngStream,
     posteriors = fit_posteriors(model, data)
     keep = quantile_tail(K_sims, q)
     try:
-        cond, pred = simulate_pair(mle, *posteriors, K_sims, stream.substream("pair"), workers,
-                                   keep=keep)
+        cond, pred = simulate_pair(mle, *posteriors, K_sims, stream.substream("pair"), keep=keep)
     except NonFiniteLossError as e:
         where = f"cell {name!r}" + ("" if realization is None else f", realization {realization}")
         raise NonFiniteLossError(f"{where}: {e}") from e
-    return empirical_quantile(cond, q), empirical_quantile(pred, q), mle, posteriors
+    return data, empirical_quantile(cond, q), empirical_quantile(pred, q), mle, posteriors
 
 
 def single_realization_track(
@@ -126,29 +126,26 @@ def single_realization_track(
     The dataset at a larger M extends the dataset at a smaller M as a prefix,
     so each row shows how the same history resolves parameter uncertainty.
     A row's two quantiles share their severity draws (:func:`simulate_pair`).
-    Each row's simulation runs on ``workers`` threads; the records do not
-    depend on it.
+    Each row draws from its own derived streams, so the rows run concurrently on
+    ``workers`` threads, each simulating on one thread, and the records do not
+    depend on the worker count.
     """
     M_grid = list(M_grid)
     if not M_grid or any(a >= b for a, b in zip(M_grid, M_grid[1:])):
         raise ValueError(f"M_grid must be non-empty and strictly ascending, got {M_grid}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     rng = RngStream(seed)
-    records = []
-    for M in M_grid:
-        data = generate_synthetic(true_model, M, rng.substream("data"))
-        q_cond, q_pred, mle, (post_freq, post_sev) = _fit_and_quantiles(
-            true_model, data, q, K_sims, rng.substream("track", M), workers
-        )
-        records.append(
-            BiasRecord(
-                M=M,
-                K_data=data.severities.size,
-                estimates=fit_summary(mle, post_freq, post_sev),
-                q_conditional=q_cond / 1e3,
-                q_predictive=q_pred / 1e3,
-            )
-        )
-    return records
+
+    def row(M):
+        data, q_cond, q_pred, mle, (post_freq, post_sev) = _fit_and_quantiles(
+            true_model, M, rng.substream("data"), rng.substream("track", M), q, K_sims)
+        return BiasRecord(M=M, K_data=data.severities.size,
+                          estimates=fit_summary(mle, post_freq, post_sev),
+                          q_conditional=q_cond / 1e3, q_predictive=q_pred / 1e3)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(row, M_grid))
 
 
 def bias_study(
@@ -186,9 +183,8 @@ def bias_study(
     def gap(task):
         M, r = task
         stream = rng.substream("bias", r, M)
-        data = generate_synthetic(true_model, M, stream.substream("data"))
-        q_cond, q_pred, _, _ = _fit_and_quantiles(true_model, data, q, K_sims, stream,
-                                                  realization=r)
+        _, q_cond, q_pred, _, _ = _fit_and_quantiles(true_model, M, stream.substream("data"),
+                                                     stream, q, K_sims, realization=r)
         return q_pred - q_cond
 
     tasks = [(M, r) for M in M_grid for r in range(R)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riskcap import bayes, capital
-from riskcap.bayes import InsufficientDataError, credible_interval
+from riskcap.bayes import InsufficientDataError, NIXParams, PosteriorState, credible_interval
 from riskcap.capital import (
     AGGREGATION_NOTE,
     INFINITE_MEAN_PROB_THRESHOLD,
@@ -17,7 +17,7 @@ from riskcap.capital import (
     fit_posteriors,
     predictive_capital,
 )
-from riskcap.distributions import LognormalParams, PointParams, RngStream
+from riskcap.distributions import GammaParams, LognormalParams, ParetoParams, PointParams, RngStream
 from riskcap.cli import main
 from riskcap.experiments import generate_synthetic
 
@@ -78,6 +78,31 @@ def test_cell_model_validation():
         CellModel(cell_id="x", severity_family="pareto")  # missing threshold
     with pytest.raises(ValueError, match="a lognormal cell takes none"):
         CellModel(cell_id="x", severity_family="lognormal", threshold_L=-5.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GammaParams(True, 1.0),
+    lambda: GammaParams(2.0, np.True_),
+    lambda: NIXParams(True, 1.0, 0.0, 1.0),
+    lambda: NIXParams(2.0, 1.0, np.False_, 1.0),
+    lambda: LognormalParams(True, 1.0),
+    lambda: LognormalParams(0.0, np.True_),
+    lambda: ParetoParams(True, 1.0),
+    lambda: ParetoParams(2.0, np.True_),
+    lambda: PointParams(True, LognormalParams(0.0, 1.0)),
+    lambda: PointParams(np.True_, ParetoParams(2.0, 1.0)),
+    lambda: PosteriorState("pareto-tail", GammaParams(2.0, 1.0), threshold_L=True),
+    lambda: CellModel("x", "pareto", threshold_L=True),
+    lambda: CellModel("x", "pareto", threshold_L=np.True_),
+    lambda: CellModel("x", "pareto", threshold_L=1.0, truncation={"xi": (True, 5.0)}),
+    lambda: CellModel("x", "lognormal", truncation={"sigma_sq": (0.0, np.True_)}),
+], ids=["gamma", "gamma-numpy", "nix", "nix-numpy", "lognormal", "lognormal-numpy", "pareto",
+        "pareto-numpy", "point", "point-numpy", "posterior-threshold", "cell-threshold",
+        "cell-threshold-numpy", "cell-truncation", "cell-truncation-numpy"])
+def test_parameter_types_refuse_a_bool(build):
+    # Python takes True as the number 1, so each of these would construct.
+    with pytest.raises(TypeError, match="must be (a number|numbers), got"):
+        build()
 
 
 def test_conditional_capital_deterministic():

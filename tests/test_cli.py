@@ -22,6 +22,8 @@ from riskcap.cli import (
     load_loss_data,
     main,
 )
+from riskcap.distributions import LognormalParams, ParetoParams, PointParams, RngStream
+from riskcap.experiments import generate_synthetic
 
 
 def _write(path, text):
@@ -637,12 +639,29 @@ def test_row_numbers_count_comment_lines(config_file, loss_files, capsys):
         {"severity_family": "pareto", "threshold_L": True},
         {"freq_prior": {"shape": True, "scale": 1.0}},
         {"severity_family": "pareto", "threshold_L": 1.0, "truncation": {"xi": [True, None]}},
+        # float() would read a number spelt as text, and "1e400" as no bound at all.
+        {"truncation": {"sigma_sq": [None, "4.0"]}},
+        {"truncation": {"sigma_sq": [None, "1e400"]}},
+        # An integer too large for a double.
+        {"truncation": {"sigma_sq": [None, 10**400]}},
+        {"freq_prior": {"shape": 10**400, "scale": 1.0}},
+        {"severity_family": "pareto", "threshold_L": 10**400},
+        # open() would take an integer as a file descriptor.
+        {"counts_file": 12345},
+        {"counts_file": ["c.csv"]},
+        {"counts_file": {"a": 1}},
+        {"events_file": 12345},
+        {"events_file": ["e.csv"]},
+        {"events_file": {"a": 1}},
     ],
     ids=["no-counts", "no-events", "no-family", "freq-prior", "sev-prior", "short-bound",
          "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range",
          "finite-mean-text", "finite-mean-lognormal", "freq-prior-empty", "sev-prior-empty",
          "sev-prior-list", "improper-posterior", "freq-prior-infinite", "sev-prior-infinite",
-         "threshold-lognormal", "threshold-true", "freq-prior-true", "truncation-true"],
+         "threshold-lognormal", "threshold-true", "freq-prior-true", "truncation-true",
+         "numeric-text-bound", "overflow-text-bound", "huge-bound", "huge-freq-prior",
+         "huge-threshold", "counts-int", "counts-list", "counts-dict", "events-int",
+         "events-list", "events-dict"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command, capsys):
@@ -664,7 +683,23 @@ def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command,
     ({"sev_prior": {"dof_nu": 2.0, "scale_beta": 1.0, "loc_theta": False, "prec_phi": 1.0}},
      "sev_prior loc_theta must be a number, got false"),
     ({"truncation": {"mu": [None, True]}}, "truncation of mu must be a number, got true"),
-], ids=["threshold", "prior", "truncation"])
+    ({"truncation": {"sigma_sq": [None, "4.0"]}},
+     'truncation of sigma_sq must be a number, got "4.0"'),
+    ({"truncation": {"sigma_sq": [None, "1e400"]}},
+     'truncation of sigma_sq must be a number, got "1e400"'),
+    ({"freq_prior": {"shape": 2.0, "scale": "1"}}, 'freq_prior scale must be a number, got "1"'),
+    ({"severity_family": "pareto", "threshold_L": "1"}, 'threshold_L must be a number, got "1"'),
+    ({"truncation": {"sigma_sq": [None, 10**400]}},
+     f"truncation of sigma_sq must be a number, got {10**400}"),
+    ({"freq_prior": {"shape": 10**400, "scale": 1.0}},
+     f"freq_prior shape must be a number, got {10**400}"),
+    ({"severity_family": "pareto", "threshold_L": 10**400},
+     f"threshold_L must be a number, got {10**400}"),
+    ({"counts_file": 12345}, "counts_file must be a file path string, got 12345"),
+    ({"events_file": ["e.csv"]}, 'events_file must be a file path string, got ["e.csv"]'),
+], ids=["threshold", "prior", "truncation", "text-bound", "overflow-text-bound", "text-prior",
+        "text-threshold", "huge-bound", "huge-prior", "huge-threshold", "counts-int",
+        "events-list"])
 def test_config_boolean_names_its_field(tmp_path, config_file, change, shown, capsys):
     cfg = json.loads(open(config_file).read())
     cfg["cells"][0].update(change)
@@ -730,6 +765,7 @@ def test_one_invalid_config_field_names_its_cell(tmp_path_factory, cell_id, fiel
         ([], {"gamma": "0.9"}, "got '0.9'"),
         ([], {"K": 0}, "K must be an integer >= 1, got 0"),
         ([], {"K": 10.5}, "got 10.5"),
+        ([], {"K": 10**400}, f"K must be an integer >= 1, got {10**400}"),  # no double holds it
         # Each flag takes only the CSV number grammar, which int() and float() exceed.
         (["--K", "1_000"], {}, "--K must be a decimal integer in ASCII"),
         (["--q", "\u0660.\u0669"], {}, "--q must be a decimal number in ASCII"),  # Arabic-Indic
@@ -737,7 +773,8 @@ def test_one_invalid_config_field_names_its_cell(tmp_path_factory, cell_id, fiel
         (["--seed", "1_0"], {}, "--seed must be an unsigned decimal, got '1_0'"),
     ],
     ids=["q-flag", "q-zero", "gamma-flag", "K-flag", "q-config", "gamma-text", "K-config",
-         "K-fraction", "K-underscore", "q-arabic-indic", "gamma-space", "seed-underscore"],
+         "K-fraction", "K-huge", "K-underscore", "q-arabic-indic", "gamma-space",
+         "seed-underscore"],
 )
 def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, capsys):
     cfg = {**json.loads(open(config_file).read()), "K": 1000, **config}
@@ -1009,3 +1046,62 @@ def test_experiment_track_runs_the_default_grid(tmp_path):
     assert main(["experiment", "track", "--K", "1000", "--seed", "1", "--out", out]) == 0
     rows = [l for l in open(out).read().splitlines() if not l.startswith("#")][1:]
     assert [int(row.split(",")[0]) for row in rows] == list(cli.DEFAULT_M_GRID)
+
+
+def _history_files(d, name, data, scale):
+    """Counts and events files of ``data`` with every amount times ``scale``."""
+    years = range(1, data.years + 1)
+    counts = _write(d / f"{name}-counts.csv", "year,count\n" + "".join(
+        f"{y},{n}\n" for y, n in zip(years, data.annual_counts)))
+    year_of = [y for y, n in zip(years, data.annual_counts) for _ in range(n)]
+    events = _write(d / f"{name}-events.csv", "year,amount\n" + "".join(
+        f"{y},{a * scale!r}\n" for y, a in zip(year_of, data.severities.tolist())))
+    return {"counts_file": counts, "events_file": events}
+
+
+def _capital_by_cell(d, name, cells, seed):
+    """``capital`` rows of a config holding ``cells``, by (cell id, mode)."""
+    config = _write(d / f"{name}.json", json.dumps({"cells": cells}))
+    out = d / f"{name}.csv"
+    argv = ["capital", "--config", config, "--K", "2000", "--seed", str(seed), "--csv", str(out)]
+    assert _run(argv) == (0, "")
+    return {(row["cell_id"], row["mode"]): row for row in _capital_rows(out)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), M=st.integers(10, 30), L=st.floats(0.5, 50.0),
+       power=st.integers(-20, 20))
+def test_capital_scales_with_the_currency_and_ignores_other_cells(tmp_path_factory, seed, M, L,
+                                                                 power):
+    # A power-of-2 scale is exact on a Pareto cell: the fit reads only x/L, and a
+    # severity is L times a factor. A lognormal cell's log-amounts shift by log(scale).
+    d, scale = tmp_path_factory.mktemp("scale"), 2.0 ** power
+    stream = RngStream(seed)
+    pareto = generate_synthetic(PointParams(5.0, ParetoParams(xi=2.0, threshold_L=L)), M,
+                                stream.substream("pareto"))
+    lognormal = generate_synthetic(PointParams(5.0, LognormalParams(mu=1.0, sigma_sq=1.0)), M,
+                                   stream.substream("lognormal"))
+
+    def cells(s):
+        return [{"id": "p", "severity_family": "pareto", "threshold_L": L * s,
+                 **_history_files(d, f"p{s}", pareto, s)},
+                {"id": "pf", "severity_family": "pareto", "threshold_L": L * s,
+                 "enforce_finite_mean": True, **_history_files(d, f"p{s}", pareto, s)},
+                {"id": "ln", "severity_family": "lognormal",
+                 **_history_files(d, f"ln{s}", lognormal, s)}]
+
+    base = _capital_by_cell(d, "base", cells(1.0), seed)
+    scaled = _capital_by_cell(d, "scaled", cells(scale), seed)
+    assert base.keys() == scaled.keys() and len(base) == 6
+    for (cell_id, mode), row in base.items():
+        other = scaled[cell_id, mode]
+        assert other["warnings"] == row["warnings"]
+        for column in ("value", "ci_lower", "ci_upper"):
+            if cell_id == "ln":
+                assert other[column] == pytest.approx(row[column] * scale, rel=1e-12, abs=0)
+            else:
+                assert other[column] == row[column] * scale, (cell_id, mode, column)
+    # Each cell draws from streams derived from its own id, so alone it gives its rows.
+    for cell in cells(1.0):
+        alone = _capital_by_cell(d, cell["id"], [cell], seed)
+        assert alone == {key: row for key, row in base.items() if key[0] == cell["id"]}

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -130,8 +132,8 @@ def test_bias_study_matches_serial_loop():
         gaps = np.empty(R)
         for r in range(R):
             stream = rng.substream("bias", r, M)
-            data = generate_synthetic(LN_MODEL, M, stream.substream("data"))
-            q_cond, q_pred, _, _ = _fit_and_quantiles(LN_MODEL, data, q, K_sims, stream)
+            _, q_cond, q_pred, _, _ = _fit_and_quantiles(LN_MODEL, M, stream.substream("data"),
+                                                         stream, q, K_sims)
             gaps[r] = q_pred - q_cond
         expected.append((M, float(gaps.mean() / q0)))
 
@@ -175,10 +177,23 @@ def test_single_realization_track_rejects_workers_below_1(workers):
 
 @pytest.mark.parametrize("workers", [2, 8])
 def test_single_realization_track_independent_of_workers(workers):
-    # K_sims spans two engine batches.
+    # Three rows, so that several run at once; K_sims spans two engine batches.
     kw = dict(q=0.99, K_sims=150_000, seed=16)
-    serial = single_realization_track(LN_MODEL, [5], workers=1, **kw)
-    assert single_realization_track(LN_MODEL, [5], workers=workers, **kw) == serial
+    serial = single_realization_track(LN_MODEL, [5, 10, 20], workers=1, **kw)
+    assert single_realization_track(LN_MODEL, [5, 10, 20], workers=workers, **kw) == serial
+
+
+def test_track_rows_run_concurrently(monkeypatch):
+    # Each row waits for the other, so rows run one after another break the barrier.
+    barrier, realization = threading.Barrier(2, timeout=5), experiments._fit_and_quantiles
+
+    def waiting(*args, **kwargs):
+        barrier.wait()
+        return realization(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_fit_and_quantiles", waiting)
+    records = single_realization_track(LN_MODEL, [5, 10], K_sims=1000, workers=2)
+    assert [r.M for r in records] == [5, 10]
 
 
 def test_bias_curve_validation():

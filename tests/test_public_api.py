@@ -104,3 +104,18 @@ def test_one_capital_report_path():
                     if f == "substream" and args and getattr(args[0], "value", None) == "cell"]
     tails = [f for f, _ in calls if f == "quantile_tail"]
     assert len(cell_streams) == len(tails) == 1
+
+
+def test_one_realization_path():
+    # Both experiments draw, fit and simulate a realization in one place
+    # (experiments._fit_and_quantiles), so the track and the study cannot drift apart.
+    tree = _trees()["experiments"]
+
+    def called(root):
+        names = (getattr(node.func, "id", getattr(node.func, "attr", None))
+                 for node in ast.walk(root) if isinstance(node, ast.Call))
+        return sorted(n for n in names if n in ("generate_synthetic", "simulate_pair"))
+
+    realization, = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_fit_and_quantiles"]
+    assert called(tree) == called(realization) == ["generate_synthetic", "simulate_pair"]
