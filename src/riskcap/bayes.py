@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GammaParams, RngStream
+from .distributions import GammaParams, RngStream, refuse_bools
 
 __all__ = [
     "NIXParams",
@@ -60,9 +60,7 @@ class NIXParams:
     prec_phi: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():  # Python would take a bool as 0 or 1
-            if isinstance(value, (bool, np.bool_)):
-                raise TypeError(f"{name} must be a number, got {value!r}")
+        refuse_bools(self)
         if not all(map(math.isfinite, vars(self).values())):
             raise ValueError(f"NIX parameters must be finite, got {self}")
         if not self.scale_beta > 0:
@@ -96,8 +94,7 @@ class PosteriorState:
     threshold_L: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.threshold_L, (bool, np.bool_)):  # Python would take True as 1
-            raise TypeError(f"threshold_L must be a number, got {self.threshold_L!r}")
+        refuse_bools(self)
         if self.threshold_L is not None and not self.threshold_L > 0:
             raise ValueError(f"threshold_L must be positive, got {self.threshold_L}")
         if self.family not in _FAMILIES:

@@ -68,7 +68,7 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
 
-def _refuse_bools(params):
+def refuse_bools(params):
     """Refuse a bool field of a parameter type, which Python would take as 0 or 1."""
     for name, value in vars(params).items():
         if isinstance(value, (bool, np.bool_)):
@@ -83,7 +83,7 @@ class LognormalParams:
     sigma_sq: float
 
     def __post_init__(self):
-        _refuse_bools(self)
+        refuse_bools(self)
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu}")
         if not 0 < self.sigma_sq < math.inf:
@@ -98,7 +98,7 @@ class ParetoParams:
     threshold_L: float
 
     def __post_init__(self):
-        _refuse_bools(self)
+        refuse_bools(self)
         for name, value in vars(self).items():
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -116,7 +116,7 @@ class PointParams:
     severity: LognormalParams | ParetoParams
 
     def __post_init__(self):
-        _refuse_bools(self)
+        refuse_bools(self)
         if not 0 < self.lam < math.inf:
             raise ValueError(f"Poisson rate lam must be positive and finite, got {self.lam}")
         if not isinstance(self.severity, (LognormalParams, ParetoParams)):
@@ -138,7 +138,7 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        _refuse_bools(self)
+        refuse_bools(self)
         for name, value in vars(self).items():
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")

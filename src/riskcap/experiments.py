@@ -87,11 +87,11 @@ def generate_synthetic(true_model: PointParams, M: int, rng: RngStream) -> LossD
 
 
 def _fit_and_quantiles(true_model, M: int, data_stream: RngStream, stream: RngStream, q, K_sims,
-                       realization: int | None = None):
+                       workers: int = 1, realization: int | None = None):
     """One realization: an M-year history from ``data_stream``, its fits and both quantiles.
 
     Both quantiles come from one :func:`simulate_pair` of K_sims years a mode on
-    ``stream``, run on the calling thread, which shares their severity draws. Non-finite
+    ``stream`` and ``workers`` threads, which shares their severity draws. Non-finite
     losses raise :class:`NonFiniteLossError` naming the history, the ``realization``
     when given, and the mode. Returns ``(data, q_conditional, q_predictive, mle,
     (post_freq, post_sev))``.
@@ -106,7 +106,8 @@ def _fit_and_quantiles(true_model, M: int, data_stream: RngStream, stream: RngSt
     posteriors = fit_posteriors(model, data)
     keep = quantile_tail(K_sims, q)
     try:
-        cond, pred = simulate_pair(mle, *posteriors, K_sims, stream.substream("pair"), keep=keep)
+        cond, pred = simulate_pair(mle, *posteriors, K_sims, stream.substream("pair"), workers,
+                                   keep=keep)
     except NonFiniteLossError as e:
         where = f"cell {name!r}" + ("" if realization is None else f", realization {realization}")
         raise NonFiniteLossError(f"{where}: {e}") from e
@@ -126,20 +127,21 @@ def single_realization_track(
     The dataset at a larger M extends the dataset at a smaller M as a prefix,
     so each row shows how the same history resolves parameter uncertainty.
     A row's two quantiles share their severity draws (:func:`simulate_pair`).
-    Each row draws from its own derived streams, so the rows run concurrently on
-    ``workers`` threads, each simulating on one thread, and the records do not
-    depend on the worker count.
+    Rows draw from their own derived streams and run concurrently on ``workers``
+    threads, each row's batches on ``max(1, workers // len(M_grid))`` of them, so the
+    records do not depend on the worker count. A failing row raises once the rows
+    before it are done; rows not yet started are cancelled.
     """
     M_grid = list(M_grid)
     if not M_grid or any(a >= b for a, b in zip(M_grid, M_grid[1:])):
         raise ValueError(f"M_grid must be non-empty and strictly ascending, got {M_grid}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    rng = RngStream(seed)
+    rng, share = RngStream(seed), max(1, workers // len(M_grid))
 
     def row(M):
         data, q_cond, q_pred, mle, (post_freq, post_sev) = _fit_and_quantiles(
-            true_model, M, rng.substream("data"), rng.substream("track", M), q, K_sims)
+            true_model, M, rng.substream("data"), rng.substream("track", M), q, K_sims, share)
         return BiasRecord(M=M, K_data=data.severities.size,
                           estimates=fit_summary(mle, post_freq, post_sev),
                           q_conditional=q_cond / 1e3, q_predictive=q_pred / 1e3)

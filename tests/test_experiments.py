@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +195,35 @@ def test_track_rows_run_concurrently(monkeypatch):
     monkeypatch.setattr(experiments, "_fit_and_quantiles", waiting)
     records = single_realization_track(LN_MODEL, [5, 10], K_sims=1000, workers=2)
     assert [r.M for r in records] == [5, 10]
+
+
+@pytest.mark.parametrize("grid, share", [([5], 4), ([5, 10], 2), ([5, 10, 20], 1)])
+def test_track_rows_share_the_workers(monkeypatch, grid, share):
+    # A grid shorter than workers hands each row's batches the threads its rows leave idle.
+    seen, pair = [], experiments.simulate_pair
+
+    def recording(*args, **kwargs):
+        seen.append(args[5])
+        return pair(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate_pair", recording)
+    single_realization_track(LN_MODEL, grid, K_sims=1000, workers=4)
+    assert seen == [share] * len(grid)
+
+
+def test_track_cancels_rows_after_a_failing_row(monkeypatch):
+    started = []
+
+    def failing(true_model, M, *args, **kwargs):
+        started.append(M)
+        if M > 5:
+            time.sleep(0.5)  # holds the one thread while the failure cancels the rest
+        raise ValueError(f"row {M} failed")
+
+    monkeypatch.setattr(experiments, "_fit_and_quantiles", failing)
+    with pytest.raises(ValueError, match="row 5 failed"):
+        single_realization_track(LN_MODEL, [5, 10, 20, 40, 80], K_sims=1000, workers=1)
+    assert started in ([5], [5, 10])
 
 
 def test_bias_curve_validation():
