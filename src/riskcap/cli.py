@@ -44,6 +44,11 @@ DEFAULT_M_GRID = (5, 10, 15, 20, 40, 60, 80, 100, 200, 400)
 #: The horizon over which ``experiment`` refuses a true point whose losses may overflow.
 EXPERIMENT_OVERFLOW_YEARS = 10**6
 
+#: The keys a config may hold, and those a config cell may hold; any other is refused.
+CONFIG_KEYS = {"cells", "seed", "q", "K", "gamma", "mode"}
+CELL_KEYS = {"id", "severity_family", "counts_file", "events_file", "threshold_L", "freq_prior",
+             "sev_prior", "truncation", "enforce_finite_mean"}
+
 CAPITAL_COLUMNS = ["cell_id", "mode", "q", "K", "value", "ci_lower", "ci_upper", "warnings"]
 CAPITAL_TYPES = (str, str, float, int, float, float, float, str)
 
@@ -53,12 +58,44 @@ class ValidationError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
+# Numbers
 
 #: The spelling of a number in a CSV field, a command-line flag or a seed: ASCII only,
 #: where ``int`` and ``float`` also take spaces, a "+", digit underscores and non-ASCII digits.
 _NUMBER = {int: re.compile(r"-?[0-9]+"),
            float: re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|inf|nan)")}
+
+
+def _parse(source, kind, text):
+    """``kind`` (int or float) of ``text`` spelt as ``_NUMBER`` has it; any other
+    spelling raises ValidationError naming ``source``."""
+    if not _NUMBER[kind].fullmatch(text):
+        noun = "integer" if kind is int else "number"
+        raise ValidationError(f"{source} must be a decimal {noun} in ASCII, "
+                              f"without '+', '_' or spaces, got {text!r}")
+    try:
+        return kind(text)
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        raise ValidationError(f"{source} has too many digits ({len(text)})") from None
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is an int or float that a double holds: finite, and not a
+    bool, which Python takes as 0 or 1. ``abs(value) <= max`` is exact for an int."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _checked(name, value, least=None):
+    """``value`` if it is a probability in (0, 1), or with ``least`` an integer >= ``least``."""
+    if _real(value) and (0 < value < 1 if least is None else value == int(value) >= least):
+        return value if least is None else int(value)
+    what = "in (0, 1)" if least is None else f"an integer >= {least}"
+    raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
+# CSV I/O
 
 
 def _read_csv(path, header, types):
@@ -67,11 +104,14 @@ def _read_csv(path, header, types):
     Lines starting with ``#`` are skipped, but the numbers are the file's own:
     a row is numbered by the line it starts on, even if a quoted field spans
     lines. The first other line must be ``header``; a row with another field
-    count, or a number field that does not match its ASCII grammar in
-    ``_NUMBER``, is malformed.
+    count, or a number field that ``_parse`` refuses, is malformed. A file
+    that cannot be opened or decoded raises ValidationError naming it.
     """
-    with open(path, newline="") as fh:
-        kept = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+    try:
+        with open(path, newline="") as fh:
+            kept = [(n, line) for n, line in enumerate(fh, start=1) if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"{path}: cannot read: {e}")
     reader = csv.reader(line for _, line in kept)
 
     def numbered():
@@ -85,12 +125,10 @@ def _read_csv(path, header, types):
     if first != header:
         raise ValidationError(f"{path}: expected header {','.join(header)!r}, got {first}")
     for n, row in rows:
-        try:
-            if len(row) != len(header) or not all(
-                    t is str or _NUMBER[t].fullmatch(f) for t, f in zip(types, row)):
-                raise ValueError
-            fields = [parse(field) for parse, field in zip(types, row)]
-        except ValueError:
+        try:  # zip(strict=True) raises ValueError on a row of another length
+            fields = [f if t is str else _parse(path, t, f)
+                      for t, f in zip(types, row, strict=True)]
+        except (ValueError, ValidationError):
             raise ValidationError(f"{path}:{n}: malformed row {row!r}")
         yield n, fields, row
 
@@ -150,11 +188,14 @@ def load_loss_data(counts_path, events_path) -> LossData:
 
 def _load_cell(c) -> tuple[CellModel, LossData]:
     """A config cell's model and loss history; a malformed cell names itself."""
-    name = c.get("id", "cell") if isinstance(c, dict) else c
+    name = c.get("id", "cell")
     try:
         for key in ("severity_family", "counts_file", "events_file"):
             if key not in c:
                 raise ValidationError(f"cell {name!r}: missing {key}")
+        for key in c:
+            if key not in CELL_KEYS:
+                raise ValueError(f"unknown key {key!r}")
         for key in ("counts_file", "events_file"):  # open() would take 0 as stdin
             if not isinstance(c[key], str):
                 raise TypeError(f"{key} must be a file path string, got {json.dumps(c[key])}")
@@ -163,11 +204,9 @@ def _load_cell(c) -> tuple[CellModel, LossData]:
         def number(field, value, default=None):  # ``default`` stands for null
             if value is None:
                 return default
-            # Not a bool, which Python takes as 0 or 1, nor an int too large for a double.
-            if isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
-                                            and abs(value) <= sys.float_info.max):
-                return float(value)
-            raise TypeError(f"{field} must be a number, got {json.dumps(value)}")
+            if not _real(value):
+                raise TypeError(f"{field} must be a number, got {json.dumps(value)}")
+            return float(value)
 
         def prior(kind, key):
             return kind(**{k: number(f"{key} {k}", v) for k, v in c[key].items()})
@@ -197,18 +236,29 @@ def _load_cell(c) -> tuple[CellModel, LossData]:
 
 
 def load_config(path) -> dict:
+    """The config at ``path``: its keys are among ``CONFIG_KEYS``, and its cells are
+    objects with distinct ids, each a non-empty string (``cell`` when left out)."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # also bad UTF-8, and an int past int()'s digit limit
         raise ValidationError(f"cannot read config {path}: {e}")
     if not isinstance(cfg, dict) or not isinstance(cfg.get("cells"), list) or not cfg["cells"]:
         raise ValidationError("config must define at least one cell")
-    first = {}  # by repr, as an id may be a list: a cell's random streams derive from its id
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ValidationError(f"{path}: unknown key {key!r}")
+    first = {}  # a cell's random streams derive from its id
     for pos, c in enumerate(cfg["cells"], start=1):
-        shown = repr(c.get("id", "cell")) if isinstance(c, dict) else None
-        if shown and first.setdefault(shown, pos) != pos:
-            raise ValidationError(f"{path}: cells {first[shown]} and {pos} share the id {shown}")
+        if not isinstance(c, dict):
+            raise ValidationError(f"{path}: cell {pos} must be an object, got {json.dumps(c)}")
+        cell_id = c.get("id", "cell")
+        if not isinstance(cell_id, str) or not cell_id:
+            raise ValidationError(
+                f"{path}: cell {pos}: id must be a non-empty string, got {json.dumps(cell_id)}")
+        if first.setdefault(cell_id, pos) != pos:
+            raise ValidationError(
+                f"{path}: cells {first[cell_id]} and {pos} share the id {cell_id!r}")
     return cfg
 
 
@@ -216,20 +266,9 @@ def _resolve_seed(flag_seed, config_seed=None):
     """Seed precedence: flag, then RISKCAP_SEED env var, then config, then clock."""
     env = os.environ.get(SEED_ENV_VAR)
     for source, value in (("--seed", flag_seed), (SEED_ENV_VAR, env), ("config seed", config_seed)):
-        if value is None:
-            continue
-        try:
-            if isinstance(value, str) and not _NUMBER[int].fullmatch(value):
-                raise ValueError  # int() would take "1_0", "+3", " 7" and full-width digits
-            seed = int(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"{source} must be an unsigned decimal, got {value!r}")
-        # int() would truncate a config seed of 3.7 to 3 and take true as 1.
-        if isinstance(value, bool) or (isinstance(value, float) and seed != value):
-            raise ValidationError(f"{source} must be an integer, got {value!r}")
-        if seed < 0:
-            raise ValidationError(f"{source} must be non-negative, got {seed}")
-        return seed
+        if value is not None:
+            return _checked(source, _parse(source, int, value) if isinstance(value, str) else value,
+                            least=0)
     return time.time_ns() % 2**63
 
 
@@ -239,7 +278,7 @@ def _resolve_seed(flag_seed, config_seed=None):
 
 def cmd_simulate(args):
     seed = _resolve_seed(args.seed)
-    years = _checked("--years", args.years, whole=True)
+    years = _checked("--years", args.years, least=1)
     model = _true_model_from_args(args, args.family, years)
     data = exp_mod.generate_synthetic(model, years, RngStream(seed).substream("simulate"))
     years = np.arange(1, data.years + 1)
@@ -254,28 +293,14 @@ def cmd_simulate(args):
     return 0
 
 
-def _checked(name, value, whole=False):
-    """``value`` if it is a probability in (0, 1), or with ``whole`` an integer >= 1."""
-    # abs(value) <= max is exact for an int, and false for one too large for a double.
-    real = (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-    if whole and real and value == int(value) and value >= 1:
-        return int(value)
-    if not whole and real and 0 < value < 1:
-        return value
-    what = "an integer >= 1" if whole else "in (0, 1)"
-    raise ValidationError(f"{name} must be {what}, got {value!r}")
-
-
 def _fmt(x, digits=4):
     return f"{x:.{digits}g}"
 
 
 def cmd_fit(args):
-    cfg = load_config(args.config)
+    cells = [_load_cell(c) for c in load_config(args.config)["cells"]]
     rows = []
-    for c in cfg["cells"]:
-        model, data = _load_cell(c)
+    for model, data in cells:
         no_mle = None
         try:
             mle = capital_mod.fit_mle(model, data)
@@ -308,14 +333,14 @@ def cmd_capital(args):
     mode = args.mode if args.mode is not None else cfg.get("mode", "both")
     seed = _resolve_seed(args.seed, cfg.get("seed"))
     q, gamma = _checked("q", q), _checked("gamma", gamma)
-    K = _checked("K", K, whole=True)
-    workers = _checked("--workers", args.workers, whole=True)
+    K = _checked("K", K, least=1)
+    workers = _checked("--workers", args.workers, least=1)
     if mode not in ("conditional", "predictive", "both"):
         raise ValidationError(f"mode must be conditional, predictive, or both, got {mode!r}")
 
+    cells = [_load_cell(c) for c in cfg["cells"]]  # every cell is read before any is simulated
     reports = []
-    for c in cfg["cells"]:
-        model, data = _load_cell(c)
+    for model, data in cells:
         for m, run in (("conditional", capital_mod.conditional_capital),
                        ("predictive", capital_mod.predictive_capital)):
             try:
@@ -350,7 +375,7 @@ def _read_capital(path):
     """
     rows = []
     for i, fields, row in _read_csv(path, CAPITAL_COLUMNS, CAPITAL_TYPES):
-        if not all(map(math.isfinite, fields[2:7])):  # q, K, value and the interval
+        if not all(map(_real, fields[2:7])):  # q, K, value and the interval
             raise ValidationError(f"{path}:{i}: non-finite number in row {row!r}")
         rows.append(dict(zip(CAPITAL_COLUMNS, fields), source=f"{path}:{i}"))
     if not rows:
@@ -419,7 +444,7 @@ MORE_DATA = "raise --lambda0 or the smallest --m-grid year count"
 def cmd_experiment(args):
     seed = _resolve_seed(args.seed)
     model = _true_model_from_args(args, args.severity, EXPERIMENT_OVERFLOW_YEARS)
-    K = _checked("--K", 10**5 if args.K is None else args.K, whole=True)
+    K = _checked("--K", 10**5 if args.K is None else args.K, least=1)
     _checked("--q", args.q)
 
     try:
@@ -441,7 +466,7 @@ def cmd_experiment(args):
             print(f"# seed={seed}")
             print(f"wrote {len(records)} rows to {args.out} (quantiles in thousands)")
         else:
-            R = _checked("--R", 20 if args.R is None else args.R, whole=True)
+            R = _checked("--R", 20 if args.R is None else args.R, least=1)
             curve = exp_mod.bias_study(model, args.m_grid, R, args.q, K, seed,
                                        workers=usable_cpus())
             comments = [f"seed={seed}", f"realizations={curve.realizations}",
@@ -461,27 +486,20 @@ def cmd_experiment(args):
 
 
 def _number(flag, kind):
-    """The argparse ``type`` of a number flag: ``kind`` (int or float) of a value spelt
-    as ``_NUMBER`` has it. Any other spelling raises ValidationError, which argparse
-    lets through, so ``main`` exits 2 naming the flag."""
-    def parse(text):
-        if not _NUMBER[kind].fullmatch(text):
-            noun = "integer" if kind is int else "number"
-            raise ValidationError(
-                f"{flag} must be a decimal {noun} in ASCII, without '+', '_' or spaces, "
-                f"got {text!r}")
-        return kind(text)
-    return parse
+    """The argparse ``type`` of a number flag. ``_parse``'s ValidationError passes
+    argparse, so ``main`` exits 2 naming the flag."""
+    return lambda text: _parse(flag, kind, text)
 
 
 def _year_grid(text):
     """The argparse ``type`` of ``--m-grid``: comma-separated year counts, each spelt as
     ``_NUMBER`` has it, at least 1 and not repeated. Any other grid raises ValidationError,
     as ``_number``'s does."""
-    items = text.split(",")
-    if not all(_NUMBER[int].fullmatch(m) for m in items):
+    try:
+        grid = [_parse("--m-grid", int, m) for m in text.split(",")]
+    except ValidationError:
         raise ValidationError(f"--m-grid must be comma-separated integers, got {text!r}")
-    grid = [_checked("--m-grid year count", int(m), whole=True) for m in items]
+    grid = [_checked("--m-grid year count", m, least=1) for m in grid]
     repeated = [m for i, m in enumerate(grid) if m in grid[:i]]
     if repeated:  # its rows would come from one stream, each a copy of the first
         raise ValidationError(f"--m-grid repeats the year count {repeated[0]}, got {text!r}")

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskcap import bayes, capital
 from riskcap.bayes import InsufficientDataError, NIXParams, PosteriorState, credible_interval
@@ -251,3 +253,19 @@ def test_aggregate_total_at_least_max(tmp_path):
     caps = [_capital_csv(tmp_path, c, v) for c, v in values.items()]
     agg = _aggregate(tmp_path, caps)
     assert agg["total"] >= max(values.values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_capital_does_not_fall_as_q_rises(seed):
+    # The stream derives from the cell id and the mode alone, so at one seed and K
+    # every q reads the same loss multiset: a higher q reads a higher order statistic.
+    truth = PointParams(lam=3.0, severity=ParetoParams(xi=1.5, threshold_L=1.0))
+    data = generate_synthetic(truth, 15, RngStream(seed).substream("history"))
+    model = CellModel(cell_id="p", severity_family="pareto", threshold_L=1.0)
+    for run in (conditional_capital, predictive_capital):
+        estimates = [run(model, data, q, 20_000, 0.95, seed).estimate
+                     for q in (0.9, 0.95, 0.99, 0.995, 0.999)]
+        for column in ("value", "ci_lower", "ci_upper"):
+            figures = [getattr(e, column) for e in estimates]
+            assert figures == sorted(figures), (run.__name__, column, figures)

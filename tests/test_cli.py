@@ -96,6 +96,8 @@ def test_counts_file_validation(config_file, loss_files, capsys):
         ("year,count\n1,2\n2,+3\n", ":3: malformed row ['2', '+3']"),
         ("year,count\n1,2\n2,\uff13\n", ":3: malformed row ['2', '\uff13']"),
         ("year,count\n1,2\n2,4\n", ":3: tally mismatch for year 2: counts file says 4,"),
+        ("year,count\n1,2\n2,3\n1,0\n", ":4: duplicate year 1"),
+        ("# seed=1\nyear,count\n", ": no observation years"),
     ]:
         _write(Path(counts), text)
         assert main(["fit", "--config", config_file]) == EXIT_VALIDATION
@@ -221,7 +223,8 @@ def test_negative_seed_exit_code(tmp_path, config_file, monkeypatch, capsys):
     # int() takes each of these; the CSV number grammar does not.
     for seed in ("+3", " 7", "1_0", "\uff15"):
         assert main(argv + ["--seed", seed]) == EXIT_VALIDATION
-        assert f"--seed must be an unsigned decimal, got {seed!r}" in capsys.readouterr().err
+        assert (f"--seed must be a decimal integer in ASCII, without '+', '_' or spaces, "
+                f"got {seed!r}") in capsys.readouterr().err
 
     for seed in ("-5", "\uff15"):  # a full-width 5
         monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
@@ -550,16 +553,55 @@ _CAPITAL_HEADER = "# seed=1\ncell_id,mode,q,K,value,ci_lower,ci_upper,warnings\n
         ("a,conditional,0.999,2000,10.0,9.0,11.0,\nb,conditional,0.999,2000,inf,9.0,11.0,\n",
          ":4: non-finite"),
         ("", ": no capital rows"),
+        # An integer no double holds, which math.isfinite() would raise OverflowError on.
+        (f"a,conditional,0.999,{10**400},10.0,9.0,11.0,\n", ":3: non-finite"),
         # The quoted warnings span lines 3-4, so the bad row starts on line 5.
         ('a,conditional,0.999,2000,10.0,9.0,11.0,"one\ntwo"\n'
          "b,conditional,0.999,2000,x,9.0,11.0,\n", ":5: malformed row"),
     ],
-    ids=["short", "non-numeric", "long", "non-finite", "empty", "multi-line-field"],
+    ids=["short", "non-numeric", "long", "non-finite", "empty", "huge-K", "multi-line-field"],
 )
 def test_aggregate_malformed_capital_csv_exit_code(tmp_path, rows, message, capsys):
     path = _write(tmp_path / "cap.csv", _CAPITAL_HEADER + rows)
     assert main(["aggregate", path]) == EXIT_VALIDATION
     assert f"{path}{message}" in capsys.readouterr().err
+
+
+def _spoil(path, how):
+    """Remove the file at ``path``, put a directory in its place, or open it with a
+    byte that is not UTF-8."""
+    if how == "not-utf8":
+        Path(path).write_bytes(b"\xff" + Path(path).read_bytes())
+    else:
+        os.remove(path)
+        if how == "directory":
+            os.mkdir(path)
+
+
+#: (command, input, how) for each way an input of a command cannot be read.
+_UNREADABLE = [(command, target, how) for command in ("fit", "capital")
+               for target, how in [("counts", "missing"), ("events", "directory"),
+                                   ("events", "not-utf8"), ("config", "missing"),
+                                   ("config", "not-utf8"), ("config", "huge-int")]]
+_UNREADABLE += [("aggregate", "capital", how) for how in ("missing", "directory", "not-utf8")]
+
+
+@pytest.mark.parametrize("command, target, how", _UNREADABLE, ids=map("-".join, _UNREADABLE))
+def test_unreadable_input_exit_code(tmp_path, config_file, loss_files, command, target, how,
+                                    capsys):
+    paths = {"counts": loss_files[0], "events": loss_files[1], "config": config_file,
+             "capital": _write(tmp_path / "cap.csv",
+                               _CAPITAL_HEADER + "a,conditional,0.999,2000,10.0,9.0,11.0,\n")}
+    if how == "huge-int":  # past the digit limit of the int() that json reads integers with
+        text = open(config_file).read().replace('"seed": 99', '"K": ' + "9" * 5000)
+        _write(Path(config_file), text)
+    else:
+        _spoil(paths[target], how)
+    argv = {"fit": ["fit", "--config", config_file],
+            "capital": ["capital", "--config", config_file, "--K", "1000"],
+            "aggregate": ["aggregate", paths["capital"]]}[command]
+    assert main(argv) == EXIT_VALIDATION
+    assert paths[target] in capsys.readouterr().err
 
 
 _FULL_WIDTH = str.maketrans({str(d): chr(0xFF10 + d) for d in range(10)})
@@ -653,6 +695,9 @@ def test_row_numbers_count_comment_lines(config_file, loss_files, capsys):
         {"events_file": 12345},
         {"events_file": ["e.csv"]},
         {"events_file": {"a": 1}},
+        # A misspelt key would otherwise leave the cell without what it names.
+        {"enforce_finte_mean": True},
+        {"truncaton": {"sigma_sq": [None, 4.0]}},
     ],
     ids=["no-counts", "no-events", "no-family", "freq-prior", "sev-prior", "short-bound",
          "scalar-bound", "text-bound", "bounds-list", "wrong-parameter", "empty-range",
@@ -661,7 +706,7 @@ def test_row_numbers_count_comment_lines(config_file, loss_files, capsys):
          "threshold-lognormal", "threshold-true", "freq-prior-true", "truncation-true",
          "numeric-text-bound", "overflow-text-bound", "huge-bound", "huge-freq-prior",
          "huge-threshold", "counts-int", "counts-list", "counts-dict", "events-int",
-         "events-list", "events-dict"],
+         "events-list", "events-dict", "misspelt-key", "misspelt-truncation"],
 )
 @pytest.mark.parametrize("command", ["fit", "capital"])
 def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command, capsys):
@@ -697,15 +742,74 @@ def test_malformed_config_cell_exit_code(tmp_path, config_file, change, command,
      f"threshold_L must be a number, got {10**400}"),
     ({"counts_file": 12345}, "counts_file must be a file path string, got 12345"),
     ({"events_file": ["e.csv"]}, 'events_file must be a file path string, got ["e.csv"]'),
+    ({"enforce_finte_mean": True}, "unknown key 'enforce_finte_mean'"),
+    ({"truncaton": {"sigma_sq": [None, 4.0]}}, "unknown key 'truncaton'"),
 ], ids=["threshold", "prior", "truncation", "text-bound", "overflow-text-bound", "text-prior",
         "text-threshold", "huge-bound", "huge-prior", "huge-threshold", "counts-int",
-        "events-list"])
+        "events-list", "misspelt-key", "misspelt-truncation"])
 def test_config_boolean_names_its_field(tmp_path, config_file, change, shown, capsys):
     cfg = json.loads(open(config_file).read())
     cfg["cells"][0].update(change)
     assert main(["fit", "--config", _write(tmp_path / "bad.json", json.dumps(cfg))]) \
         == EXIT_VALIDATION
     assert f"cell 'cell-a': invalid config: {shown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number, shown", [("1e400", "Infinity"), ("-1e400", "-Infinity"),
+                                           ("Infinity", "Infinity"), ("NaN", "NaN")],
+                         ids=["1e400", "-1e400", "Infinity", "NaN"])
+@pytest.mark.parametrize("cell, name", [
+    ({"truncation": {"sigma_sq": [None, "N"]}}, "truncation of sigma_sq"),
+    ({"freq_prior": {"shape": "N", "scale": 1.0}}, "freq_prior shape"),
+], ids=["bound", "prior"])
+@pytest.mark.parametrize("command", ["fit", "capital"])
+def test_config_number_no_double_holds_names_its_cell(tmp_path, config_file, number, shown,
+                                                      cell, name, command, capsys):
+    # Python's json reads 1e400 as inf, so an overflowing bound read as no bound at all.
+    cfg = json.loads(open(config_file).read())
+    cfg["cells"][0].update(cell)
+    bad = _write(tmp_path / "bad.json", json.dumps(cfg).replace('"N"', number))
+    argv = [command, "--config", bad] + (["--K", "1000"] if command == "capital" else [])
+    assert main(argv) == EXIT_VALIDATION
+    assert f"cell 'cell-a': invalid config: {name} must be a number, got {shown}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top, cell, shown", [
+    ({"k": 1000}, {}, ": unknown key 'k'"),
+    ({}, {"id": None}, ": cell 1: id must be a non-empty string, got null"),
+    ({}, {"id": ""}, ': cell 1: id must be a non-empty string, got ""'),
+    # 5 and "5" would draw different streams but write one cell_id.
+    ({}, {"id": 5}, ": cell 1: id must be a non-empty string, got 5"),
+    ({}, {"id": ["a"]}, ': cell 1: id must be a non-empty string, got ["a"]'),
+    ({}, {"id": {"a": 1}}, ': cell 1: id must be a non-empty string, got {"a": 1}'),
+    ({"cells": ["a"]}, {}, ': cell 1 must be an object, got "a"'),
+], ids=["top-level-key", "id-null", "id-empty", "id-number", "id-list", "id-object",
+        "cell-text"])
+@pytest.mark.parametrize("command", ["fit", "capital"])
+def test_config_keys_and_ids_exit_code(tmp_path, config_file, top, cell, shown, command, capsys):
+    cfg = json.loads(open(config_file).read())
+    cfg["cells"][0].update(cell)
+    cfg.update(top)
+    bad = _write(tmp_path / "bad.json", json.dumps(cfg))
+    assert main([command, "--config", bad]) == EXIT_VALIDATION
+    assert f"{bad}{shown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "capital"])
+def test_every_cell_is_read_before_any_is_fitted(tmp_path, config_file, command, monkeypatch,
+                                                 capsys):
+    cfg = json.loads(open(config_file).read())
+    events = _write(tmp_path / "b-events.csv", "year,amount\n1,2.5\n1,x\n2,1.5\n2,3.0\n2,7.0\n")
+    cfg["cells"].append({**cfg["cells"][0], "id": "cell-b", "events_file": events})
+    path = _write(tmp_path / "two.json", json.dumps(cfg))
+    calls = []
+    monkeypatch.setattr(cli.capital_mod, "conditional_capital", lambda *a, **k: calls.append(a))
+    argv = [command, "--config", path] + (["--K", "1000"] if command == "capital" else [])
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert f"{events}:3: malformed row" in err
+    assert out == "" and calls == []
 
 
 def _one_field_spoiled(valid: dict, bad):
@@ -770,11 +874,13 @@ def test_one_invalid_config_field_names_its_cell(tmp_path_factory, cell_id, fiel
         (["--K", "1_000"], {}, "--K must be a decimal integer in ASCII"),
         (["--q", "\u0660.\u0669"], {}, "--q must be a decimal number in ASCII"),  # Arabic-Indic
         (["--gamma", " 0.9"], {}, "--gamma must be a decimal number in ASCII"),
-        (["--seed", "1_0"], {}, "--seed must be an unsigned decimal, got '1_0'"),
+        (["--seed", "1_0"], {}, "--seed must be a decimal integer in ASCII, without '+', '_' or "
+                                "spaces, got '1_0'"),
+        ([], {"mode": "all"}, "mode must be conditional, predictive, or both, got 'all'"),
     ],
     ids=["q-flag", "q-zero", "gamma-flag", "K-flag", "q-config", "gamma-text", "K-config",
          "K-fraction", "K-huge", "K-underscore", "q-arabic-indic", "gamma-space",
-         "seed-underscore"],
+         "seed-underscore", "mode-config"],
 )
 def test_capital_range_exit_code(tmp_path, config_file, argv, config, shown, capsys):
     cfg = {**json.loads(open(config_file).read()), "K": 1000, **config}

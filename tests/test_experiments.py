@@ -1,3 +1,4 @@
+import math
 import threading
 import time
 
@@ -20,7 +21,7 @@ from riskcap.experiments import (
     generate_synthetic,
     single_realization_track,
 )
-from riskcap.mc_engine import ak_quantile
+from riskcap.mc_engine import AK_LOG_TOLERANCE, ak_quantile
 
 LN_MODEL = PointParams(lam=10.0, severity=LognormalParams(mu=1.0, sigma_sq=4.0))
 PARETO_MODEL = PointParams(lam=10.0, severity=ParetoParams(xi=2.0, threshold_L=1.0))
@@ -256,3 +257,20 @@ def test_bias_study_refuses_a_zero_reference_quantile():
     rare = PointParams(lam=1e-3, severity=LN_MODEL.severity)
     with pytest.raises(ValueError, match="reference quantile must be positive"):
         bias_study(rare, [20_000], R=1, q=0.999, K_sims=1000, seed=18)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("family", ["pareto", "lognormal"])
+def test_relative_bias_does_not_depend_on_the_currency_unit(family, seed):
+    # A currency 2^k times smaller scales every loss, each gap and Q0 alike. Only Q0's
+    # root search on ln x, which stops within AK_LOG_TOLERANCE, tells the runs apart.
+    def study(k):
+        severity = (ParetoParams(xi=2.0, threshold_L=2.0**k) if family == "pareto"
+                    else LognormalParams(mu=1.0 + k * math.log(2.0), sigma_sq=4.0))
+        curve = bias_study(PointParams(lam=10.0, severity=severity), [10, 20], R=3,
+                           K_sims=20_000, seed=seed)
+        return [bias for _, bias in curve.points]
+
+    base = study(0)
+    for k in (-20, -3, 1, 7, 20):
+        assert study(k) == pytest.approx(base, rel=AK_LOG_TOLERANCE, abs=0), k

@@ -119,3 +119,33 @@ def test_one_realization_path():
     realization, = [node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == "_fit_and_quantiles"]
     assert called(tree) == called(realization) == ["generate_synthetic", "simulate_pair"]
+
+
+def _owners(tree, match) -> list:
+    """The name of the innermost function around each node of ``tree`` that ``match`` takes."""
+    found = []
+
+    def visit(node, owner):
+        if match(node):
+            found.append(owner)
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_number_reader():
+    # cli applies its number grammar in _parse alone, and tests for a number a double
+    # holds (no bool) in _real alone, so flags, seeds, CSV fields and config cells
+    # cannot drift apart.
+    tree = _trees()["cli"]
+    grammar = _owners(tree, lambda node: isinstance(node, ast.Subscript)
+                      and getattr(node.value, "id", None) == "_NUMBER")
+    bools = _owners(tree, lambda node: isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "isinstance"
+                    and any(getattr(n, "id", None) == "bool"
+                            for arg in node.args[1:] for n in ast.walk(arg)))
+    assert set(grammar) == {"_parse"} and set(bools) == {"_real"}
